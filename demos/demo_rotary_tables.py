@@ -14,10 +14,10 @@ import numpy as np
 
 from bfpksort import (
     Permutation,
+    RopeTables,
     default_rope_tables,
     remap_rope_tables,
     rope_apply,
-    rope_apply_matrix,
 )
 
 # --- two standard channel layouts -------------------------------------------
@@ -35,8 +35,8 @@ rng = np.random.default_rng(1)
 x = rng.normal(size=8)
 print("norm before:", round(float(np.linalg.norm(x)), 6),
       " after:", round(float(np.linalg.norm(rope_apply(inter, x, 1234))), 6))
-once = rope_apply_matrix(inter, rope_apply_matrix(inter, x, 10), 32)
-jump = rope_apply_matrix(inter, x, 42)
+once = rope_apply(inter, rope_apply(inter, x, 10), 32)
+jump = rope_apply(inter, x, 42)
 print("rotate by 10 then 32 == rotate by 42:", bool(np.allclose(once, jump)))
 print()
 
@@ -52,7 +52,8 @@ print()
 
 # --- what goes wrong without the index translation ---------------------------
 
-literal = remap_rope_tables(inter, perm, partner_values=False)
+idx = perm.indices
+literal = RopeTables(inter.theta[idx], inter.partner[idx], inter.sign[idx])
 rhs_bad = rope_apply(literal, x[perm.indices], 7)
 print("with a naively shuffled partner table the results diverge:")
 print("  max abs difference:", float(np.abs(rhs_bad - lhs).max()))

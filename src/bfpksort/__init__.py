@@ -57,7 +57,7 @@ from .ksort import (
     remap_rope_tables,
     row_norms,
 )
-from .rope import RopeTables, default_rope_tables, rope_apply, rope_apply_matrix
+from .rope import RopeTables, default_rope_tables, rope_apply
 from .simharness import (
     DecodeTrace,
     ErrorReport,

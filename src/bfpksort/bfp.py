@@ -19,9 +19,9 @@ Everything here is a pure function over immutable inputs; no shared state.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 import numpy as np
 
@@ -193,10 +193,6 @@ class BfpTensor:
         m = self.mantissas.reshape(-1, self.fmt.block_size)[index]
         return BfpBlock(exponent=e, mantissas=m.copy())
 
-    def blocks(self) -> Iterator[BfpBlock]:
-        for i in range(self.num_blocks):
-            yield self.block(i)
-
     @property
     def packed_nbytes(self) -> int:
         return self.num_blocks * self.fmt.bytes_per_block
@@ -247,11 +243,7 @@ def quantize_block(values, fmt: BfpFormat) -> BfpBlock:
         raise ShapeMismatch(
             f"expected a vector of at most {fmt.block_size} values, got shape {v.shape}"
         )
-    _check_finite(v)
-    if v.size < fmt.block_size:
-        v = np.pad(v, (0, fmt.block_size - v.size))
-    e, mant = _encode_blocks(v[None, :], fmt)
-    return BfpBlock(exponent=int(e[0]), mantissas=mant[0])
+    return quantize_tensor(np.pad(v, (0, fmt.block_size - v.size)), fmt).block(0)
 
 
 def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
@@ -361,7 +353,7 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
     axis_len = shape[axis]
     nblocks_axis = -(-axis_len // n)
     outer = tuple(d for i, d in enumerate(shape) if i != axis)
-    count = int(np.prod(outer, dtype=np.int64)) * nblocks_axis if nblocks_axis else 0
+    count = math.prod(outer) * nblocks_axis
     nbytes = fmt.bytes_per_block
     if len(buf) != count * nbytes:
         raise CorruptBuffer(

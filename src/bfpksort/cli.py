@@ -60,6 +60,19 @@ DEFAULT_GRID = (
 
 SEED_ENV_VAR = "BFPKSORT_SEED"
 
+#: ``--order`` flag values and the sort orders they select.
+ORDER_FLAGS = {"asc": "ascending", "desc": "descending"}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # compared, not converted, so an integer beyond float range is rejected, not overflowed
+    big = sys.float_info.max
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
+
 
 def resolve_format(name: str) -> BfpFormat | None:
     """Preset name to format; ``None`` stands for lossless float storage."""
@@ -88,17 +101,41 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(20))
 
     def __post_init__(self) -> None:
+        # validate only, never coerce: report.json echoes the config as given
+        for name, low in (("d_h", 1), ("d_model", 1), ("n_tokens", 0), ("n_outlier_channels", 0)):
+            value = getattr(self, name)
+            if not _is_int(value) or value < low:
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        if self.n_outlier_channels > self.d_h:
+            raise ValueError(f"{self.n_outlier_channels} outlier channels > d_h={self.d_h}")
+        for name in ("outlier_scale", "base_std", "rope_base"):
+            value = getattr(self, name)
+            if not _is_finite_number(value):
+                raise ValueError(f"{name} must be a finite number, got {value!r}")
+        OutlierSpec(self.n_outlier_channels, self.outlier_scale, self.base_std)  # range checks
+        if self.rope_base <= 0:
+            raise ValueError(f"rope_base must be positive, got {self.rope_base!r}")
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
+        if not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ValueError(f"seeds must be non-negative integers, got {list(self.seeds)!r}")
         if (self.wk_path is None) != (self.wq_path is None):
             raise ValueError("wk_path and wq_path must be given together")
-        if self.order not in ("ascending", "descending"):
+        if not all(p is None or isinstance(p, str) for p in (self.wk_path, self.wq_path)):
+            raise ValueError("wk_path and wq_path must be strings")
+        if self.order not in ORDER_FLAGS.values():
             raise ValueError(f"bad sort order {self.order!r}")
+        if not isinstance(self.rope_enabled, bool):
+            raise ValueError(f"rope_enabled must be true or false, got {self.rope_enabled!r}")
         if self.rope_layout not in LAYOUTS:
             raise ValueError(f"bad rope layout {self.rope_layout!r}")
-        for fq, fk in self.formats:
-            resolve_format(fq)
-            resolve_format(fk)
+        if self.rope_enabled and self.d_h % 2:
+            raise ValueError(f"rotary embeddings need an even d_h, got {self.d_h}")
+        for pair in self.formats:
+            if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
+                raise ValueError(f"a format entry must be a pair of names, got {pair!r}")
+            for name in pair:
+                resolve_format(name)
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -111,7 +148,7 @@ class ExperimentConfig:
         if "formats" in doc:
             doc["formats"] = tuple(tuple(pair) for pair in doc["formats"])
         if "seeds" in doc:
-            doc["seeds"] = tuple(int(s) for s in doc["seeds"])
+            doc["seeds"] = tuple(doc["seeds"])
         return cls(**doc)
 
     def to_jsonable(self) -> dict:
@@ -173,9 +210,6 @@ def run_cell(
         else:
             report = _lossless_report()
             cache_bytes = cfg.n_tokens * weights.d_h * 8
-        report = report.with_logits_err(score_max_abs_err(trace)).with_config(
-            format_q=name_q, format_k=name_k, sorted=sorted_flag, seed=seed
-        )
         rows.append(
             {
                 "format_q": name_q,
@@ -185,7 +219,7 @@ def run_cell(
                 "mse": report.mse,
                 "sqnr_db": report.sqnr_db,
                 "max_abs_err": report.max_abs_err,
-                "logits_max_abs_err": report.logits_max_abs_err,
+                "logits_max_abs_err": score_max_abs_err(trace),
                 "bits_per_element": float(report.bits_per_element),
                 "cache_bytes": cache_bytes,
             }
@@ -284,7 +318,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             else ExperimentConfig()
         )
         if args.order:
-            cfg = dataclasses.replace(cfg, order={"asc": "ascending", "desc": "descending"}[args.order])
+            cfg = dataclasses.replace(cfg, order=ORDER_FLAGS[args.order])
         env_seed = os.environ.get(SEED_ENV_VAR)
         if env_seed is not None:
             cfg = dataclasses.replace(cfg, seeds=(int(env_seed),))
@@ -325,7 +359,7 @@ def _cmd_plan(args: argparse.Namespace) -> int:
         tables: RopeTables | None = None
         if args.rope != "off":
             tables = default_rope_tables(weights.d_h, args.base, args.rope)
-        order = {"asc": "ascending", "desc": "descending"}[args.order]
+        order = ORDER_FLAGS[args.order]
         plan = plan_head(weights, tables, order=order)
     except (BfpKsortError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -365,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--config", help="JSON config path (defaults used when omitted)")
     p_run.add_argument("--out-dir", default=".", help="directory for report.csv/report.json")
     p_run.add_argument("--workers", type=int, default=None, help="process pool size")
-    p_run.add_argument("--order", choices=("asc", "desc"), help="override sort order")
+    p_run.add_argument("--order", choices=tuple(ORDER_FLAGS), help="override sort order")
     p_run.set_defaults(func=_cmd_run)
 
     p_plan = sub.add_parser("plan", help="compute a channel-sorting plan for one head")
@@ -374,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--out", required=True, help="output JSON path")
     p_plan.add_argument("--rope", choices=("off",) + LAYOUTS, default="interleaved")
     p_plan.add_argument("--base", type=float, default=DEFAULT_BASE)
-    p_plan.add_argument("--order", choices=("asc", "desc"), default="asc")
+    p_plan.add_argument("--order", choices=tuple(ORDER_FLAGS), default="asc")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_inspect = sub.add_parser("inspect", help="print a tensor container header")

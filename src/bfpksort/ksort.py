@@ -151,46 +151,42 @@ def permute_rows(w: np.ndarray, perm: Permutation) -> np.ndarray:
     return perm.apply(w, axis=0)
 
 
-def remap_rope_tables(
-    tables: RopeTables, perm: Permutation, partner_values: bool = True
-) -> RopeTables:
+def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
     """Carry rotary tables through a channel permutation.
 
     ``theta`` and ``sign`` are plain per-channel attributes and move with
     their channels.  ``partner`` holds indices, so its entries are translated
     into the new numbering as well: ``partner'[j] = inv[partner[perm[j]]]``.
-
-    ``partner_values=False`` skips the index translation and permutes
-    ``partner`` as a bare array.  That variant does not preserve the pairing
-    (the output usually fails :meth:`RopeTables.validate`) and exists only so
-    tests can demonstrate the breakage; never use it for a real plan.
     """
     tables.validate()
     if len(perm) != tables.d_h:
         raise ShapeMismatch(f"permutation length {len(perm)} != d_h {tables.d_h}")
     idx = perm.indices
-    partner = tables.partner[idx]
-    if partner_values:
-        partner = perm.inverse().indices[partner]
     return RopeTables(
         theta=tables.theta[idx],
-        partner=partner.astype(np.intp),
+        partner=perm.inverse().indices[tables.partner[idx]].astype(np.intp),
         sign=tables.sign[idx],
     )
 
 
 @dataclass(frozen=True)
 class PermutationPlan:
-    """Result of the sorting pass for one head: the permutation, the permuted
-    projections, and the remapped rotary tables (when rotation is in use)."""
+    """Result of the sorting pass for one head: the channel permutation, the
+    remapped rotary tables (when rotation is in use) and the sort order.
+
+    The permuted projections are not stored; a deployed head gathers the rows
+    of its own weights through :meth:`Permutation.apply`.
+    """
 
     perm: Permutation
-    w_k_permuted: np.ndarray
-    w_q_permuted: np.ndarray
     rope: RopeTables | None = None
-    b_k_permuted: np.ndarray | None = None
-    b_q_permuted: np.ndarray | None = None
     order: str = "ascending"
+
+    def __post_init__(self) -> None:
+        if self.rope is not None and self.rope.d_h != len(self.perm):
+            raise ShapeMismatch(
+                f"permutation length {len(self.perm)} != rotary table length {self.rope.d_h}"
+            )
 
     def to_json(self) -> str:
         """Compact audit document: the permutation and tables, not the weights."""
@@ -202,12 +198,15 @@ class PermutationPlan:
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
-    @staticmethod
-    def permutation_from_json(text: str) -> tuple[Permutation, RopeTables | None, str]:
+    @classmethod
+    def from_json(cls, text: str) -> "PermutationPlan":
+        """Inverse of :meth:`to_json`."""
         doc = json.loads(text)
-        perm = Permutation(np.asarray(doc["pi"], dtype=np.intp))
-        tables = RopeTables.from_jsonable(doc["rope"]) if doc.get("rope") else None
-        return perm, tables, doc.get("order", "ascending")
+        return cls(
+            perm=Permutation(np.asarray(doc["pi"], dtype=np.intp)),
+            rope=RopeTables.from_jsonable(doc["rope"]) if doc.get("rope") else None,
+            order=doc.get("order", "ascending"),
+        )
 
 
 def expected_cache_mse(
@@ -303,10 +302,6 @@ def plan_head(
         perm = _cheapest_layout(weights, fmt)
     return PermutationPlan(
         perm=perm,
-        w_k_permuted=permute_rows(weights.w_k, perm),
-        w_q_permuted=permute_rows(weights.w_q, perm),
         rope=remap_rope_tables(rope_tables, perm) if rope_tables is not None else None,
-        b_k_permuted=perm.apply(weights.b_k) if weights.b_k is not None else None,
-        b_q_permuted=perm.apply(weights.b_q) if weights.b_q is not None else None,
         order=order,
     )

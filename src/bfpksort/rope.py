@@ -19,13 +19,14 @@ the weight-sorting pass relies on.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidRopeTables, ShapeMismatch
 
-__all__ = ["RopeTables", "default_rope_tables", "rope_apply", "rope_apply_matrix"]
+__all__ = ["RopeTables", "default_rope_tables", "rope_apply"]
 
 DEFAULT_BASE = 10000.0
 
@@ -93,6 +94,8 @@ def default_rope_tables(
     """
     if d_h < 2 or d_h % 2:
         raise ValueError(f"d_h must be even and >= 2, got {d_h}")
+    if not (math.isfinite(base) and base > 0.0):
+        raise ValueError(f"base must be finite and positive, got {base}")
     half = d_h // 2
     freqs = float(base) ** (-2.0 * np.arange(half) / d_h)
     if layout == "interleaved":
@@ -124,19 +127,3 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
         raise ShapeMismatch(f"vector length {x.shape[-1]} != table length {tables.d_h}")
     angles = np.expand_dims(np.asarray(m, dtype=np.float64), -1) * tables.theta
     return x * np.cos(angles) + tables.sign * x[..., tables.partner] * np.sin(angles)
-
-
-def rope_apply_matrix(tables: RopeTables, x, m) -> np.ndarray:
-    """Dense-matrix reference: build the full rotation matrix and multiply.
-
-    Quadratic in d_h; exists to cross-check :func:`rope_apply`.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != tables.d_h:
-        raise ShapeMismatch(f"vector length {x.shape[-1]} != table length {tables.d_h}")
-    d = tables.d_h
-    angles = float(m) * tables.theta
-    rot = np.zeros((d, d))
-    rot[np.arange(d), np.arange(d)] = np.cos(angles)
-    rot[np.arange(d), tables.partner] = tables.sign * np.sin(angles)
-    return x @ rot.T

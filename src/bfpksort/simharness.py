@@ -28,7 +28,7 @@ than the rest, consistent across tokens.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,34 +97,17 @@ def gen_activations(n_tokens: int, d_model: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecodeTrace:
-    """Everything one simulated decode produced, float and quantized."""
+    """What one simulated decode produced: float operands, cache and scores."""
 
-    activations: np.ndarray  # (T, d_model)
     keys: np.ndarray  # (T, d_h) pre-rotation keys, the cache reference
     queries: np.ndarray  # (T, d_h) post-rotation queries
     key_cache: BfpTensor | None
-    keys_deq: np.ndarray  # (T, d_h)
-    queries_deq: np.ndarray  # (T, d_h)
     scores_ref: np.ndarray  # (T, T) lower-triangular float reference
     scores: np.ndarray  # (T, T) lower-triangular, from dequantized operands
-    fmt_k: BfpFormat | None
-    fmt_q: BfpFormat | None
-    permuted: bool
-    rope_enabled: bool
 
     @property
     def n_tokens(self) -> int:
-        return int(self.activations.shape[0])
-
-
-def _require_plan_matches(weights: HeadWeights, plan: PermutationPlan) -> None:
-    idx = plan.perm.indices
-    if idx.size != weights.d_h:
-        raise PlanMismatch(f"plan is for d_h={idx.size}, weights have d_h={weights.d_h}")
-    if not np.array_equal(plan.w_k_permuted, weights.w_k[idx]) or not np.array_equal(
-        plan.w_q_permuted, weights.w_q[idx]
-    ):
-        raise PlanMismatch("plan weights are not a row permutation of the given head")
+        return int(self.keys.shape[0])
 
 
 def simulate_decode(
@@ -138,22 +121,25 @@ def simulate_decode(
     """Run a T-step decode, quantizing keys at ``fmt_k`` and queries at ``fmt_q``.
 
     ``None`` formats mean lossless float storage.  With ``plan`` given, the
-    permuted projections and remapped rotary tables are used, as a deployed
-    head would after the compile-time pass; ``rope_tables`` then names the
-    original tables the plan was derived from.
+    projection rows (and biases) are gathered through ``plan.perm`` and the
+    plan's remapped rotary tables are used, as a deployed head would after
+    the compile-time pass; ``rope_tables`` then names the original tables the
+    plan was derived from.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
+    w_k, w_q, b_k, b_q = weights.w_k, weights.w_q, weights.b_k, weights.b_q
+    tables = rope_tables
     if plan is not None:
-        _require_plan_matches(weights, plan)
+        if len(plan.perm) != weights.d_h:
+            raise PlanMismatch(f"plan is for d_h={len(plan.perm)}, weights have d_h={weights.d_h}")
         if (plan.rope is None) != (rope_tables is None):
             raise PlanMismatch("plan and call disagree on whether rotation is in use")
-        w_k, w_q, tables = plan.w_k_permuted, plan.w_q_permuted, plan.rope
-        b_k, b_q = plan.b_k_permuted, plan.b_q_permuted
-    else:
-        w_k, w_q, tables = weights.w_k, weights.w_q, rope_tables
-        b_k, b_q = weights.b_k, weights.b_q
+        gather = plan.perm.apply
+        w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
+        b_k = None if b_k is None else gather(b_k)
+        b_q = None if b_q is None else gather(b_q)
 
     positions = np.arange(X.shape[0])
     keys = X @ w_k.T
@@ -167,10 +153,10 @@ def simulate_decode(
 
     if fmt_k is not None:
         key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-        keys_deq = dequantize(key_cache)
+        deq_keys = dequantize(key_cache)
     else:
-        key_cache, keys_deq = None, keys
-    queries_deq = (
+        key_cache, deq_keys = None, keys
+    deq_queries = (
         dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
         if fmt_q is not None
         else queries
@@ -179,23 +165,16 @@ def simulate_decode(
     # rotation happens after retrieval, one angle per cached position
     if tables is not None:
         keys_rot_ref = rope_apply(tables, keys, positions)
-        keys_rot_deq = rope_apply(tables, keys_deq, positions)
+        keys_rot_deq = rope_apply(tables, deq_keys, positions)
     else:
-        keys_rot_ref, keys_rot_deq = keys, keys_deq
+        keys_rot_ref, keys_rot_deq = keys, deq_keys
 
     return DecodeTrace(
-        activations=X,
         keys=keys,
         queries=queries,
         key_cache=key_cache,
-        keys_deq=keys_deq,
-        queries_deq=queries_deq,
         scores_ref=np.tril(queries @ keys_rot_ref.T),
-        scores=np.tril(queries_deq @ keys_rot_deq.T),
-        fmt_k=fmt_k,
-        fmt_q=fmt_q,
-        permuted=plan is not None,
-        rope_enabled=tables is not None,
+        scores=np.tril(deq_queries @ keys_rot_deq.T),
     )
 
 
@@ -213,7 +192,6 @@ def exactness_check(
     correct plan lands at accumulated rounding error (~1e-15); a plan whose
     rotary tables were remapped wrongly deviates at order 1.
     """
-    _require_plan_matches(weights, plan)
     orig = simulate_decode(weights, rope_tables, X)
     perm = simulate_decode(weights, rope_tables, X, plan=plan)
     scale = float(np.abs(orig.scores_ref).max())
@@ -228,27 +206,17 @@ def _sorted_accumulate_sq(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Error and footprint metrics for one experiment cell.
+    """Error and footprint metrics for one quantized tensor.
 
     ``sqnr_db`` is +inf when reconstruction is exact and NaN (with
     ``degenerate_signal`` set) when the reference carries no signal power.
-    ``logits_max_abs_err`` and ``config`` are filled by the experiment
-    driver; bare tensor comparisons leave them at their defaults.
     """
 
     mse: float
     sqnr_db: float
     max_abs_err: float
     bits_per_element: object  # fractions.Fraction
-    logits_max_abs_err: float = math.nan
     degenerate_signal: bool = False
-    config: dict = field(default_factory=dict)
-
-    def with_logits_err(self, err: float) -> "ErrorReport":
-        return replace(self, logits_max_abs_err=float(err))
-
-    def with_config(self, **entries) -> "ErrorReport":
-        return replace(self, config={**self.config, **entries})
 
 
 def error_metrics(reference, quantized: BfpTensor) -> ErrorReport:

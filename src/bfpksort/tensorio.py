@@ -27,6 +27,7 @@ See ``docs/tensorfile-format.md`` for the normative one-page description.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 import tempfile
@@ -48,6 +49,9 @@ DTYPE_PACKED = 2
 
 _FLOAT_CODES = {np.dtype(np.float64): DTYPE_FLOAT64, np.dtype(np.float32): DTYPE_FLOAT32}
 _CODE_DTYPES = {DTYPE_FLOAT64: np.dtype("<f8"), DTYPE_FLOAT32: np.dtype("<f4")}
+_DTYPE_NAMES = {DTYPE_FLOAT64: "float64", DTYPE_FLOAT32: "float32", DTYPE_PACKED: "packed-bfp"}
+
+MAX_NDIM = 32
 
 
 def _u32(*values: int) -> bytes:
@@ -101,70 +105,60 @@ class _Reader:
         return struct.unpack("<I", self.take(4, what))[0]
 
 
-def load(path) -> Union[np.ndarray, BfpTensor]:
-    """Read a tensor container; returns an ndarray or a :class:`BfpTensor`."""
-    with open(path, "rb") as fh:
-        data = fh.read()
-    r = _Reader(data, path)
+def _read_header(r: _Reader) -> tuple[int, dict]:
+    """Parse the header up to the payload: the dtype code and the fields for display."""
+    path = r.path
     if r.take(4, "magic") != MAGIC:
         raise NotATensorFile(f"{path}: bad magic")
     version = r.u32("version")
     if version != FORMAT_VERSION:
         raise UnsupportedVersion(f"{path}: format version {version}, supported: {FORMAT_VERSION}")
-    dtype_code = r.u32("dtype code")
+    code = r.u32("dtype code")
+    if code not in _DTYPE_NAMES:
+        raise CorruptFile(f"{path}: unknown dtype code {code}")
     ndim = r.u32("ndim")
-    if ndim > 32:
+    if ndim > MAX_NDIM:
         raise CorruptFile(f"{path}: implausible ndim {ndim}")
-    shape = tuple(r.u32(f"dim {i}") for i in range(ndim))
+    info = {
+        "version": version,
+        "dtype": _DTYPE_NAMES[code],
+        "shape": tuple(r.u32(f"dim {i}") for i in range(ndim)),
+    }
+    if code == DTYPE_PACKED:
+        for key in ("mantissa_bits", "exponent_bits", "block_size", "blocking_axis"):
+            info[key] = r.u32(key.replace("_", " "))
+    return code, info
 
-    if dtype_code in _CODE_DTYPES:
-        dt = _CODE_DTYPES[dtype_code]
-        count = int(np.prod(shape, dtype=np.int64))
-        payload = r.take(count * dt.itemsize, "payload")
-        if r.pos != len(data):
-            raise CorruptFile(f"{path}: {len(data) - r.pos} trailing bytes after payload")
-        return np.frombuffer(payload, dtype=dt).reshape(shape).copy()
 
-    if dtype_code == DTYPE_PACKED:
-        p, b, n, axis = (r.u32(w) for w in ("mantissa bits", "exponent bits",
-                                            "block size", "blocking axis"))
+def load(path) -> Union[np.ndarray, BfpTensor]:
+    """Read a tensor container; returns an ndarray or a :class:`BfpTensor`."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    r = _Reader(data, path)
+    code, info = _read_header(r)
+    shape = info["shape"]
+
+    if code == DTYPE_PACKED:
+        axis = info["blocking_axis"]
         if not shape or axis >= len(shape):
             raise CorruptFile(f"{path}: blocking axis {axis} invalid for shape {shape}")
-        payload = data[r.pos :]
         try:
-            fmt = BfpFormat(mantissa_bits=p, block_size=n, exponent_bits=b)
-            return unpack(payload, fmt, shape, blocking_axis=axis)
+            fmt = BfpFormat(info["mantissa_bits"], info["block_size"], info["exponent_bits"])
+            return unpack(data[r.pos :], fmt, shape, blocking_axis=axis)
         except (BfpKsortError, ValueError) as exc:
             raise CorruptFile(f"{path}: {exc}") from exc
 
-    raise CorruptFile(f"{path}: unknown dtype code {dtype_code}")
+    dt = _CODE_DTYPES[code]
+    payload = r.take(math.prod(shape) * dt.itemsize, "payload")
+    if r.pos != len(data):
+        raise CorruptFile(f"{path}: {len(data) - r.pos} trailing bytes after payload")
+    return np.frombuffer(payload, dtype=dt).reshape(shape).copy()
 
 
 def describe(path) -> dict:
     """Parse only the header; returns the fields for display."""
     with open(path, "rb") as fh:
-        data = fh.read(16 + 4 * 32 + 16)
-    r = _Reader(data, path)
-    if r.take(4, "magic") != MAGIC:
-        raise NotATensorFile(f"{path}: bad magic")
-    info: dict = {"version": r.u32("version")}
-    if info["version"] != FORMAT_VERSION:
-        raise UnsupportedVersion(
-            f"{path}: format version {info['version']}, supported: {FORMAT_VERSION}"
-        )
-    code = r.u32("dtype code")
-    names = {DTYPE_FLOAT64: "float64", DTYPE_FLOAT32: "float32", DTYPE_PACKED: "packed-bfp"}
-    if code not in names:
-        raise CorruptFile(f"{path}: unknown dtype code {code}")
-    info["dtype"] = names[code]
-    ndim = r.u32("ndim")
-    if ndim > 32:
-        raise CorruptFile(f"{path}: implausible ndim {ndim}")
-    info["shape"] = tuple(r.u32(f"dim {i}") for i in range(ndim))
-    if code == DTYPE_PACKED:
-        info["mantissa_bits"] = r.u32("mantissa bits")
-        info["exponent_bits"] = r.u32("exponent bits")
-        info["block_size"] = r.u32("block size")
-        info["blocking_axis"] = r.u32("blocking axis")
+        data = fh.read(16 + 4 * MAX_NDIM + 16)
+    _, info = _read_header(_Reader(data, path))
     info["file_bytes"] = os.stat(path).st_size
     return info

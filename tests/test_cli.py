@@ -2,7 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
+import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -160,12 +163,25 @@ def test_failed_cell_exits_nonzero(tmp_path, capsys):
     assert "cell failed" in capsys.readouterr().err
 
 
+#: SHA-256 of the default sweep's report.csv / report.json.  The same digests
+#: are pinned in perfbench/run.py and move together with them, e.g. when the
+#: CLI switches to the format-aware plan (ROADMAP item 4).
+DEFAULT_SWEEP_DIGESTS = {
+    "report.csv": "fd64e906643a6e4c03fd47186b9804457d63a23a7088fb8ee0358214183afd22",
+    "report.json": "f70c5d4b6d7a7710bc3a4359162e83343abd1ad479f61a53f32bf59fea6f99fe",
+}
+
+
+def test_default_sweep_reports_keep_their_digests(tmp_path):
+    paths = run(ExperimentConfig(), out_dir=str(tmp_path), workers=1)
+    digests = {Path(p).name: hashlib.sha256(Path(p).read_bytes()).hexdigest() for p in paths}
+    assert digests == DEFAULT_SWEEP_DIGESTS
+
+
 def test_run_writes_byte_identical_reports(tmp_path):
     cfg = tiny_config()
     a_csv, a_json = run(cfg, out_dir=str(tmp_path / "a"), workers=1)
     b_csv, b_json = run(cfg, out_dir=str(tmp_path / "b"), workers=1)
-    from pathlib import Path
-
     assert Path(a_csv).read_bytes() == Path(b_csv).read_bytes()
     assert Path(a_json).read_bytes() == Path(b_json).read_bytes()
 
@@ -174,8 +190,6 @@ def test_worker_pool_matches_serial(tmp_path):
     cfg = tiny_config()
     a_csv, a_json = run(cfg, out_dir=str(tmp_path / "serial"), workers=1)
     b_csv, b_json = run(cfg, out_dir=str(tmp_path / "pool"), workers=2)
-    from pathlib import Path
-
     assert Path(a_csv).read_bytes() == Path(b_csv).read_bytes()
     assert Path(a_json).read_bytes() == Path(b_json).read_bytes()
 
@@ -189,8 +203,6 @@ def test_imported_weights_run(tmp_path):
     tensorio.save(tmp_path / "wq.bfpt", wq)
     cfg = tiny_config(wk_path=str(tmp_path / "wk.bfpt"), wq_path=str(tmp_path / "wq.bfpt"))
     csv_path, json_path = run(cfg, out_dir=str(tmp_path), workers=1)
-    from pathlib import Path
-
     doc = json.loads(Path(json_path).read_text())
     assert doc["config"]["wk_path"].endswith("wk.bfpt")
     assert len(doc["cells"]) == 2 * 2 * 2
@@ -201,7 +213,7 @@ def test_imported_weights_run(tmp_path):
 # ---------------------------------------------------------------------------
 
 
-def _write_tiny_config(tmp_path) -> str:
+def _write_tiny_config(tmp_path, **overrides) -> str:
     path = tmp_path / "cfg.json"
     path.write_text(
         json.dumps(
@@ -213,6 +225,7 @@ def _write_tiny_config(tmp_path) -> str:
                 "outlier_scale": 20.0,
                 "formats": [["BFP16_8", "BFP12_8"]],
                 "seeds": [0],
+                **overrides,
             }
         )
     )
@@ -233,6 +246,21 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     path.write_text(json.dumps({"seeds": []}))
     assert main(["run", "--config", str(path), "--out-dir", str(tmp_path)]) == 2
     assert "invalid config" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [{"outlier_scale": "x"}, {"outlier_scale": 10**400}, {"d_model": 2.5}, {"seeds": [1.7]},
+     {"d_h": 3}],
+    ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h"],
+)
+def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
+    # rejected before any cell runs; a fractional seed is not rounded
+    code = main(["run", "--config", _write_tiny_config(tmp_path, **entry),
+                 "--out-dir", str(tmp_path / "out"), "--workers", "1"])
+    assert code == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_run_missing_config_exits_1(tmp_path, capsys):
@@ -282,6 +310,27 @@ def test_cli_plan_rope_off(tmp_path):
                  "--out", str(tmp_path / "plan.json"), "--rope", "off"])
     assert code == 0
     assert json.loads((tmp_path / "plan.json").read_text())["rope"] is None
+
+
+@pytest.mark.parametrize("base", ["0", "-10000", "inf", "nan"])
+def test_cli_plan_bad_base_exits_2(tmp_path, capsys, base):
+    rng = np.random.default_rng(8)
+    tensorio.save(tmp_path / "wk.bfpt", rng.normal(size=(8, 4)))
+    tensorio.save(tmp_path / "wq.bfpt", rng.normal(size=(8, 4)))
+    code = main(["plan", "--wk", str(tmp_path / "wk.bfpt"), "--wq", str(tmp_path / "wq.bfpt"),
+                 "--out", str(tmp_path / "plan.json"), "--base", base])
+    assert code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_cli_plan_huge_dims_exits_1(tmp_path, capsys):
+    # 65536**4 elements wrap a 64-bit count to 0; the file must still be rejected
+    path = tmp_path / "huge.bfpt"
+    path.write_bytes(tensorio.MAGIC + struct.pack("<7I", 1, 1, 4, *[65536] * 4))
+    code = main(["plan", "--wk", str(path), "--wq", str(path), "--out", str(tmp_path / "p.json")])
+    assert code == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_inspect_missing_file_exits_1(tmp_path, capsys):

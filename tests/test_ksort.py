@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from bfpksort import (
     OutlierSpec,
     Permutation,
     PermutationPlan,
+    RopeTables,
     argsort_norms,
     default_rope_tables,
     dequantize,
@@ -24,6 +26,7 @@ from bfpksort import (
     remap_rope_tables,
     rope_apply,
     row_norms,
+    simulate_decode,
 )
 from bfpksort.errors import InvalidRopeTables, ShapeMismatch
 
@@ -175,13 +178,13 @@ def test_random_remaps_preserve_invariants(layout):
 
 def test_literal_array_permute_breaks_pairing():
     # translating partner values is what keeps the involution; a plain array
-    # permute (partner_values=False) generally does not survive validation
+    # permute of the partner table generally does not survive validation
     t = default_rope_tables(8)
     rng = np.random.default_rng(17)
     broken = 0
     for _ in range(20):
-        perm = Permutation(rng.permutation(8).astype(np.intp))
-        literal = remap_rope_tables(t, perm, partner_values=False)
+        idx = rng.permutation(8).astype(np.intp)
+        literal = RopeTables(t.theta[idx], t.partner[idx], t.sign[idx])
         try:
             literal.validate()
         except InvalidRopeTables:
@@ -215,8 +218,8 @@ def test_presorted_head_gets_identity_plan():
     weights = HeadWeights(w_k=w_k, w_q=np.ones((4, 6)))
     plan = plan_head(weights)
     assert plan.perm.is_identity()
-    assert np.array_equal(plan.w_k_permuted, weights.w_k)
-    assert np.array_equal(plan.w_q_permuted, weights.w_q)
+    assert np.array_equal(permute_rows(weights.w_k, plan.perm), weights.w_k)
+    assert np.array_equal(permute_rows(weights.w_q, plan.perm), weights.w_q)
 
 
 def test_two_channel_toy_head():
@@ -226,17 +229,17 @@ def test_two_channel_toy_head():
     )
     plan = plan_head(weights)
     assert plan.perm.indices.tolist() == [1, 0]
-    assert plan.w_k_permuted.tolist() == [[1.0, 0.0], [2.0, 0.0]]
-    assert plan.w_q_permuted.tolist() == [[20.0, 0.0], [10.0, 0.0]]
+    assert permute_rows(weights.w_k, plan.perm).tolist() == [[1.0, 0.0], [2.0, 0.0]]
+    assert permute_rows(weights.w_q, plan.perm).tolist() == [[20.0, 0.0], [10.0, 0.0]]
 
 
 def test_norms_sorted_after_plan():
     rng = np.random.default_rng(18)
     weights = _random_head(rng, d_h=16, d_model=8)
     plan = plan_head(weights)
-    assert np.all(np.diff(row_norms(plan.w_k_permuted)) >= 0)
+    assert np.all(np.diff(row_norms(permute_rows(weights.w_k, plan.perm))) >= 0)
     desc = plan_head(weights, order="descending")
-    assert np.all(np.diff(row_norms(desc.w_k_permuted)) <= 0)
+    assert np.all(np.diff(row_norms(permute_rows(weights.w_k, desc.perm))) <= 0)
 
 
 def test_product_preservation():
@@ -246,7 +249,7 @@ def test_product_preservation():
     weights = _random_head(rng, d_h=12, d_model=10)
     plan = plan_head(weights)
     a = weights.w_q.T @ weights.w_k
-    b = plan.w_q_permuted.T @ plan.w_k_permuted
+    b = permute_rows(weights.w_q, plan.perm).T @ permute_rows(weights.w_k, plan.perm)
     assert np.allclose(a, b, rtol=0.0, atol=1e-12 * float(np.abs(a).max()))
 
 
@@ -254,19 +257,27 @@ def test_plan_is_deterministic():
     rng1 = np.random.default_rng(20)
     rng2 = np.random.default_rng(20)
     tables = default_rope_tables(8)
-    p1 = plan_head(_random_head(rng1), tables)
-    p2 = plan_head(_random_head(rng2), tables)
+    w1, w2 = _random_head(rng1), _random_head(rng2)
+    p1, p2 = plan_head(w1, tables), plan_head(w2, tables)
     assert np.array_equal(p1.perm.indices, p2.perm.indices)
-    assert np.array_equal(p1.w_k_permuted, p2.w_k_permuted)
+    assert np.array_equal(permute_rows(w1.w_k, p1.perm), permute_rows(w2.w_k, p2.perm))
     assert np.array_equal(p1.rope.theta, p2.rope.theta)
+
+
+def _assert_biases_follow_rows(weights, tables, plan):
+    # the sorted decode's keys and queries, biases included, are the unsorted
+    # ones with their channels gathered by the plan
+    X = np.random.default_rng(29).normal(size=(5, weights.d_model))
+    unsorted = simulate_decode(weights, tables, X)
+    sorted_ = simulate_decode(weights, tables, X, plan=plan)
+    assert np.array_equal(sorted_.keys, plan.perm.apply(unsorted.keys, axis=1))
+    assert np.array_equal(sorted_.queries, plan.perm.apply(unsorted.queries, axis=1))
 
 
 def test_bias_vectors_follow_rows():
     rng = np.random.default_rng(21)
     weights = _random_head(rng, with_bias=True)
-    plan = plan_head(weights)
-    assert np.array_equal(plan.b_k_permuted, weights.b_k[plan.perm.indices])
-    assert np.array_equal(plan.b_q_permuted, weights.b_q[plan.perm.indices])
+    _assert_biases_follow_rows(weights, None, plan_head(weights))
 
 
 def test_rope_commutes_through_plan():
@@ -293,26 +304,39 @@ def test_head_weights_shape_validation():
         HeadWeights(w_k=np.ones((4, 3)), w_q=np.ones((4, 3)), b_k=np.ones(3))
 
 
+def _assert_plans_equal(a, b):
+    assert np.array_equal(a.perm.indices, b.perm.indices)
+    assert a.order == b.order
+    assert (a.rope is None) == (b.rope is None)
+    if a.rope is not None:
+        assert np.array_equal(a.rope.theta, b.rope.theta)
+        assert np.array_equal(a.rope.partner, b.rope.partner)
+        assert np.array_equal(a.rope.sign, b.rope.sign)
+
+
 def test_plan_json_round_trip():
     rng = np.random.default_rng(23)
     weights = _random_head(rng, d_h=8)
     tables = default_rope_tables(8, layout="half_split")
-    plan = plan_head(weights, tables, order="descending")
-    text = plan.to_json()
-    perm, rope, order = PermutationPlan.permutation_from_json(text)
-    assert np.array_equal(perm.indices, plan.perm.indices)
-    assert order == "descending"
-    assert np.array_equal(rope.theta, plan.rope.theta)
-    assert np.array_equal(rope.partner, plan.rope.partner)
-    assert np.array_equal(rope.sign, plan.rope.sign)
+    for order in ("ascending", "descending"):
+        plan = plan_head(weights, tables, order=order)
+        _assert_plans_equal(PermutationPlan.from_json(plan.to_json()), plan)
 
 
 def test_plan_json_without_rope():
     rng = np.random.default_rng(24)
-    plan = plan_head(_random_head(rng))
-    perm, rope, order = PermutationPlan.permutation_from_json(plan.to_json())
-    assert rope is None
-    assert np.array_equal(perm.indices, plan.perm.indices)
+    weights = _random_head(rng)
+    for order in ("ascending", "descending"):
+        plan = plan_head(weights, order=order)
+        _assert_plans_equal(PermutationPlan.from_json(plan.to_json()), plan)
+
+
+def test_plan_json_rejects_mismatched_lengths():
+    plan = plan_head(_random_head(np.random.default_rng(30)), default_rope_tables(8))
+    doc = json.loads(plan.to_json())
+    doc["pi"] = list(range(6))  # a valid permutation, but of 6 channels, not 8
+    with pytest.raises(ShapeMismatch):
+        PermutationPlan.from_json(json.dumps(doc))
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +391,7 @@ def test_format_plan_ragged_head_and_bias():
     fmt = BfpFormat(mantissa_bits=4, block_size=16)
     plan = plan_head(weights, tables, fmt=fmt)
     assert np.array_equal(plan.perm.indices, plan_head(weights, tables, fmt=fmt).perm.indices)
-    assert np.array_equal(plan.b_k_permuted, weights.b_k[plan.perm.indices])
+    _assert_biases_follow_rows(weights, tables, plan)
     x = rng.normal(size=24)
     lhs = rope_apply(tables, x, 3)[plan.perm.indices]
     assert np.array_equal(lhs, rope_apply(plan.rope, x[plan.perm.indices], 3))

@@ -1,8 +1,8 @@
 """Rotary table construction and rotation properties.
 
-The dense-matrix path (`rope_apply_matrix`) is the in-package oracle; the
-scalar expansion below is a second, loop-based reference sharing nothing
-with either vectorized path.
+The dense-matrix path (`rope_apply_matrix`) is the oracle; the scalar
+expansion below is a second, loop-based reference sharing nothing with
+either vectorized path.
 """
 
 from __future__ import annotations
@@ -18,9 +18,24 @@ from bfpksort import (
     default_rope_tables,
     remap_rope_tables,
     rope_apply,
-    rope_apply_matrix,
 )
 from bfpksort.errors import InvalidRopeTables, ShapeMismatch
+
+
+def rope_apply_matrix(tables: RopeTables, x, m) -> np.ndarray:
+    """Dense-matrix reference: build the full rotation matrix and multiply.
+
+    Quadratic in d_h; exists to cross-check :func:`rope_apply`.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[-1] != tables.d_h:
+        raise ShapeMismatch(f"vector length {x.shape[-1]} != table length {tables.d_h}")
+    d = tables.d_h
+    angles = float(m) * tables.theta
+    rot = np.zeros((d, d))
+    rot[np.arange(d), np.arange(d)] = np.cos(angles)
+    rot[np.arange(d), tables.partner] = tables.sign * np.sin(angles)
+    return x @ rot.T
 
 
 def scalar_rope(tables: RopeTables, x, m):

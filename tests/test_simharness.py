@@ -15,6 +15,7 @@ from bfpksort import (
     OutlierSpec,
     Permutation,
     PermutationPlan,
+    RopeTables,
     default_rope_tables,
     dequantize,
     error_metrics,
@@ -106,15 +107,14 @@ def test_cache_holds_unrotated_keys():
     trace = simulate_decode(weights, tables, X, fmt_k=BFP12_4)
     assert np.array_equal(trace.keys, X @ weights.w_k.T)
     # the cache quantizes exactly those keys
-    assert np.array_equal(dequantize(trace.key_cache), trace.keys_deq)
+    expected = dequantize(quantize_tensor(trace.keys, BFP12_4, 1))
+    assert np.array_equal(dequantize(trace.key_cache), expected)
 
 
 def test_identity_plan_equals_no_plan():
     weights, tables, X = _small_setup()
     identity = PermutationPlan(
         perm=Permutation.identity(weights.d_h),
-        w_k_permuted=weights.w_k,
-        w_q_permuted=weights.w_q,
         rope=remap_rope_tables(tables, Permutation.identity(weights.d_h)),
     )
     a = simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
@@ -132,11 +132,17 @@ def test_scores_are_causal():
 
 
 def test_plan_from_other_weights_rejected():
-    weights, tables, X = _small_setup(seed=3)
-    other, _, _ = _small_setup(seed=4)
-    plan = plan_head(other, tables)
+    # a plan holds no weights, so any permutation of the head's width fits;
+    # a plan for another head dimension does not
+    weights, tables, X = _small_setup(d_h=8)
+    other, other_tables, _ = _small_setup(d_h=10)
+    plan = plan_head(other, other_tables)
     with pytest.raises(PlanMismatch):
         simulate_decode(weights, tables, X, plan=plan)
+    with pytest.raises(PlanMismatch):
+        exactness_check(weights, plan, X, tables)
+    same_width, _, _ = _small_setup(seed=4)
+    assert exactness_check(weights, plan_head(same_width, tables), X, tables) <= 1e-12
 
 
 def test_rope_flag_confusion_rejected():
@@ -234,7 +240,9 @@ def test_exactness_breaks_with_literal_table_permute():
     # visibly breaks the score map
     weights, tables, X = _small_setup()
     good = plan_head(weights, tables)
-    literal = replace(good, rope=remap_rope_tables(tables, good.perm, partner_values=False))
+    idx = good.perm.indices
+    shuffled = RopeTables(tables.theta[idx], tables.partner[idx], tables.sign[idx])
+    literal = replace(good, rope=shuffled)
     assert exactness_check(weights, good, X, tables) <= 1e-12
     assert exactness_check(weights, literal, X, tables) > 1e-3
 
@@ -294,9 +302,6 @@ def test_metrics_shape_mismatch():
 def test_report_carries_context():
     x = np.ones(4)
     rep = error_metrics(x, quantize_tensor(x, BFP12_4, 0))
-    rep = rep.with_logits_err(0.5).with_config(seed=3, sorted=True)
-    assert rep.logits_max_abs_err == 0.5
-    assert rep.config == {"seed": 3, "sorted": True}
     assert float(rep.bits_per_element) == 4 + 8 / 4
 
 

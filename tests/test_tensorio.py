@@ -8,6 +8,8 @@ expected payload length), or a packed-format parameter.
 
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -167,6 +169,15 @@ def test_truncated_header(tmp_path):
     path.write_bytes(_valid_file_bytes()[:10])
     with pytest.raises(CorruptFile):
         tensorio.load(path)
+
+
+def test_huge_dims_do_not_wrap_the_element_count(tmp_path):
+    # 65536**4 float32 elements: a 64-bit element count wraps to 0
+    path = tmp_path / "huge.bfpt"
+    path.write_bytes(tensorio.MAGIC + struct.pack("<7I", 1, 1, 4, *[65536] * 4))
+    with pytest.raises(CorruptFile):
+        tensorio.load(path)
+    assert tensorio.describe(path)["shape"] == (65536,) * 4
 
 
 # ---------------------------------------------------------------------------
