@@ -39,6 +39,7 @@ from .errors import (
     CorruptBuffer,
     CorruptFile,
     ExponentOverflow,
+    InvalidConfig,
     InvalidRopeTables,
     InvalidValue,
     NotATensorFile,

@@ -314,28 +314,30 @@ def bfp_dot(a: BfpTensor, k: BfpTensor) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _fields(fmt: BfpFormat):
+    """Bit offset and width of each field of a block: the exponent, then mantissa 0..n-1."""
+    yield 0, fmt.exponent_bits
+    for j in range(fmt.block_size):
+        yield fmt.exponent_bits + j * fmt.mantissa_bits, fmt.mantissa_bits
+
+
+def _byte_span(offset: int, width: int) -> range:
+    # a field covers at most 3 bytes: width <= 16 plus an in-byte shift <= 7
+    return range(offset >> 3, ((offset + width - 1) >> 3) + 1)
+
+
 def pack(t: BfpTensor) -> bytes:
     """Serialize the blocks of ``t`` to the packed wire layout."""
     fmt = t.fmt
-    emask = (1 << fmt.exponent_bits) - 1
-    pmask = (1 << fmt.mantissa_bits) - 1
-    p = fmt.mantissa_bits
-    nbytes = fmt.bytes_per_block
-    out = bytearray()
-    exps = t.exponents.reshape(-1).tolist()
-    rows = t.mantissas.reshape(-1, fmt.block_size).tolist()
-    for e, row in zip(exps, rows):
-        word = e & emask
-        shift = fmt.exponent_bits
-        for m in row:
-            word |= (m & pmask) << shift
-            shift += p
-        out += word.to_bytes(nbytes, "little")
-    return bytes(out)
-
-
-def _sign_extend(field: int, bits: int) -> int:
-    return field - (1 << bits) if field & (1 << (bits - 1)) else field
+    exps = t.exponents.reshape(-1)
+    mants = t.mantissas.reshape(-1, fmt.block_size)
+    out = np.zeros((exps.size, fmt.bytes_per_block), dtype=np.uint8)
+    # one pass per field over all blocks at once; each pass ORs the field into its bytes
+    for col, (offset, width) in zip([exps, *mants.T], _fields(fmt)):
+        field = (col & ((1 << width) - 1)).astype(np.uint32) << (offset & 7)
+        for k, byte in enumerate(_byte_span(offset, width)):
+            out[:, byte] |= (field >> (8 * k)).astype(np.uint8)
+    return out.tobytes()
 
 
 def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTensor:
@@ -360,18 +362,15 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
             f"expected {count * nbytes} bytes for {count} blocks of {nbytes}, got {len(buf)}"
         )
 
-    emask = (1 << fmt.exponent_bits) - 1
-    pmask = (1 << fmt.mantissa_bits) - 1
-    p = fmt.mantissa_bits
+    raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, nbytes)
     exps = np.empty(count, dtype=np.int32)
     mants = np.empty((count, n), dtype=np.int32)
-    for i in range(count):
-        word = int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
-        exps[i] = _sign_extend(word & emask, fmt.exponent_bits)
-        word >>= fmt.exponent_bits
-        for j in range(n):
-            mants[i, j] = _sign_extend(word & pmask, p)
-            word >>= p
+    for col, (offset, width) in zip([exps, *mants.T], _fields(fmt)):
+        word = np.zeros(count, dtype=np.int32)
+        for k, byte in enumerate(_byte_span(offset, width)):
+            word |= raw[:, byte].astype(np.int32) << (8 * k)
+        field = (word >> (offset & 7)) & ((1 << width) - 1)
+        col[...] = field - ((field >> (width - 1)) << width)  # two's-complement sign extension
 
     padding = nblocks_axis * n - axis_len
     if padding:

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, format_from_name
-from .errors import BfpKsortError
+from .errors import BfpKsortError, InvalidConfig
 from .ksort import HeadWeights, plan_head
 from .rope import DEFAULT_BASE, LAYOUTS, RopeTables, default_rope_tables
 from .simharness import (
@@ -269,13 +269,21 @@ def run(
 
     Cells are independent and dispatched to a process pool when
     ``workers > 1``; row order in the report is fixed by the config, not by
-    completion order.
+    completion order.  An imported head that no cell could run raises
+    :class:`InvalidConfig` before any cell starts.
     """
     imported = None
     if cfg.wk_path is not None:
         wk, wq = tensorio.load(cfg.wk_path), tensorio.load(cfg.wq_path)
         if not isinstance(wk, np.ndarray) or not isinstance(wq, np.ndarray):
-            raise ValueError("imported weight files must hold float tensors")
+            raise InvalidConfig("imported weight files must hold float tensors")
+        if wk.ndim != 2 or wk.shape != wq.shape:
+            raise InvalidConfig(
+                f"imported w_k and w_q must be matrices of one shape, "
+                f"got {wk.shape} and {wq.shape}"
+            )
+        if cfg.rope_enabled and wk.shape[0] % 2:
+            raise InvalidConfig(f"rotary embeddings need an even d_h, imported d_h={wk.shape[0]}")
         imported = (np.asarray(wk, np.float64), np.asarray(wq, np.float64))
 
     tasks = [
@@ -333,6 +341,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except OSError as exc:
         print(f"error: {exc.filename or args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
         return 1
+    except InvalidConfig as exc:
+        print(f"error: invalid config: {exc}", file=sys.stderr)
+        return 2
     except (BfpKsortError, ValueError) as exc:
         print(f"error: experiment cell failed: {exc}", file=sys.stderr)
         return 1

@@ -29,6 +29,10 @@ class PlanMismatch(BfpKsortError, ValueError):
     """Permutation plan was not derived from the supplied weights."""
 
 
+class InvalidConfig(BfpKsortError, ValueError):
+    """Experiment input, such as the imported weights a config names, cannot be run."""
+
+
 class NotATensorFile(BfpKsortError, ValueError):
     """File does not start with the tensor container magic."""
 

@@ -36,7 +36,7 @@ from typing import Union
 import numpy as np
 
 from .bfp import BfpFormat, BfpTensor, pack, unpack
-from .errors import BfpKsortError, CorruptFile, NotATensorFile, UnsupportedVersion
+from .errors import BfpKsortError, CorruptFile, NotATensorFile, ShapeMismatch, UnsupportedVersion
 
 __all__ = ["MAGIC", "FORMAT_VERSION", "save", "load", "describe"]
 
@@ -59,6 +59,11 @@ def _u32(*values: int) -> bytes:
 
 
 def _header_bytes(dtype_code: int, shape: tuple[int, ...]) -> bytes:
+    # reject here what load would reject, before save creates its temporary file
+    if len(shape) > MAX_NDIM or any(d >= 1 << 32 for d in shape):
+        raise ShapeMismatch(
+            f"cannot store shape {shape}: at most {MAX_NDIM} dims, each below 2**32"
+        )
     return MAGIC + _u32(FORMAT_VERSION, dtype_code, len(shape), *shape)
 
 

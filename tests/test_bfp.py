@@ -10,6 +10,8 @@ no code path and no numerics with the production encoder.
 
 from __future__ import annotations
 
+import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -21,6 +23,7 @@ from bfpksort import (
     BFP12_128,
     BFP16_32,
     BfpFormat,
+    BfpTensor,
     bfp_dot,
     bits_per_element,
     dequantize,
@@ -315,6 +318,166 @@ def test_dot_allows_mixed_mantissa_widths():
 # ---------------------------------------------------------------------------
 # pack / unpack
 # ---------------------------------------------------------------------------
+
+
+def _pack_oracle(t: BfpTensor) -> bytes:
+    """Reference packer: one Python integer per block, its fields ORed in one by one."""
+    fmt = t.fmt
+    emask = (1 << fmt.exponent_bits) - 1
+    pmask = (1 << fmt.mantissa_bits) - 1
+    p = fmt.mantissa_bits
+    nbytes = fmt.bytes_per_block
+    out = bytearray()
+    exps = t.exponents.reshape(-1).tolist()
+    rows = t.mantissas.reshape(-1, fmt.block_size).tolist()
+    for e, row in zip(exps, rows):
+        word = e & emask
+        shift = fmt.exponent_bits
+        for m in row:
+            word |= (m & pmask) << shift
+            shift += p
+        out += word.to_bytes(nbytes, "little")
+    return bytes(out)
+
+
+def _sign_extend(field: int, bits: int) -> int:
+    return field - (1 << bits) if field & (1 << (bits - 1)) else field
+
+
+def _unpack_oracle(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTensor:
+    """Reference unpacker: reads each block as one Python integer and shifts fields off."""
+    shape = tuple(int(d) for d in shape)
+    ndim = len(shape)
+    if ndim == 0 or not -ndim <= blocking_axis < ndim:
+        raise ShapeMismatch(f"axis {blocking_axis} out of range for shape {shape}")
+    axis = blocking_axis % ndim
+
+    n = fmt.block_size
+    axis_len = shape[axis]
+    nblocks_axis = -(-axis_len // n)
+    outer = tuple(d for i, d in enumerate(shape) if i != axis)
+    count = math.prod(outer) * nblocks_axis
+    nbytes = fmt.bytes_per_block
+    if len(buf) != count * nbytes:
+        raise CorruptBuffer(
+            f"expected {count * nbytes} bytes for {count} blocks of {nbytes}, got {len(buf)}"
+        )
+
+    emask = (1 << fmt.exponent_bits) - 1
+    pmask = (1 << fmt.mantissa_bits) - 1
+    p = fmt.mantissa_bits
+    exps = np.empty(count, dtype=np.int32)
+    mants = np.empty((count, n), dtype=np.int32)
+    for i in range(count):
+        word = int.from_bytes(buf[i * nbytes : (i + 1) * nbytes], "little")
+        exps[i] = _sign_extend(word & emask, fmt.exponent_bits)
+        word >>= fmt.exponent_bits
+        for j in range(n):
+            mants[i, j] = _sign_extend(word & pmask, p)
+            word >>= p
+
+    padding = nblocks_axis * n - axis_len
+    if padding:
+        tail = mants.reshape(outer + (nblocks_axis, n))[..., -1, n - padding :]
+        if np.any(tail != 0):
+            raise CorruptBuffer("padding mantissas must decode to zero")
+    return BfpTensor(
+        fmt=fmt,
+        logical_shape=shape,
+        blocking_axis=axis,
+        exponents=exps.reshape(outer + (nblocks_axis,)),
+        mantissas=mants.reshape(outer + (nblocks_axis, n)),
+        padding_count=padding,
+    )
+
+
+FUZZ_BLOCK_SIZES = (1, 3, 7, 24, 32, 33, 128)
+#: every blocking axis of 1-D, 2-D and 3-D shapes, as (ndim, axis)
+FUZZ_LAYOUTS = [(ndim, axis) for ndim in (1, 2, 3) for axis in range(ndim)]
+
+
+def _fuzz_cases(rng: np.random.Generator, p: int):
+    """Formats with mantissa width ``p`` over exponent widths 2/8/11 and every fuzz
+    block size, each with a random shape whose blocking axis usually ends ragged."""
+    combos = itertools.product((2, 8, 11), FUZZ_BLOCK_SIZES)
+    for i, (b, n) in enumerate(combos):
+        ndim, axis = FUZZ_LAYOUTS[(i + p) % len(FUZZ_LAYOUTS)]
+        shape = [int(d) for d in rng.integers(1, 4, size=ndim)]
+        shape[axis] = int(rng.integers(1, 3 * n + 1))
+        yield BfpFormat(p, n, b), tuple(shape), axis
+
+
+def _random_bfp_tensor(rng, fmt: BfpFormat, shape, axis) -> BfpTensor:
+    """In-range exponents and mantissas; the first block is all zero at exponent_min
+    and the last holds +-mantissa_max at exponent_max."""
+    n = fmt.block_size
+    nblocks = -(-shape[axis] // n)
+    outer = tuple(d for i, d in enumerate(shape) if i != axis)
+    exps = rng.integers(fmt.exponent_min, fmt.exponent_max + 1, size=outer + (nblocks,))
+    mants = rng.integers(-fmt.mantissa_max, fmt.mantissa_max + 1, size=outer + (nblocks, n))
+    exps.reshape(-1)[0] = fmt.exponent_min
+    mants.reshape(-1, n)[0] = 0
+    exps.reshape(-1)[-1] = fmt.exponent_max
+    mants.reshape(-1, n)[-1] = rng.choice([-fmt.mantissa_max, fmt.mantissa_max], size=n)
+    padding = nblocks * n - shape[axis]
+    mants[..., -1, n - padding :] = 0
+    return BfpTensor(fmt, shape, axis, exps.astype(np.int32), mants.astype(np.int32), padding)
+
+
+def _random_packed_buffer(rng, fmt: BfpFormat, shape, axis) -> bytes:
+    """Random block bytes with the padding mantissas zeroed; the first mantissa holds
+    the code -2**(p-1), which the encoder never produces.  Bits past the last field
+    of each block stay random."""
+    n, b, p = fmt.block_size, fmt.exponent_bits, fmt.mantissa_bits
+    nblocks = -(-shape[axis] // n)
+    count = math.prod(d for i, d in enumerate(shape) if i != axis) * nblocks
+    nbytes = fmt.bytes_per_block
+    raw = rng.bytes(count * nbytes)
+    words = [int.from_bytes(raw[i * nbytes : (i + 1) * nbytes], "little") for i in range(count)]
+    pmask = (1 << p) - 1
+    words[0] = words[0] & ~(pmask << b) | (1 << (p - 1)) << b
+    padding = nblocks * n - shape[axis]
+    for i in range(nblocks - 1, count, nblocks):
+        words[i] &= ~(((1 << (padding * p)) - 1) << (b + (n - padding) * p))
+    return b"".join(w.to_bytes(nbytes, "little") for w in words)
+
+
+def _assert_unpack_matches_oracle(buf: bytes, fmt: BfpFormat, shape, axis):
+    """Unpack ``buf`` both ways; returns the tensor, or ``None`` when both reject it."""
+    try:
+        want = _unpack_oracle(buf, fmt, shape, axis)
+    except CorruptBuffer:
+        with pytest.raises(CorruptBuffer):
+            unpack(buf, fmt, shape, axis)
+        return None
+    got = unpack(buf, fmt, shape, axis)
+    assert got.exponents.dtype == want.exponents.dtype
+    assert got.mantissas.dtype == want.mantissas.dtype
+    assert np.array_equal(got.exponents, want.exponents)
+    assert np.array_equal(got.mantissas, want.mantissas)
+    assert got.padding_count == want.padding_count
+    return got
+
+
+@pytest.mark.parametrize("p", range(2, 17))
+def test_pack_matches_loop_oracle(p):
+    rng = np.random.default_rng(100 + p)
+    for fmt, shape, axis in _fuzz_cases(rng, p):
+        t = _random_bfp_tensor(rng, fmt, shape, axis)
+        buf = pack(t)
+        assert buf == _pack_oracle(t), (fmt, shape, axis)
+        _assert_unpack_matches_oracle(buf, fmt, shape, axis)
+
+
+@pytest.mark.parametrize("p", range(2, 17))
+def test_unpack_matches_loop_oracle_on_random_bytes(p):
+    rng = np.random.default_rng(200 + p)
+    for fmt, shape, axis in _fuzz_cases(rng, p):
+        buf = _random_packed_buffer(rng, fmt, shape, axis)
+        got = _assert_unpack_matches_oracle(buf, fmt, shape, axis)
+        assert got.mantissas.reshape(-1)[0] == -(1 << (p - 1))
+        # unzeroed padding: both reject a ragged tail, both accept a whole one
+        _assert_unpack_matches_oracle(rng.bytes(len(buf)), fmt, shape, axis)
 
 
 def test_block_sizes_bfp12_bfp16():

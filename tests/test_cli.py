@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bfpksort import tensorio
+from bfpksort import BfpFormat, quantize_tensor, tensorio
 from bfpksort.cli import (
     DEFAULT_GRID,
     ExperimentConfig,
@@ -260,6 +260,26 @@ def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
                  "--out-dir", str(tmp_path / "out"), "--workers", "1"])
     assert code == 2
     assert "invalid config" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "wk, wq",
+    [(np.ones((15, 8)), np.ones((15, 8))), (np.ones((16, 8)), np.ones((16, 6))),
+     (np.ones((16, 8, 1)), np.ones((16, 8, 1))),
+     (quantize_tensor(np.ones((16, 8)), BfpFormat(4, 8), 1), np.ones((16, 8)))],
+    ids=["odd_d_h_with_rotary", "shape_mismatch", "not_a_matrix", "packed"],
+)
+def test_cli_run_bad_imported_weights_is_invalid_config(tmp_path, capsys, wk, wq):
+    # checked once before any cell runs, not failed cell by cell
+    tensorio.save(tmp_path / "wk.bfpt", wk)
+    tensorio.save(tmp_path / "wq.bfpt", wq)
+    config = _write_tiny_config(
+        tmp_path, wk_path=str(tmp_path / "wk.bfpt"), wq_path=str(tmp_path / "wq.bfpt")
+    )
+    code = main(["run", "--config", config, "--out-dir", str(tmp_path / "out"), "--workers", "1"])
+    assert code == 2
+    assert "error: invalid config:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
 
 

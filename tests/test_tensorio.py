@@ -17,6 +17,7 @@ from bfpksort import BfpFormat, dequantize, quantize_tensor
 from bfpksort.errors import (
     CorruptFile,
     NotATensorFile,
+    ShapeMismatch,
     UnsupportedVersion,
 )
 from bfpksort import tensorio
@@ -87,6 +88,25 @@ def test_integer_arrays_rejected(tmp_path):
 def test_no_temp_files_left_behind(tmp_path):
     tensorio.save(tmp_path / "a.bfpt", np.ones(4))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["a.bfpt"]
+
+
+@pytest.mark.parametrize(
+    "tensor",
+    [np.zeros((1,) * 33), np.empty((2**32, 0)),
+     quantize_tensor(np.empty((2**32, 0)), BfpFormat(4, 8), 1)],
+    ids=["ndim_33", "dim_2_32", "packed_dim_2_32"],
+)
+def test_save_rejects_what_load_would_reject(tmp_path, tensor):
+    # 33 dims used to save and then fail to load; a dim of 2**32 raised struct.error
+    with pytest.raises(ShapeMismatch):
+        tensorio.save(tmp_path / "x.bfpt", tensor)
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_max_ndim_round_trips(tmp_path):
+    x = np.zeros((1,) * tensorio.MAX_NDIM)
+    tensorio.save(tmp_path / "x.bfpt", x)
+    assert tensorio.load(tmp_path / "x.bfpt").shape == x.shape
 
 
 def test_overwrite_is_atomic_replace(tmp_path):
