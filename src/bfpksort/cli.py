@@ -29,7 +29,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, format_from_name
-from .errors import BfpKsortError, InvalidConfig
+from .errors import (
+    BfpKsortError,
+    CorruptFile,
+    InvalidConfig,
+    NotATensorFile,
+    UnsupportedVersion,
+)
 from .ksort import HeadWeights, plan_head
 from .rope import DEFAULT_BASE, LAYOUTS, RopeTables, default_rope_tables
 from .simharness import (
@@ -344,6 +350,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     except InvalidConfig as exc:
         print(f"error: invalid config: {exc}", file=sys.stderr)
         return 2
+    except (NotATensorFile, UnsupportedVersion, CorruptFile) as exc:
+        # an imported weight file, read before any cell starts; the message names it
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except (BfpKsortError, ValueError) as exc:
         print(f"error: experiment cell failed: {exc}", file=sys.stderr)
         return 1

@@ -7,7 +7,9 @@ discipline for rotary models, keys are stored *before* rotation and the
 position-dependent rotation is applied after dequantization, at score time;
 queries are rotated and then cast to their (higher-precision) format.
 Attention scores are evaluated in float64 from the dequantized operands, so
-measured error is purely storage-format error ("fake quantization").
+measured error is purely storage-format error ("fake quantization").  They
+are reduced to the score error one block of query rows at a time, each block
+against only its causal keys, so memory grows with T rather than T**2.
 
 Because cache blocks never span tokens (one key vector is one or more whole
 blocks), quantizing each key at its own decode step produces bit-for-bit the
@@ -97,17 +99,71 @@ def gen_activations(n_tokens: int, d_model: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecodeTrace:
-    """What one simulated decode produced: float operands, cache and scores."""
+    """What one simulated decode produced: float operands, cache and score error."""
 
     keys: np.ndarray  # (T, d_h) pre-rotation keys, the cache reference
     queries: np.ndarray  # (T, d_h) post-rotation queries
     key_cache: BfpTensor | None
-    scores_ref: np.ndarray  # (T, T) lower-triangular float reference
-    scores: np.ndarray  # (T, T) lower-triangular, from dequantized operands
+    score_err: float  # largest causal |score - reference score|, see score_max_abs_err
 
     @property
     def n_tokens(self) -> int:
         return int(self.keys.shape[0])
+
+
+#: Elements of the score map reduced at a time: query rows [i0, i1) are scored
+#: against the causal keys [:i1], budget // T rows per block.  Every T <= 1024
+#: is one block; T = 4096 takes 256 rows (8 MiB of float64) per block.
+SCORE_BLOCK_ELEMENTS = 1 << 20
+
+
+def _row_blocks(n_tokens: int):
+    rows = max(1, SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
+    for i0 in range(0, n_tokens, rows):
+        yield i0, min(n_tokens, i0 + rows)
+
+
+def _causal_max(values: np.ndarray, i0: int) -> np.float64:
+    """Largest of the non-negative ``values`` of query rows ``[i0, i1)`` against
+    keys ``[:i1]`` over the causal part; NaN when a causal entry is NaN."""
+    # every key before i0 is causal for the whole block: mask only the diagonal
+    return np.maximum(values[:, :i0].max(initial=0.0), np.tril(values[:, i0:]).max())
+
+
+def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
+    """Pre-rotation keys, rotated queries and the rotary tables of the head,
+    with the rows gathered through ``plan`` when one is given."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != weights.d_model:
+        raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
+    w_k, w_q, b_k, b_q = weights.w_k, weights.w_q, weights.b_k, weights.b_q
+    tables = rope_tables
+    if plan is not None:
+        if len(plan.perm) != weights.d_h:
+            raise PlanMismatch(f"plan is for d_h={len(plan.perm)}, weights have d_h={weights.d_h}")
+        if (plan.rope is None) != (rope_tables is None):
+            raise PlanMismatch("plan and call disagree on whether rotation is in use")
+        gather = plan.perm.apply
+        w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
+        b_k = None if b_k is None else gather(b_k)
+        b_q = None if b_q is None else gather(b_q)
+
+    keys = X @ w_k.T
+    queries = X @ w_q.T
+    if b_k is not None:
+        keys = keys + b_k
+    if b_q is not None:
+        queries = queries + b_q
+    if tables is not None:
+        queries = rope_apply(tables, queries, np.arange(X.shape[0]))
+    return keys, queries, tables
+
+
+def _rotate_keys(tables: RopeTables | None, keys: np.ndarray) -> np.ndarray:
+    """Rotate cached keys ``(..., T, d_h)`` to their positions, after retrieval."""
+    if tables is None:
+        return keys
+    return rope_apply(tables, keys, np.arange(keys.shape[-2]))
 
 
 def simulate_decode(
@@ -125,56 +181,33 @@ def simulate_decode(
     plan's remapped rotary tables are used, as a deployed head would after
     the compile-time pass; ``rope_tables`` then names the original tables the
     plan was derived from.
+
+    The score error is reduced one block of query rows at a time
+    (:data:`SCORE_BLOCK_ELEMENTS`), so no T x T score map is ever built.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != weights.d_model:
-        raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
-    w_k, w_q, b_k, b_q = weights.w_k, weights.w_q, weights.b_k, weights.b_q
-    tables = rope_tables
-    if plan is not None:
-        if len(plan.perm) != weights.d_h:
-            raise PlanMismatch(f"plan is for d_h={len(plan.perm)}, weights have d_h={weights.d_h}")
-        if (plan.rope is None) != (rope_tables is None):
-            raise PlanMismatch("plan and call disagree on whether rotation is in use")
-        gather = plan.perm.apply
-        w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
-        b_k = None if b_k is None else gather(b_k)
-        b_q = None if b_q is None else gather(b_q)
-
-    positions = np.arange(X.shape[0])
-    keys = X @ w_k.T
-    queries = X @ w_q.T
-    if b_k is not None:
-        keys = keys + b_k
-    if b_q is not None:
-        queries = queries + b_q
-    if tables is not None:
-        queries = rope_apply(tables, queries, positions)
-
+    keys, queries, tables = _project(weights, rope_tables, X, plan)
     if fmt_k is not None:
         key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-        deq_keys = dequantize(key_cache)
+        # one rotation for both: cos/sin are computed once
+        keys_rot_ref, keys_rot_deq = _rotate_keys(
+            tables, np.stack([keys, dequantize(key_cache)])
+        )
     else:
-        key_cache, deq_keys = None, keys
+        key_cache = None
+        keys_rot_ref = keys_rot_deq = _rotate_keys(tables, keys)
     deq_queries = (
         dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
         if fmt_q is not None
         else queries
     )
 
-    # rotation happens after retrieval, one angle per cached position
-    if tables is not None:
-        keys_rot_ref = rope_apply(tables, keys, positions)
-        keys_rot_deq = rope_apply(tables, deq_keys, positions)
-    else:
-        keys_rot_ref, keys_rot_deq = keys, deq_keys
-
+    score_err = np.float64(0.0)
+    for i0, i1 in _row_blocks(keys.shape[0]):
+        err = deq_queries[i0:i1] @ keys_rot_deq[:i1].T
+        err -= queries[i0:i1] @ keys_rot_ref[:i1].T
+        score_err = np.maximum(score_err, _causal_max(np.abs(err, out=err), i0))
     return DecodeTrace(
-        keys=keys,
-        queries=queries,
-        key_cache=key_cache,
-        scores_ref=np.tril(queries @ keys_rot_ref.T),
-        scores=np.tril(deq_queries @ keys_rot_deq.T),
+        keys=keys, queries=queries, key_cache=key_cache, score_err=float(score_err)
     )
 
 
@@ -186,16 +219,24 @@ def exactness_check(
 ) -> float:
     """Largest normalized deviation between original and permuted score maps.
 
-    Both sides are evaluated in float64 with no quantization, over all token
-    pairs; the return value is ``max|diff| / max|reference|``.  Channel
-    permutation leaves each score a reordering of the same summands, so a
-    correct plan lands at accumulated rounding error (~1e-15); a plan whose
-    rotary tables were remapped wrongly deviates at order 1.
+    Both sides are evaluated in float64 with no quantization, over all causal
+    token pairs; the return value is ``max|diff| / max|reference|`` (0.0 for
+    zero tokens).  Channel permutation leaves each score a reordering of the
+    same summands, so a correct plan lands at accumulated rounding error
+    (~1e-15); a plan whose rotary tables were remapped wrongly deviates at
+    order 1.
     """
-    orig = simulate_decode(weights, rope_tables, X)
-    perm = simulate_decode(weights, rope_tables, X, plan=plan)
-    scale = float(np.abs(orig.scores_ref).max())
-    diff = float(np.abs(orig.scores_ref - perm.scores_ref).max())
+    keys, queries, tables = _project(weights, rope_tables, X, None)
+    p_keys, p_queries, p_tables = _project(weights, rope_tables, X, plan)
+    keys, p_keys = _rotate_keys(tables, keys), _rotate_keys(p_tables, p_keys)
+    scale = diff = np.float64(0.0)
+    for i0, i1 in _row_blocks(keys.shape[0]):
+        ref = queries[i0:i1] @ keys[:i1].T
+        dev = p_queries[i0:i1] @ p_keys[:i1].T
+        dev -= ref
+        scale = np.maximum(scale, _causal_max(np.abs(ref, out=ref), i0))
+        diff = np.maximum(diff, _causal_max(np.abs(dev, out=dev), i0))
+    scale, diff = float(scale), float(diff)
     return diff / scale if scale > 0.0 else diff
 
 
@@ -255,12 +296,9 @@ def error_metrics(reference, quantized: BfpTensor) -> ErrorReport:
 
 def score_max_abs_err(trace: DecodeTrace) -> float:
     """Largest attention-score deviation caused by quantization, over the
-    causal (lower-triangular) part of the score map."""
-    t = trace.n_tokens
-    if t == 0:
-        return 0.0
-    tri = np.tril_indices(t)
-    return float(np.abs(trace.scores[tri] - trace.scores_ref[tri]).max())
+    causal (lower-triangular) part of the score map; NaN if any such score
+    is NaN, 0.0 for zero tokens."""
+    return trace.score_err
 
 
 def footprint(n_tokens: int, d_h: int, fmt: BfpFormat) -> int:

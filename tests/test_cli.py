@@ -283,6 +283,27 @@ def test_cli_run_bad_imported_weights_is_invalid_config(tmp_path, capsys, wk, wq
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "blob, reason",
+    [(b"BFPTjunk", "format version"), (b"NOPEjunk", "bad magic"),
+     (b"BFPT" + struct.pack("<I", 1), "truncated")],
+    ids=["unknown_version", "bad_magic", "truncated"],
+)
+def test_cli_run_corrupt_weight_file_names_the_file(tmp_path, capsys, blob, reason):
+    # read once before any cell runs: reported as that file's fault, not a cell's
+    (tmp_path / "wk.bfpt").write_bytes(blob)
+    tensorio.save(tmp_path / "wq.bfpt", np.ones((16, 8)))
+    config = _write_tiny_config(
+        tmp_path, wk_path=str(tmp_path / "wk.bfpt"), wq_path=str(tmp_path / "wq.bfpt")
+    )
+    code = main(["run", "--config", config, "--out-dir", str(tmp_path / "out"), "--workers", "2"])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / 'wk.bfpt'}: {reason}"), err
+    assert "cell failed" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "nope.json" in capsys.readouterr().err

@@ -3,15 +3,19 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from bfpksort import (
+    BFP12_32,
     BFP12_64,
+    BFP16_32,
     BFP16_64,
     BfpFormat,
+    HeadWeights,
     OutlierSpec,
     Permutation,
     PermutationPlan,
@@ -28,7 +32,9 @@ from bfpksort import (
     quantize_tensor,
     remap_rope_tables,
     row_norms,
+    rope_apply,
     score_max_abs_err,
+    simharness,
     simulate_decode,
 )
 from bfpksort.errors import PlanMismatch, ShapeMismatch
@@ -97,8 +103,11 @@ def _small_setup(seed=0, d_h=8, d_model=16, n_tokens=6, rope=True):
 def test_lossless_trace_matches_reference():
     weights, tables, X = _small_setup()
     trace = simulate_decode(weights, tables, X)
+    keys, queries, scores_ref, scores = _dense_decode_oracle(weights, tables, X)
     assert trace.key_cache is None
-    assert np.array_equal(trace.scores, trace.scores_ref)
+    assert np.array_equal(trace.keys, keys)
+    assert np.array_equal(trace.queries, queries)
+    assert np.array_equal(scores, scores_ref)
     assert score_max_abs_err(trace) == 0.0
 
 
@@ -121,14 +130,35 @@ def test_identity_plan_equals_no_plan():
     b = simulate_decode(weights, tables, X, BFP12_4, BFP12_4, plan=identity)
     assert np.array_equal(a.keys, b.keys)
     assert np.array_equal(a.queries, b.queries)
-    assert np.array_equal(a.scores, b.scores)
-    assert np.array_equal(a.scores_ref, b.scores_ref)
+    assert np.array_equal(dequantize(a.key_cache), dequantize(b.key_cache))
+    assert score_max_abs_err(a) > 0.0
+    assert score_max_abs_err(a) == score_max_abs_err(b)
 
 
-def test_scores_are_causal():
-    weights, tables, X = _small_setup()
-    trace = simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
-    assert np.array_equal(np.triu(trace.scores, k=1), np.zeros_like(trace.scores))
+def test_scores_are_causal(monkeypatch):
+    # query i scaled by 2**-i, key j by 2**j: a deviation above the diagonal (an
+    # early query against a later key) outweighs the causal ones by 2**(j - i),
+    # so a mask that lets any through, even inside a 7-row block, shows
+    t, d_h = 65, 8
+    weights = HeadWeights(
+        w_k=np.hstack([np.zeros((d_h, d_h)), np.eye(d_h)]),
+        w_q=np.hstack([np.eye(d_h), np.zeros((d_h, d_h))]),
+    )
+    ramp = np.exp2(np.arange(t))[:, None]
+    X = gen_activations(t, 2 * d_h, 3) * np.hstack([1.0 / ramp.repeat(d_h, 1), ramp.repeat(d_h, 1)])
+    tables = default_rope_tables(d_h)
+    _, _, scores_ref, scores = _dense_decode_oracle(weights, tables, X, BFP12_4, BFP12_4)
+    dev = np.abs(_unmasked(weights, tables, X, BFP12_4, BFP12_4))
+    within_7_rows = np.triu(dev, k=1) - np.triu(dev, k=7)
+    assert within_7_rows.max() > 2.0 * np.tril(dev).max()
+    bound = _rounding_bound(weights, tables, X, BFP12_4, BFP12_4)
+    for rows in (None, 7, 1):
+        with monkeypatch.context() as patch:
+            _patch_rows(patch, rows, t)
+            trace = simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
+            _assert_oracle_value(
+                score_max_abs_err(trace), _score_err_oracle(scores_ref, scores), rows, bound
+            )
 
 
 def test_plan_from_other_weights_rejected():
@@ -216,6 +246,223 @@ def test_format_plan_keeps_scores_exact():
     weights, tables, X = _small_setup()
     plan = plan_head(weights, tables, fmt=BFP12_4)
     assert exactness_check(weights, plan, X, tables) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# dense oracle: simulate_decode, score_max_abs_err and exactness_check as they
+# were before the decode streamed over blocks of query rows, building both
+# T x T score maps in one product each
+# ---------------------------------------------------------------------------
+
+
+def _dense_operands(weights, rope_tables, X, fmt_k=None, fmt_q=None, plan=None):
+    """``(keys, queries, keys_rot_ref, deq_queries, keys_rot_deq)``: the score
+    map operands, reference and dequantized, over all T tokens."""
+    X = np.asarray(X, dtype=np.float64)
+    w_k, w_q, b_k, b_q = weights.w_k, weights.w_q, weights.b_k, weights.b_q
+    tables = rope_tables
+    if plan is not None:
+        gather = plan.perm.apply
+        w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
+        b_k = None if b_k is None else gather(b_k)
+        b_q = None if b_q is None else gather(b_q)
+
+    positions = np.arange(X.shape[0])
+    keys = X @ w_k.T
+    queries = X @ w_q.T
+    if b_k is not None:
+        keys = keys + b_k
+    if b_q is not None:
+        queries = queries + b_q
+    if tables is not None:
+        queries = rope_apply(tables, queries, positions)
+
+    if fmt_k is not None:
+        deq_keys = dequantize(quantize_tensor(keys, fmt_k, blocking_axis=1))
+    else:
+        deq_keys = keys
+    deq_queries = (
+        dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
+        if fmt_q is not None
+        else queries
+    )
+
+    if tables is not None:
+        keys_rot_ref = rope_apply(tables, keys, positions)
+        keys_rot_deq = rope_apply(tables, deq_keys, positions)
+    else:
+        keys_rot_ref, keys_rot_deq = keys, deq_keys
+    return keys, queries, keys_rot_ref, deq_queries, keys_rot_deq
+
+
+def _dense_decode_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, plan=None):
+    """``(keys, queries, scores_ref, scores)`` with the full causal score maps."""
+    keys, queries, keys_rot_ref, deq_queries, keys_rot_deq = _dense_operands(
+        weights, rope_tables, X, fmt_k, fmt_q, plan
+    )
+    return (
+        keys,
+        queries,
+        np.tril(queries @ keys_rot_ref.T),
+        np.tril(deq_queries @ keys_rot_deq.T),
+    )
+
+
+def _score_err_oracle(scores_ref, scores):
+    t = scores.shape[0]
+    if t == 0:
+        return 0.0
+    tri = np.tril_indices(t)
+    return float(np.abs(scores[tri] - scores_ref[tri]).max())
+
+
+def _exactness_oracle(weights, plan, X, rope_tables=None):
+    orig = _dense_decode_oracle(weights, rope_tables, X)[2]
+    perm = _dense_decode_oracle(weights, rope_tables, X, plan=plan)[2]
+    scale = float(np.abs(orig).max())
+    diff = float(np.abs(orig - perm).max())
+    return diff / scale if scale > 0.0 else diff
+
+
+def _unmasked(weights, tables, X, fmt_k, fmt_q):
+    """Score deviation over every token pair, causal or not."""
+    _, queries, keys_rot_ref, deq_queries, keys_rot_deq = _dense_operands(
+        weights, tables, X, fmt_k, fmt_q
+    )
+    return deq_queries @ keys_rot_deq.T - queries @ keys_rot_ref.T
+
+
+def _rounding_bound(weights, tables, X, fmt_k=None, fmt_q=None, plan=None):
+    """How far a causal score error may move when its products are blocked
+    differently.
+
+    Any summation order puts a dot product of length d_h within
+    ``d_h * eps * sum|q||k|`` of the exact value, so two orders differ by twice
+    that, and a score error, the difference of two scores, by four times.
+    """
+    _, queries, keys_rot_ref, deq_queries, keys_rot_deq = _dense_operands(
+        weights, tables, X, fmt_k, fmt_q, plan
+    )
+    largest = max(
+        float(np.tril(np.abs(q) @ np.abs(k).T).max(initial=0.0))
+        for q, k in ((queries, keys_rot_ref), (deq_queries, keys_rot_deq))
+    )
+    gamma = 1.01 * weights.d_h * np.finfo(np.float64).eps
+    return 4.0 * gamma * largest
+
+
+def _patch_rows(monkeypatch, rows, t):
+    """Make simulate_decode and exactness_check reduce ``rows`` query rows at a
+    time at ``t`` tokens; ``None`` keeps the module's default budget."""
+    if rows is not None:
+        monkeypatch.setattr(simharness, "SCORE_BLOCK_ELEMENTS", rows * max(t, 1))
+
+
+def _assert_oracle_value(got, want, rows, bound):
+    if rows is None or got == want:
+        # at the default budget every T <= 1024 is one block: the same products
+        assert got == want
+    else:
+        # BLAS sums a product's dot products in an order that depends on the
+        # block shape, so a re-blocked score can move in its last bits
+        assert abs(got - want) <= bound, (got, want, bound)
+
+
+_FUZZ_TOKENS = (1, 2, 63, 64, 65, 511, 512)
+
+
+def _fuzz_head(seed, rope):
+    d_h, d_model = 16, 24
+    weights = gen_outlier_head(d_h, d_model, OutlierSpec(2, 20.0, seed=seed))
+    rng = np.random.default_rng([seed, 9])
+    weights = replace(weights, b_k=rng.normal(size=d_h) * 3.0, b_q=rng.normal(size=d_h))
+    tables = None if rope == "off" else default_rope_tables(d_h, layout=rope)
+    return weights, tables
+
+
+@pytest.mark.parametrize("rope", ["interleaved", "half_split", "off"])
+@pytest.mark.parametrize("rows", [1, 7, None], ids=["rows_1", "rows_7", "default"])
+def test_score_error_matches_dense_oracle(monkeypatch, rows, rope):
+    weights, tables = _fuzz_head(len(rope), rope)
+    plan = plan_head(weights, tables)
+    for t in _FUZZ_TOKENS:
+        X = gen_activations(t, weights.d_model, t)
+        _patch_rows(monkeypatch, rows, t)
+        for use_plan in (None, plan):
+            for fmt_k, fmt_q in ((None, None), (BfpFormat(4, 8), BfpFormat(8, 8))):
+                trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
+                keys, queries, scores_ref, scores = _dense_decode_oracle(
+                    weights, tables, X, fmt_k, fmt_q, use_plan
+                )
+                assert np.array_equal(trace.keys, keys)
+                assert np.array_equal(trace.queries, queries)
+                _assert_oracle_value(
+                    score_max_abs_err(trace), _score_err_oracle(scores_ref, scores), rows,
+                    _rounding_bound(weights, tables, X, fmt_k, fmt_q, use_plan),
+                )
+
+
+@pytest.mark.parametrize("rope", ["interleaved", "half_split", "off"])
+@pytest.mark.parametrize("rows", [1, 7, None], ids=["rows_1", "rows_7", "default"])
+def test_exactness_check_matches_dense_oracle(monkeypatch, rows, rope):
+    weights, tables = _fuzz_head(len(rope) + 1, rope)
+    plans = [plan_head(weights, tables)]
+    if tables is not None:
+        # rotary tables permuted as plain arrays: deviations of order 1
+        idx = plans[0].perm.indices
+        shuffled = RopeTables(tables.theta[idx], tables.partner[idx], tables.sign[idx])
+        plans.append(replace(plans[0], rope=shuffled))
+    for t in _FUZZ_TOKENS:
+        X = gen_activations(t, weights.d_model, t)
+        _patch_rows(monkeypatch, rows, t)
+        scale = float(np.abs(_dense_decode_oracle(weights, tables, X)[2]).max())
+        for plan in plans:
+            # both maps and the scale move: a deviation ratio of order 1 moves
+            # by at most a few times the score bound over the scale
+            bound = 3.0 * (
+                _rounding_bound(weights, tables, X) + _rounding_bound(weights, tables, X, plan=plan)
+            ) / max(scale, np.finfo(np.float64).tiny)
+            _assert_oracle_value(
+                exactness_check(weights, plan, X, tables),
+                _exactness_oracle(weights, plan, X, tables), rows, bound,
+            )
+
+
+def test_nan_in_a_later_block_makes_score_error_nan(monkeypatch):
+    # a running max built on Python's max() would drop it: max(0.0, nan) is 0.0
+    weights, tables, X = _small_setup(n_tokens=64)
+    X[50, 3] = np.nan
+    _patch_rows(monkeypatch, 8, 64)
+    scores_ref, scores = _dense_decode_oracle(weights, tables, X)[2:]
+    assert math.isnan(_score_err_oracle(scores_ref, scores))
+    assert math.isnan(score_max_abs_err(simulate_decode(weights, tables, X)))
+
+
+def test_zero_tokens_report_zero_error():
+    weights, tables, X = _small_setup()
+    plan = plan_head(weights, tables)
+    trace = simulate_decode(weights, tables, X[:0], BFP12_4, BFP12_4, plan=plan)
+    assert trace.n_tokens == 0
+    assert score_max_abs_err(trace) == 0.0
+    assert exactness_check(weights, plan, X[:0], tables) == 0.0
+
+
+def test_long_decode_memory_grows_with_t_not_t_squared():
+    # one sorted T = 4096 decode as the long-context benchmark runs it; a single
+    # T x T float64 score map is 128 MiB, and the dense decode peaked at 522 MiB
+    t, tables = 4096, default_rope_tables(128)
+    weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, seed=0))
+    X = gen_activations(t, 256, 0)
+    plan = plan_head(weights, tables)
+    tracemalloc.start()
+    try:
+        trace = simulate_decode(weights, tables, X, BFP12_32, BFP16_32, plan=plan)
+        error_metrics(trace.keys, trace.key_cache)
+        score_max_abs_err(trace)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2**20, peak / 2**20
 
 
 # ---------------------------------------------------------------------------
