@@ -10,9 +10,13 @@ Subcommands:
                files and persist the permutation + rotary tables as JSON.
 * ``inspect``  dump a tensor container header.
 
-Reports are deterministic: the same config produces byte-identical files.
-The ``BFPKSORT_SEED`` environment variable overrides the config seed list
-with a single seed (handy for smoke tests).
+A seed is the sweep's unit of work: its head, activations, rotary tables
+and sorting plan are built once and shared by every format pair.  Seeds run
+serially unless ``--workers N`` asks for a process pool of N > 1.
+
+Reports are deterministic: the same config produces byte-identical files,
+serial or pooled.  The ``BFPKSORT_SEED`` environment variable overrides the
+config seed list with a single seed (handy for smoke tests).
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -39,7 +44,6 @@ from .errors import (
 from .ksort import HeadWeights, plan_head
 from .rope import DEFAULT_BASE, LAYOUTS, RopeTables, default_rope_tables
 from .simharness import (
-    ErrorReport,
     OutlierSpec,
     error_metrics,
     footprint,
@@ -164,17 +168,6 @@ class ExperimentConfig:
         return doc
 
 
-def _lossless_report() -> ErrorReport:
-    from fractions import Fraction
-
-    return ErrorReport(
-        mse=0.0,
-        sqnr_db=math.inf,
-        max_abs_err=0.0,
-        bits_per_element=Fraction(64),  # float64 passthrough
-    )
-
-
 def _head_for_seed(
     cfg: ExperimentConfig, seed: int, imported: tuple[np.ndarray, np.ndarray] | None
 ) -> HeadWeights:
@@ -191,13 +184,15 @@ def _head_for_seed(
 
 def run_cell(
     cfg: ExperimentConfig,
-    pair_index: int,
     seed: int,
     imported: tuple[np.ndarray, np.ndarray] | None = None,
-) -> list[dict]:
-    """Evaluate one (format pair, seed) cell: unsorted and sorted rows."""
-    name_q, name_k = cfg.formats[pair_index]
-    fmt_q, fmt_k = resolve_format(name_q), resolve_format(name_k)
+) -> list[list[dict]]:
+    """Evaluate one seed over every format pair of ``cfg``.
+
+    The seed's head, activations, rotary tables and sorting plan are built
+    once and shared by all pairs.  Returns, per format pair in config order,
+    its unsorted and its sorted row.
+    """
     weights = _head_for_seed(cfg, seed, imported)
     X = gen_activations(cfg.n_tokens, weights.d_model, seed)
     tables = (
@@ -207,30 +202,34 @@ def run_cell(
     )
     plan = plan_head(weights, tables, order=cfg.order)
 
-    rows = []
-    for sorted_flag, use_plan in ((False, None), (True, plan)):
-        trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
-        if trace.key_cache is not None:
-            report = error_metrics(trace.keys, trace.key_cache)
-            cache_bytes = footprint(cfg.n_tokens, weights.d_h, fmt_k)
-        else:
-            report = _lossless_report()
-            cache_bytes = cfg.n_tokens * weights.d_h * 8
-        rows.append(
-            {
+    cells = []
+    for name_q, name_k in cfg.formats:
+        fmt_q, fmt_k = resolve_format(name_q), resolve_format(name_k)
+        rows = []
+        for sorted_flag, use_plan in ((False, None), (True, plan)):
+            trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
+            row = {
                 "format_q": name_q,
                 "format_k": name_k,
                 "sorted": sorted_flag,
                 "seed": seed,
-                "mse": report.mse,
-                "sqnr_db": report.sqnr_db,
-                "max_abs_err": report.max_abs_err,
                 "logits_max_abs_err": score_max_abs_err(trace),
-                "bits_per_element": float(report.bits_per_element),
-                "cache_bytes": cache_bytes,
             }
-        )
-    return rows
+            if trace.key_cache is None:  # float64 passthrough: exact
+                row.update(
+                    mse=0.0, sqnr_db=math.inf, max_abs_err=0.0, bits_per_element=64.0,
+                    cache_bytes=cfg.n_tokens * weights.d_h * 8,
+                )
+            else:
+                report = error_metrics(trace.keys, trace.key_cache)
+                row.update(
+                    mse=report.mse, sqnr_db=report.sqnr_db, max_abs_err=report.max_abs_err,
+                    bits_per_element=float(report.bits_per_element),
+                    cache_bytes=footprint(cfg.n_tokens, weights.d_h, fmt_k),
+                )
+            rows.append(row)
+        cells.append(rows)
+    return cells
 
 
 def _float_cell(value: float) -> str:
@@ -268,16 +267,19 @@ def emit_report(cfg: ExperimentConfig, rows: list[dict]) -> tuple[str, str]:
     return csv_text, json_text
 
 
-def run(
-    cfg: ExperimentConfig, out_dir: str = ".", workers: int | None = None
-) -> tuple[str, str]:
+def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[str, str]:
     """Execute the sweep and write ``report.csv`` / ``report.json``.
 
-    Cells are independent and dispatched to a process pool when
-    ``workers > 1``; row order in the report is fixed by the config, not by
-    completion order.  An imported head that no cell could run raises
-    :class:`InvalidConfig` before any cell starts.
+    Each seed is one task (:func:`run_cell`).  Seeds run serially in this
+    process unless ``workers > 1``, which runs them on a pool of
+    ``min(workers, len(cfg.seeds))`` processes.  Rows are reported pair by
+    pair, then seed by seed, in config order, whatever the completion order.
+    A ``workers`` below 1 raises :class:`ValueError`, and an imported head
+    that no cell could run raises :class:`InvalidConfig`, both before any
+    cell starts.
     """
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     imported = None
     if cfg.wk_path is not None:
         wk, wq = tensorio.load(cfg.wk_path), tensorio.load(cfg.wq_path)
@@ -292,22 +294,20 @@ def run(
             raise InvalidConfig(f"rotary embeddings need an even d_h, imported d_h={wk.shape[0]}")
         imported = (np.asarray(wk, np.float64), np.asarray(wq, np.float64))
 
-    tasks = [
-        (pair_index, seed)
-        for pair_index in range(len(cfg.formats))
-        for seed in cfg.seeds
-    ]
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(
-                pool.map(run_cell, *zip(*[(cfg, p, s, imported) for p, s in tasks]))
-            )
+    task = functools.partial(run_cell, cfg, imported=imported)
+    pool_size = min(workers, len(cfg.seeds))
+    if pool_size > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=pool_size) as pool:
+            per_seed = list(pool.map(task, cfg.seeds))
     else:
-        results = [run_cell(cfg, p, s, imported) for p, s in tasks]
+        per_seed = [task(seed) for seed in cfg.seeds]
 
-    rows = [row for cell_rows in results for row in cell_rows]
+    rows = [
+        row
+        for pair_index in range(len(cfg.formats))
+        for cells in per_seed
+        for row in cells[pair_index]
+    ]
     csv_text, json_text = emit_report(cfg, rows)
     os.makedirs(out_dir, exist_ok=True)
     csv_path = os.path.join(out_dir, "report.csv")
@@ -409,6 +409,16 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
     return 0
 
 
+def _worker_count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bfpksort",
@@ -419,7 +429,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="run an experiment sweep from a JSON config")
     p_run.add_argument("--config", help="JSON config path (defaults used when omitted)")
     p_run.add_argument("--out-dir", default=".", help="directory for report.csv/report.json")
-    p_run.add_argument("--workers", type=int, default=None, help="process pool size")
+    p_run.add_argument(
+        "--workers", type=_worker_count, default=1,
+        help="seeds run at once on a process pool (default 1: serial, no pool)",
+    )
     p_run.add_argument("--order", choices=tuple(ORDER_FLAGS), help="override sort order")
     p_run.set_defaults(func=_cmd_run)
 

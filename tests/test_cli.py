@@ -2,15 +2,35 @@
 
 from __future__ import annotations
 
+import collections
+import concurrent.futures
 import hashlib
 import json
+import math
 import struct
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bfpksort import BfpFormat, quantize_tensor, tensorio
+import bfpksort.cli
+from bfpksort import (
+    BfpFormat,
+    ErrorReport,
+    HeadWeights,
+    OutlierSpec,
+    default_rope_tables,
+    error_metrics,
+    footprint,
+    gen_activations,
+    gen_outlier_head,
+    plan_head,
+    quantize_tensor,
+    score_max_abs_err,
+    simulate_decode,
+    tensorio,
+)
 from bfpksort.cli import (
     DEFAULT_GRID,
     ExperimentConfig,
@@ -87,8 +107,14 @@ def test_config_validation():
 # ---------------------------------------------------------------------------
 
 
+def pair_major_rows(cfg: ExperimentConfig) -> list[dict]:
+    """The sweep's rows in report order: format pair by pair, then seed by seed."""
+    per_seed = [run_cell(cfg, seed) for seed in cfg.seeds]
+    return [row for pair in range(len(cfg.formats)) for cells in per_seed for row in cells[pair]]
+
+
 def test_lossless_cell_reports_zero_mse():
-    rows = run_cell(tiny_config(), 0, seed=0)
+    rows = run_cell(tiny_config(), seed=0)[0]
     assert len(rows) == 2
     for row in rows:
         assert row["mse"] == 0.0
@@ -96,7 +122,7 @@ def test_lossless_cell_reports_zero_mse():
 
 
 def test_quantized_cell_reports_both_variants():
-    rows = run_cell(tiny_config(), 1, seed=0)
+    rows = run_cell(tiny_config(), seed=0)[1]
     assert [r["sorted"] for r in rows] == [False, True]
     for row in rows:
         assert row["mse"] > 0.0
@@ -116,7 +142,7 @@ def test_emit_report_is_parseable_csv(tmp_path):
     import csv as csvmod
 
     cfg = tiny_config()
-    rows = [row for pair in (0, 1) for seed in cfg.seeds for row in run_cell(cfg, pair, seed)]
+    rows = pair_major_rows(cfg)
     csv_text, json_text = emit_report(cfg, rows)
     parsed = list(csvmod.reader(csv_text.splitlines()))
     assert parsed[0] == ["format_q", "format_k", "mse_original", "mse_sorted"]
@@ -131,7 +157,7 @@ def test_csv_matches_golden_snapshot():
     # frozen from a verified run; any byte drift in report rendering or in
     # the seeded numerics shows up here first
     cfg = tiny_config()
-    rows = [row for pair in (0, 1) for seed in cfg.seeds for row in run_cell(cfg, pair, seed)]
+    rows = pair_major_rows(cfg)
     csv_text, _ = emit_report(cfg, rows)
     assert csv_text == (
         "format_q,format_k,mse_original,mse_sorted\n"
@@ -206,6 +232,159 @@ def test_imported_weights_run(tmp_path):
     doc = json.loads(Path(json_path).read_text())
     assert doc["config"]["wk_path"].endswith("wk.bfpt")
     assert len(doc["cells"]) == 2 * 2 * 2
+
+
+# ---------------------------------------------------------------------------
+# a seed as the unit of work, checked against one cell per (pair, seed)
+# ---------------------------------------------------------------------------
+
+
+def _run_cell_oracle(cfg, pair_index, seed, imported=None) -> list[dict]:
+    """The runner's cell as it was when each (format pair, seed) built its own
+    head, activations, rotary tables and plan: unsorted and sorted rows."""
+    name_q, name_k = cfg.formats[pair_index]
+    fmt_q, fmt_k = resolve_format(name_q), resolve_format(name_k)
+    if imported is not None:
+        weights = HeadWeights(w_k=imported[0], w_q=imported[1])
+    else:
+        spec = OutlierSpec(
+            n_outlier_channels=cfg.n_outlier_channels,
+            outlier_scale=cfg.outlier_scale,
+            base_std=cfg.base_std,
+            seed=seed,
+        )
+        weights = gen_outlier_head(cfg.d_h, cfg.d_model, spec)
+    X = gen_activations(cfg.n_tokens, weights.d_model, seed)
+    tables = (
+        default_rope_tables(weights.d_h, cfg.rope_base, cfg.rope_layout)
+        if cfg.rope_enabled
+        else None
+    )
+    plan = plan_head(weights, tables, order=cfg.order)
+
+    rows = []
+    for sorted_flag, use_plan in ((False, None), (True, plan)):
+        trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
+        if trace.key_cache is not None:
+            report = error_metrics(trace.keys, trace.key_cache)
+            cache_bytes = footprint(cfg.n_tokens, weights.d_h, fmt_k)
+        else:
+            report = ErrorReport(
+                mse=0.0, sqnr_db=math.inf, max_abs_err=0.0, bits_per_element=Fraction(64)
+            )
+            cache_bytes = cfg.n_tokens * weights.d_h * 8
+        rows.append(
+            {
+                "format_q": name_q,
+                "format_k": name_k,
+                "sorted": sorted_flag,
+                "seed": seed,
+                "mse": report.mse,
+                "sqnr_db": report.sqnr_db,
+                "max_abs_err": report.max_abs_err,
+                "logits_max_abs_err": score_max_abs_err(trace),
+                "bits_per_element": float(report.bits_per_element),
+                "cache_bytes": cache_bytes,
+            }
+        )
+    return rows
+
+
+ORACLE_FORMATS = (
+    ("FP-lossless", "FP-lossless"),
+    ("BFP16_8", "BFP12_8"),
+    ("BFP16_16", "BFP12_4"),
+)
+
+
+@pytest.mark.parametrize(
+    "overrides, workers",
+    [
+        (dict(rope_enabled=False), 1),
+        (dict(rope_layout="half_split"), 1),
+        (dict(order="descending"), 1),
+        (dict(seeds=(3, 11, 4)), 1),
+        (dict(seeds=(3, 11, 4)), 2),
+        (dict(d_h=40, formats=(("FP-lossless", "FP-lossless"), ("BFP16_32", "BFP12_32"))), 1),
+        ("imported", 1),
+    ],
+    ids=["rope_off", "half_split", "descending", "seeds_3_11_4", "seeds_3_11_4_pooled",
+         "d_h_40_block_32", "imported"],
+)
+def test_sweep_reports_match_per_cell_oracle(tmp_path, overrides, workers):
+    imported = None
+    if overrides == "imported":
+        rng = np.random.default_rng(9)
+        wk = rng.normal(size=(16, 8))
+        wk[:2] *= 30.0
+        imported = (wk, rng.normal(size=(16, 8)))
+        tensorio.save(tmp_path / "wk.bfpt", imported[0])
+        tensorio.save(tmp_path / "wq.bfpt", imported[1])
+        overrides = dict(wk_path=str(tmp_path / "wk.bfpt"), wq_path=str(tmp_path / "wq.bfpt"))
+    cfg = tiny_config(**{"formats": ORACLE_FORMATS, **overrides})
+    rows = [
+        row
+        for pair in range(len(cfg.formats))
+        for seed in cfg.seeds
+        for row in _run_cell_oracle(cfg, pair, seed, imported)
+    ]
+    want = emit_report(cfg, rows)
+    paths = run(cfg, out_dir=str(tmp_path / "out"), workers=workers)
+    assert tuple(Path(path).read_text() for path in paths) == want
+
+
+def test_sweep_builds_each_seed_once(tmp_path, monkeypatch):
+    calls = collections.Counter()
+    for name in ("gen_outlier_head", "gen_activations", "default_rope_tables", "plan_head",
+                 "simulate_decode"):
+        original = getattr(bfpksort.cli, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(bfpksort.cli, name, counted)
+    cfg = tiny_config(formats=ORACLE_FORMATS, seeds=(0, 1, 2))
+    run(cfg, out_dir=str(tmp_path), workers=1)
+    n_seeds, n_pairs = len(cfg.seeds), len(cfg.formats)
+    assert calls == {
+        "gen_outlier_head": n_seeds,
+        "gen_activations": n_seeds,
+        "default_rope_tables": n_seeds,
+        "plan_head": n_seeds,
+        "simulate_decode": 2 * n_seeds * n_pairs,
+    }
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace the process pool with one that records its ``max_workers``, runs
+    its tasks in this process and starts nothing; yields the recorded sizes."""
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers=None, **kwargs):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_run_rejects_bad_worker_count(tmp_path, pool_sizes):
+    for workers in (0, -1, 1.5, None):
+        with pytest.raises(ValueError, match="workers"):
+            run(tiny_config(), out_dir=str(tmp_path / "out"), workers=workers)
+    assert not (tmp_path / "out").exists()
+    assert pool_sizes == []
 
 
 # ---------------------------------------------------------------------------
@@ -302,6 +481,31 @@ def test_cli_run_corrupt_weight_file_names_the_file(tmp_path, capsys, blob, reas
     assert err.startswith(f"error: {tmp_path / 'wk.bfpt'}: {reason}"), err
     assert "cell failed" not in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, seeds, sizes",
+    [([], [0, 1], []), (["--workers", "1"], [0, 1], []), (["--workers", "5"], [0], []),
+     (["--workers", "2"], [0, 1, 2], [2]), (["--workers", "100000"], [0, 1, 2], [3])],
+    ids=["default", "one_worker", "one_seed", "two_workers", "capped_at_seed_count"],
+)
+def test_cli_run_pool_size(tmp_path, pool_sizes, flags, seeds, sizes):
+    # serial unless --workers N > 1; never more processes than seeds
+    code = main(["run", "--config", _write_tiny_config(tmp_path, seeds=seeds),
+                 "--out-dir", str(tmp_path / "out"), *flags])
+    assert code == 0
+    assert pool_sizes == sizes
+
+
+@pytest.mark.parametrize("workers", ["0", "-1", "two"])
+def test_cli_run_bad_worker_count_exits_2(tmp_path, capsys, pool_sizes, workers):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--config", _write_tiny_config(tmp_path),
+              "--out-dir", str(tmp_path / "out"), "--workers", workers])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert pool_sizes == []
 
 
 def test_cli_run_missing_config_exits_1(tmp_path, capsys):
