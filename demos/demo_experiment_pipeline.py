@@ -56,4 +56,6 @@ with tempfile.TemporaryDirectory(prefix="bfpksort-demo-") as workdir:
 
     print("\nthe same sweep from a shell:")
     print("  bfpksort run --config cfg.json --out-dir out/")
-    print("  BFPKSORT_SEED=0 bfpksort run --config cfg.json --out-dir smoke/")
+    print("a one-seed smoke run names its seed in the config, e.g. smoke.json =",
+          json.dumps({"seeds": [0]}))
+    print("  bfpksort run --config smoke.json --out-dir smoke/")

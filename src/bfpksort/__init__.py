@@ -1,6 +1,6 @@
 """Block floating point key-cache quantization with compile-time channel sorting.
 
-The package splits into five layers:
+The package splits into six modules:
 
 * :mod:`bfpksort.bfp`        the shared-exponent block codec (cast, decode,
                              bit-exact packing, integer dot products),
@@ -14,8 +14,6 @@ The package splits into five layers:
 """
 
 from .bfp import (
-    BFP12,
-    BFP16,
     BFP12_32,
     BFP12_64,
     BFP12_128,
@@ -53,7 +51,6 @@ from .ksort import (
     PermutationPlan,
     argsort_norms,
     expected_cache_mse,
-    permute_rows,
     plan_head,
     remap_rope_tables,
     row_norms,
@@ -65,7 +62,6 @@ from .simharness import (
     OutlierSpec,
     error_metrics,
     exactness_check,
-    footprint,
     gen_activations,
     gen_outlier_head,
     score_max_abs_err,

@@ -92,22 +92,12 @@ class BfpFormat:
         return f"BFP{total}_{self.block_size}"
 
 
-def BFP12(block_size: int) -> BfpFormat:
-    """4-bit mantissas, 8-bit shared exponent."""
-    return BfpFormat(mantissa_bits=4, block_size=block_size)
-
-
-def BFP16(block_size: int) -> BfpFormat:
-    """8-bit mantissas, 8-bit shared exponent."""
-    return BfpFormat(mantissa_bits=8, block_size=block_size)
-
-
-BFP12_32 = BFP12(32)
-BFP12_64 = BFP12(64)
-BFP12_128 = BFP12(128)
-BFP16_32 = BFP16(32)
-BFP16_64 = BFP16(64)
-BFP16_128 = BFP16(128)
+BFP12_32 = BfpFormat(mantissa_bits=4, block_size=32)
+BFP12_64 = BfpFormat(mantissa_bits=4, block_size=64)
+BFP12_128 = BfpFormat(mantissa_bits=4, block_size=128)
+BFP16_32 = BfpFormat(mantissa_bits=8, block_size=32)
+BFP16_64 = BfpFormat(mantissa_bits=8, block_size=64)
+BFP16_128 = BfpFormat(mantissa_bits=8, block_size=128)
 
 _PRESET_MANTISSA_BITS = {"BFP12": 4, "BFP16": 8}
 

@@ -15,8 +15,7 @@ and sorting plan are built once and shared by every format pair.  Seeds run
 serially unless ``--workers N`` asks for a process pool of N > 1.
 
 Reports are deterministic: the same config produces byte-identical files,
-serial or pooled.  The ``BFPKSORT_SEED`` environment variable overrides the
-config seed list with a single seed (handy for smoke tests).
+serial or pooled.
 """
 
 from __future__ import annotations
@@ -39,6 +38,7 @@ from .errors import (
     CorruptFile,
     InvalidConfig,
     NotATensorFile,
+    ShapeMismatch,
     UnsupportedVersion,
 )
 from .ksort import HeadWeights, plan_head
@@ -46,7 +46,6 @@ from .rope import DEFAULT_BASE, LAYOUTS, RopeTables, default_rope_tables
 from .simharness import (
     OutlierSpec,
     error_metrics,
-    footprint,
     gen_activations,
     gen_outlier_head,
     score_max_abs_err,
@@ -67,8 +66,6 @@ DEFAULT_GRID = (
     ("BFP16_64", "BFP12_64"),
     ("BFP16_32", "BFP12_32"),
 )
-
-SEED_ENV_VAR = "BFPKSORT_SEED"
 
 #: ``--order`` flag values and the sort orders they select.
 ORDER_FLAGS = {"asc": "ascending", "desc": "descending"}
@@ -149,17 +146,24 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
-        with open(path) as fh:
-            doc = json.load(fh)
-        known = {f.name for f in dataclasses.fields(cls)}
-        unknown = set(doc) - known
-        if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
-        if "formats" in doc:
-            doc["formats"] = tuple(tuple(pair) for pair in doc["formats"])
-        if "seeds" in doc:
-            doc["seeds"] = tuple(doc["seeds"])
-        return cls(**doc)
+        """Read and validate a config.  A file that holds no valid config
+        raises :class:`InvalidConfig`; one that cannot be read, ``OSError``."""
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+            known = {f.name for f in dataclasses.fields(cls)}
+            unknown = set(doc) - known
+            if unknown:
+                raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            if "formats" in doc:
+                doc["formats"] = tuple(tuple(pair) for pair in doc["formats"])
+            if "seeds" in doc:
+                doc["seeds"] = tuple(doc["seeds"])
+            return cls(**doc)
+        except RecursionError:  # JSON nested deeper than the parser recurses
+            raise InvalidConfig("config nests too deeply") from None
+        except (TypeError, ValueError) as exc:
+            raise InvalidConfig(str(exc)) from None
 
     def to_jsonable(self) -> dict:
         doc = dataclasses.asdict(self)
@@ -168,32 +172,35 @@ class ExperimentConfig:
         return doc
 
 
-def _head_for_seed(
-    cfg: ExperimentConfig, seed: int, imported: tuple[np.ndarray, np.ndarray] | None
-) -> HeadWeights:
-    if imported is not None:
-        return HeadWeights(w_k=imported[0], w_q=imported[1])
-    spec = OutlierSpec(
-        n_outlier_channels=cfg.n_outlier_channels,
-        outlier_scale=cfg.outlier_scale,
-        base_std=cfg.base_std,
-        seed=seed,
-    )
-    return gen_outlier_head(cfg.d_h, cfg.d_model, spec)
+def _load_head(wk_path: str, wq_path: str) -> HeadWeights:
+    """The head whose key/query projections two float tensor files hold.
+
+    Files that cannot form a head (packed blocks, or matrices of two shapes)
+    raise :class:`InvalidConfig`; unreadable or damaged files raise as
+    :func:`tensorio.load` does.
+    """
+    wk, wq = tensorio.load(wk_path), tensorio.load(wq_path)
+    if not isinstance(wk, np.ndarray) or not isinstance(wq, np.ndarray):
+        raise InvalidConfig("weight files must hold float tensors, not packed blocks")
+    try:
+        return HeadWeights(w_k=np.asarray(wk, np.float64), w_q=np.asarray(wq, np.float64))
+    except ShapeMismatch as exc:
+        raise InvalidConfig(str(exc)) from None
 
 
 def run_cell(
-    cfg: ExperimentConfig,
-    seed: int,
-    imported: tuple[np.ndarray, np.ndarray] | None = None,
+    cfg: ExperimentConfig, seed: int, imported: HeadWeights | None = None
 ) -> list[list[dict]]:
     """Evaluate one seed over every format pair of ``cfg``.
 
-    The seed's head, activations, rotary tables and sorting plan are built
-    once and shared by all pairs.  Returns, per format pair in config order,
-    its unsorted and its sorted row.
+    The seed's head (``imported`` when given), activations, rotary tables
+    and sorting plan are built once and shared by all pairs.  Returns, per
+    format pair in config order, its unsorted and its sorted row.
     """
-    weights = _head_for_seed(cfg, seed, imported)
+    weights = imported
+    if weights is None:
+        spec = OutlierSpec(cfg.n_outlier_channels, cfg.outlier_scale, cfg.base_std, seed=seed)
+        weights = gen_outlier_head(cfg.d_h, cfg.d_model, spec)
     X = gen_activations(cfg.n_tokens, weights.d_model, seed)
     tables = (
         default_rope_tables(weights.d_h, cfg.rope_base, cfg.rope_layout)
@@ -225,7 +232,7 @@ def run_cell(
                 row.update(
                     mse=report.mse, sqnr_db=report.sqnr_db, max_abs_err=report.max_abs_err,
                     bits_per_element=float(report.bits_per_element),
-                    cache_bytes=footprint(cfg.n_tokens, weights.d_h, fmt_k),
+                    cache_bytes=trace.key_cache.packed_nbytes,
                 )
             rows.append(row)
         cells.append(rows)
@@ -282,17 +289,9 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[st
         raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
     imported = None
     if cfg.wk_path is not None:
-        wk, wq = tensorio.load(cfg.wk_path), tensorio.load(cfg.wq_path)
-        if not isinstance(wk, np.ndarray) or not isinstance(wq, np.ndarray):
-            raise InvalidConfig("imported weight files must hold float tensors")
-        if wk.ndim != 2 or wk.shape != wq.shape:
-            raise InvalidConfig(
-                f"imported w_k and w_q must be matrices of one shape, "
-                f"got {wk.shape} and {wq.shape}"
-            )
-        if cfg.rope_enabled and wk.shape[0] % 2:
-            raise InvalidConfig(f"rotary embeddings need an even d_h, imported d_h={wk.shape[0]}")
-        imported = (np.asarray(wk, np.float64), np.asarray(wq, np.float64))
+        imported = _load_head(cfg.wk_path, cfg.wq_path)
+        if cfg.rope_enabled and imported.d_h % 2:
+            raise InvalidConfig(f"rotary embeddings need an even d_h, imported d_h={imported.d_h}")
 
     task = functools.partial(run_cell, cfg, imported=imported)
     pool_size = min(workers, len(cfg.seeds))
@@ -325,88 +324,50 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[st
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    try:
-        cfg = (
-            ExperimentConfig.from_json_file(args.config)
-            if args.config
-            else ExperimentConfig()
-        )
-        if args.order:
-            cfg = dataclasses.replace(cfg, order=ORDER_FLAGS[args.order])
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            cfg = dataclasses.replace(cfg, seeds=(int(env_seed),))
-    except (ValueError, TypeError) as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"error: {args.config}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    try:
-        csv_path, json_path = run(cfg, out_dir=args.out_dir, workers=args.workers)
-    except OSError as exc:
-        print(f"error: {exc.filename or args.out_dir}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    except InvalidConfig as exc:
-        print(f"error: invalid config: {exc}", file=sys.stderr)
-        return 2
-    except (NotATensorFile, UnsupportedVersion, CorruptFile) as exc:
-        # an imported weight file, read before any cell starts; the message names it
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except (BfpKsortError, ValueError) as exc:
-        print(f"error: experiment cell failed: {exc}", file=sys.stderr)
-        return 1
-    print(f"wrote {csv_path}")
-    print(f"wrote {json_path}")
+    cfg = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
+    if args.order:
+        cfg = dataclasses.replace(cfg, order=ORDER_FLAGS[args.order])
+    for path in run(cfg, out_dir=args.out_dir, workers=args.workers):
+        print(f"wrote {path}")
     return 0
 
 
 def _cmd_plan(args: argparse.Namespace) -> int:
-    try:
-        wk = tensorio.load(args.wk)
-        wq = tensorio.load(args.wq)
-    except OSError as exc:
-        print(f"error: {exc.filename}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    except BfpKsortError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if not isinstance(wk, np.ndarray) or not isinstance(wq, np.ndarray):
-        print("error: plan requires float weight tensors, not packed blocks", file=sys.stderr)
-        return 2
-    try:
-        weights = HeadWeights(w_k=np.asarray(wk, np.float64), w_q=np.asarray(wq, np.float64))
-        tables: RopeTables | None = None
-        if args.rope != "off":
-            tables = default_rope_tables(weights.d_h, args.base, args.rope)
-        order = ORDER_FLAGS[args.order]
-        plan = plan_head(weights, tables, order=order)
-    except (BfpKsortError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(plan.to_json() + "\n")
-    except OSError as exc:
-        print(f"error: {args.out}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
+    weights = _load_head(args.wk, args.wq)
+    tables: RopeTables | None = None
+    if args.rope != "off":
+        tables = default_rope_tables(weights.d_h, args.base, args.rope)
+    order = ORDER_FLAGS[args.order]
+    plan = plan_head(weights, tables, order=order)
+    with open(args.out, "w") as fh:
+        fh.write(plan.to_json() + "\n")
     print(f"wrote {args.out} (d_h={weights.d_h}, order={order}, rope={args.rope})")
     return 0
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    try:
-        info = tensorio.describe(args.tensorfile)
-    except OSError as exc:
-        print(f"error: {args.tensorfile}: {exc.strerror or exc}", file=sys.stderr)
-        return 1
-    except BfpKsortError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    for key, value in info.items():
+    for key, value in tensorio.describe(args.tensorfile).items():
         print(f"{key}: {value}")
     return 0
+
+
+#: A tensor file that is not one; the message names the file.
+FILE_ERRORS = (NotATensorFile, UnsupportedVersion, CorruptFile)
+
+#: How each subcommand reports a failure other than an ``OSError``: the first
+#: row whose exception types match gives the exit status and message prefix.
+#: ``run`` validates its config and weights before any cell starts, so a later
+#: library error is a failed cell; ``plan`` has no config, so a bad input is
+#: reported plainly, with exit status 2.
+FAILURES = {
+    "run": (
+        (InvalidConfig, 2, "invalid config: "),
+        (FILE_ERRORS, 1, ""),
+        ((BfpKsortError, ValueError, MemoryError), 1, "experiment cell failed: "),
+    ),
+    "plan": ((FILE_ERRORS, 1, ""), ((BfpKsortError, ValueError), 2, "")),
+    "inspect": ((BfpKsortError, 1, ""),),
+}
 
 
 def _worker_count(text: str) -> int:
@@ -452,8 +413,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a failure prints ``error: ...`` and returns its
+    exit status: 1 for a file that cannot be read or written (``error:
+    <path>: <reason>``), otherwise as :data:`FAILURES` says."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        print(f"error: {exc.filename}: {reason}" if exc.filename else f"error: {reason}",
+              file=sys.stderr)
+        return 1
+    except (BfpKsortError, ValueError, MemoryError) as exc:
+        for types, status, prefix in FAILURES[args.command]:
+            if isinstance(exc, types):
+                print(f"error: {prefix}{exc}", file=sys.stderr)
+                return status
+        raise
 
 
 if __name__ == "__main__":

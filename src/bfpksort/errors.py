@@ -26,7 +26,7 @@ class InvalidRopeTables(BfpKsortError, ValueError):
 
 
 class PlanMismatch(BfpKsortError, ValueError):
-    """Permutation plan was not derived from the supplied weights."""
+    """Permutation plan does not fit the head: another width, or rotation on one side only."""
 
 
 class InvalidConfig(BfpKsortError, ValueError):

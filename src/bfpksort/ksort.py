@@ -47,7 +47,6 @@ __all__ = [
     "PermutationPlan",
     "row_norms",
     "argsort_norms",
-    "permute_rows",
     "remap_rope_tables",
     "expected_cache_mse",
     "plan_head",
@@ -123,9 +122,6 @@ class Permutation:
         """Gather ``x`` along ``axis``: output slot j takes input slot indices[j]."""
         return np.take(x, self.indices, axis=axis)
 
-    def is_identity(self) -> bool:
-        return bool(np.array_equal(self.indices, np.arange(self.indices.size)))
-
 
 def row_norms(w) -> np.ndarray:
     """Euclidean norm of each row, in double precision."""
@@ -142,13 +138,6 @@ def argsort_norms(norms, order: str = "ascending") -> Permutation:
         raise ValueError(f"order must be one of {SORT_ORDERS}, got {order!r}")
     key = norms if order == "ascending" else -norms
     return Permutation(np.argsort(key, kind="stable").astype(np.intp))
-
-
-def permute_rows(w: np.ndarray, perm: Permutation) -> np.ndarray:
-    """Reorder matrix rows: ``out[j, :] = w[perm[j], :]``."""
-    if w.shape[0] != len(perm):
-        raise ShapeMismatch(f"{w.shape[0]} rows vs permutation of length {len(perm)}")
-    return perm.apply(w, axis=0)
 
 
 def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:

@@ -49,7 +49,6 @@ __all__ = [
     "exactness_check",
     "error_metrics",
     "score_max_abs_err",
-    "footprint",
 ]
 
 
@@ -105,10 +104,6 @@ class DecodeTrace:
     queries: np.ndarray  # (T, d_h) post-rotation queries
     key_cache: BfpTensor | None
     score_err: float  # largest causal |score - reference score|, see score_max_abs_err
-
-    @property
-    def n_tokens(self) -> int:
-        return int(self.keys.shape[0])
 
 
 #: Elements of the score map reduced at a time: query rows [i0, i1) are scored
@@ -247,17 +242,16 @@ def _sorted_accumulate_sq(values: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """Error and footprint metrics for one quantized tensor.
+    """Error metrics and storage cost of one quantized tensor.
 
-    ``sqnr_db`` is +inf when reconstruction is exact and NaN (with
-    ``degenerate_signal`` set) when the reference carries no signal power.
+    ``sqnr_db`` is +inf when reconstruction is exact and NaN when the
+    reference carries no signal power.
     """
 
     mse: float
     sqnr_db: float
     max_abs_err: float
     bits_per_element: object  # fractions.Fraction
-    degenerate_signal: bool = False
 
 
 def error_metrics(reference, quantized: BfpTensor) -> ErrorReport:
@@ -272,25 +266,21 @@ def error_metrics(reference, quantized: BfpTensor) -> ErrorReport:
         raise ShapeMismatch(f"reference {ref.shape} vs decoded {deq.shape}")
     bpe = bits_per_element(quantized.fmt)
     if ref.size == 0:
-        return ErrorReport(
-            mse=0.0, sqnr_db=math.nan, max_abs_err=0.0,
-            bits_per_element=bpe, degenerate_signal=True,
-        )
+        return ErrorReport(mse=0.0, sqnr_db=math.nan, max_abs_err=0.0, bits_per_element=bpe)
     err = deq - ref
     mse = _sorted_accumulate_sq(err) / ref.size
     signal = _sorted_accumulate_sq(ref) / ref.size
     if signal == 0.0:
-        sqnr_db, degenerate = math.nan, True
+        sqnr_db = math.nan
     elif mse == 0.0:
-        sqnr_db, degenerate = math.inf, False
+        sqnr_db = math.inf
     else:
-        sqnr_db, degenerate = 10.0 * math.log10(signal / mse), False
+        sqnr_db = 10.0 * math.log10(signal / mse)
     return ErrorReport(
         mse=mse,
         sqnr_db=sqnr_db,
         max_abs_err=float(np.abs(err).max()),
         bits_per_element=bpe,
-        degenerate_signal=degenerate,
     )
 
 
@@ -299,11 +289,3 @@ def score_max_abs_err(trace: DecodeTrace) -> float:
     causal (lower-triangular) part of the score map; NaN if any such score
     is NaN, 0.0 for zero tokens."""
     return trace.score_err
-
-
-def footprint(n_tokens: int, d_h: int, fmt: BfpFormat) -> int:
-    """Bytes needed to cache ``n_tokens`` keys of length ``d_h`` at ``fmt``."""
-    if n_tokens < 0 or d_h < 0:
-        raise ValueError("token count and head dimension must be non-negative")
-    blocks_per_token = -(-d_h // fmt.block_size)
-    return n_tokens * blocks_per_token * fmt.bytes_per_block

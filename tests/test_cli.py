@@ -22,7 +22,6 @@ from bfpksort import (
     OutlierSpec,
     default_rope_tables,
     error_metrics,
-    footprint,
     gen_activations,
     gen_outlier_head,
     plan_head,
@@ -89,6 +88,20 @@ def test_config_rejects_unknown_keys(tmp_path):
     path.write_text(json.dumps({"d_hh": 8}))
     with pytest.raises(ValueError):
         ExperimentConfig.from_json_file(str(path))
+
+
+@pytest.mark.parametrize(
+    "text", ["[" * 100_000, '{"seeds": ' + "[" * 100_000], ids=["top_level", "under_seeds"]
+)
+def test_deeply_nested_config_is_invalid(tmp_path, capsys, text):
+    # the JSON parser gives up with RecursionError; that is a bad config, not a crash
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_json_file(str(path))
+    assert main(["run", "--config", str(path), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid config: ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_validation():
@@ -267,7 +280,8 @@ def _run_cell_oracle(cfg, pair_index, seed, imported=None) -> list[dict]:
         trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
         if trace.key_cache is not None:
             report = error_metrics(trace.keys, trace.key_cache)
-            cache_bytes = footprint(cfg.n_tokens, weights.d_h, fmt_k)
+            blocks_per_token = -(-weights.d_h // fmt_k.block_size)
+            cache_bytes = cfg.n_tokens * blocks_per_token * fmt_k.bytes_per_block
         else:
             report = ErrorReport(
                 mse=0.0, sqnr_db=math.inf, max_abs_err=0.0, bits_per_element=Fraction(64)
@@ -508,18 +522,25 @@ def test_cli_run_bad_worker_count_exits_2(tmp_path, capsys, pool_sizes, workers)
     assert pool_sizes == []
 
 
+@pytest.mark.parametrize(
+    "entry",
+    [{"n_tokens": 10**15, "d_model": 256}, {"d_h": 128, "d_model": 10**15}],
+    ids=["n_tokens", "d_model"],
+)
+def test_cli_run_size_beyond_memory_is_a_failed_cell(tmp_path, capsys, entry):
+    # the first array, 10**15 x 256 activations (2e18 bytes) or a 128 x 10**15
+    # key projection (1e18 bytes), exceeds even a 57-bit address space, so its
+    # allocation fails at once and no memory is touched
+    code = main(["run", "--config", _write_tiny_config(tmp_path, **entry),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("error: experiment cell failed: ")
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_run_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "nope.json" in capsys.readouterr().err
-
-
-def test_cli_seed_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv("BFPKSORT_SEED", "5")
-    code = main(["run", "--config", _write_tiny_config(tmp_path),
-                 "--out-dir", str(tmp_path / "out"), "--workers", "1"])
-    assert code == 0
-    doc = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert {cell["seed"] for cell in doc["cells"]} == {5}
 
 
 def test_cli_order_override(tmp_path):
@@ -567,6 +588,50 @@ def test_cli_plan_bad_base_exits_2(tmp_path, capsys, base):
     assert code == 2
     assert "error:" in capsys.readouterr().err
     assert not (tmp_path / "plan.json").exists()
+
+
+def _save_weight_pair(tmp_path, seed=6):
+    rng = np.random.default_rng(seed)
+    tensorio.save(tmp_path / "wk.bfpt", rng.normal(size=(8, 4)))
+    tensorio.save(tmp_path / "wq.bfpt", rng.normal(size=(8, 4)))
+    return str(tmp_path / "wk.bfpt"), str(tmp_path / "wq.bfpt")
+
+
+def test_cli_plan_packed_weights_exits_2(tmp_path, capsys):
+    packed = quantize_tensor(np.ones((8, 4)), BfpFormat(4, 4), 1)
+    tensorio.save(tmp_path / "wk.bfpt", packed)
+    tensorio.save(tmp_path / "wq.bfpt", packed)
+    code = main(["plan", "--wk", str(tmp_path / "wk.bfpt"), "--wq", str(tmp_path / "wq.bfpt"),
+                 "--out", str(tmp_path / "plan.json")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_cli_plan_missing_weight_file_exits_1(tmp_path, capsys):
+    _, wq = _save_weight_pair(tmp_path)
+    missing = str(tmp_path / "missing.bfpt")
+    code = main(["plan", "--wk", missing, "--wq", wq, "--out", str(tmp_path / "plan.json")])
+    assert code == 1
+    assert capsys.readouterr().err.startswith(f"error: {missing}: ")
+    assert not (tmp_path / "plan.json").exists()
+
+
+def test_cli_plan_out_in_missing_directory_exits_1(tmp_path, capsys):
+    wk, wq = _save_weight_pair(tmp_path)
+    out = str(tmp_path / "no-such-dir" / "plan.json")
+    assert main(["plan", "--wk", wk, "--wq", wq, "--out", out]) == 1
+    assert capsys.readouterr().err.startswith(f"error: {out}: ")
+
+
+def test_cli_run_out_dir_beneath_a_file_exits_1(tmp_path, capsys):
+    (tmp_path / "file").write_text("not a directory")
+    out_dir = str(tmp_path / "file" / "out")
+    code = main(["run", "--config", _write_tiny_config(tmp_path), "--out-dir", out_dir])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {out_dir}: "), err
+    assert "cell failed" not in err
 
 
 def test_cli_plan_huge_dims_exits_1(tmp_path, capsys):

@@ -20,7 +20,6 @@ from bfpksort import (
     dequantize,
     expected_cache_mse,
     gen_outlier_head,
-    permute_rows,
     plan_head,
     quantize_tensor,
     remap_rope_tables,
@@ -112,23 +111,23 @@ def test_inverse_composes_to_identity():
     for _ in range(20):
         perm = Permutation(rng.permutation(17).astype(np.intp))
         assert perm.inverse().indices[perm.indices].tolist() == list(range(17))
-        assert Permutation.identity(17).is_identity()
+        assert Permutation.identity(17).indices.tolist() == list(range(17))
 
 
 # ---------------------------------------------------------------------------
-# permute_rows
+# Permutation.apply
 # ---------------------------------------------------------------------------
 
 
 def test_identity_permutation_is_noop():
     rng = np.random.default_rng(14)
     w = rng.normal(size=(6, 4))
-    assert np.array_equal(permute_rows(w, Permutation.identity(6)), w)
+    assert np.array_equal(Permutation.identity(6).apply(w), w)
 
 
 def test_two_row_swap():
     w = np.array([[1.0, 2.0], [3.0, 4.0]])
-    out = permute_rows(w, Permutation(np.array([1, 0])))
+    out = Permutation(np.array([1, 0])).apply(w)
     assert out.tolist() == [[3.0, 4.0], [1.0, 2.0]]
 
 
@@ -136,13 +135,8 @@ def test_permute_then_inverse_restores_bitwise():
     rng = np.random.default_rng(15)
     w = rng.normal(size=(9, 5))
     perm = Permutation(rng.permutation(9).astype(np.intp))
-    back = permute_rows(permute_rows(w, perm), perm.inverse())
+    back = perm.inverse().apply(perm.apply(w))
     assert np.array_equal(back, w)
-
-
-def test_permute_rows_shape_check():
-    with pytest.raises(ShapeMismatch):
-        permute_rows(np.ones((3, 2)), Permutation.identity(4))
 
 
 # ---------------------------------------------------------------------------
@@ -217,9 +211,9 @@ def test_presorted_head_gets_identity_plan():
     w_k = np.arange(1.0, 5.0)[:, None] * np.ones((4, 6))
     weights = HeadWeights(w_k=w_k, w_q=np.ones((4, 6)))
     plan = plan_head(weights)
-    assert plan.perm.is_identity()
-    assert np.array_equal(permute_rows(weights.w_k, plan.perm), weights.w_k)
-    assert np.array_equal(permute_rows(weights.w_q, plan.perm), weights.w_q)
+    assert plan.perm.indices.tolist() == list(range(4))
+    assert np.array_equal(plan.perm.apply(weights.w_k), weights.w_k)
+    assert np.array_equal(plan.perm.apply(weights.w_q), weights.w_q)
 
 
 def test_two_channel_toy_head():
@@ -229,17 +223,17 @@ def test_two_channel_toy_head():
     )
     plan = plan_head(weights)
     assert plan.perm.indices.tolist() == [1, 0]
-    assert permute_rows(weights.w_k, plan.perm).tolist() == [[1.0, 0.0], [2.0, 0.0]]
-    assert permute_rows(weights.w_q, plan.perm).tolist() == [[20.0, 0.0], [10.0, 0.0]]
+    assert plan.perm.apply(weights.w_k).tolist() == [[1.0, 0.0], [2.0, 0.0]]
+    assert plan.perm.apply(weights.w_q).tolist() == [[20.0, 0.0], [10.0, 0.0]]
 
 
 def test_norms_sorted_after_plan():
     rng = np.random.default_rng(18)
     weights = _random_head(rng, d_h=16, d_model=8)
     plan = plan_head(weights)
-    assert np.all(np.diff(row_norms(permute_rows(weights.w_k, plan.perm))) >= 0)
+    assert np.all(np.diff(row_norms(plan.perm.apply(weights.w_k))) >= 0)
     desc = plan_head(weights, order="descending")
-    assert np.all(np.diff(row_norms(permute_rows(weights.w_k, desc.perm))) <= 0)
+    assert np.all(np.diff(row_norms(desc.perm.apply(weights.w_k))) <= 0)
 
 
 def test_product_preservation():
@@ -249,7 +243,7 @@ def test_product_preservation():
     weights = _random_head(rng, d_h=12, d_model=10)
     plan = plan_head(weights)
     a = weights.w_q.T @ weights.w_k
-    b = permute_rows(weights.w_q, plan.perm).T @ permute_rows(weights.w_k, plan.perm)
+    b = plan.perm.apply(weights.w_q).T @ plan.perm.apply(weights.w_k)
     assert np.allclose(a, b, rtol=0.0, atol=1e-12 * float(np.abs(a).max()))
 
 
@@ -260,7 +254,7 @@ def test_plan_is_deterministic():
     w1, w2 = _random_head(rng1), _random_head(rng2)
     p1, p2 = plan_head(w1, tables), plan_head(w2, tables)
     assert np.array_equal(p1.perm.indices, p2.perm.indices)
-    assert np.array_equal(permute_rows(w1.w_k, p1.perm), permute_rows(w2.w_k, p2.perm))
+    assert np.array_equal(p1.perm.apply(w1.w_k), p2.perm.apply(w2.w_k))
     assert np.array_equal(p1.rope.theta, p2.rope.theta)
 
 
