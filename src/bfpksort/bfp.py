@@ -139,8 +139,8 @@ class BfpTensor:
     Blocks run along ``blocking_axis``; internally that axis is moved last, so
     ``exponents`` has shape ``outer_shape + (nblocks,)`` and ``mantissas`` has
     shape ``outer_shape + (nblocks, n)``.  The final block of each blocked row
-    is zero-padded with ``padding_count`` elements, which decode to exactly 0
-    and are excluded from error metrics.
+    is zero-padded with :attr:`padding_count` elements, which decode to
+    exactly 0 and are excluded from error metrics.
     """
 
     fmt: BfpFormat
@@ -148,7 +148,6 @@ class BfpTensor:
     blocking_axis: int
     exponents: np.ndarray  # int32
     mantissas: np.ndarray  # int32
-    padding_count: int
 
     def __post_init__(self) -> None:
         n = self.fmt.block_size
@@ -167,11 +166,11 @@ class BfpTensor:
                 f"mantissa array shape {self.mantissas.shape} inconsistent with "
                 f"{self.exponents.shape} blocks of {n}"
             )
-        if self.padding_count != nblocks * n - axis_len:
-            raise ShapeMismatch(
-                f"padding_count {self.padding_count} inconsistent with axis length "
-                f"{axis_len} and block size {n}"
-            )
+
+    @property
+    def padding_count(self) -> int:
+        """Zero elements padding the final block of each blocked row."""
+        return -self.logical_shape[self.blocking_axis] % self.fmt.block_size
 
     @property
     def num_blocks(self) -> int:
@@ -209,10 +208,10 @@ def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.n
     e = _minimal_exponents(max_abs, fmt)
     e[zero] = fmt.exponent_min
     if np.any(e > fmt.exponent_max):
-        where = np.argwhere(e > fmt.exponent_max)[0]
+        where = tuple(np.argwhere(e > fmt.exponent_max)[0].tolist())
         raise ExponentOverflow(
-            f"block {tuple(where)}: magnitude {max_abs[tuple(where)]:g} needs exponent "
-            f"{e[tuple(where)]}, above the {fmt.exponent_bits}-bit maximum {fmt.exponent_max}"
+            f"block {where}: magnitude {max_abs[where]:g} needs exponent "
+            f"{e[where]}, above the {fmt.exponent_bits}-bit maximum {fmt.exponent_max}"
         )
     np.maximum(e, fmt.exponent_min, out=e)  # tiny blocks underflow toward zero mantissas
     mant = np.rint(np.ldexp(values, -e[..., None]))
@@ -222,8 +221,8 @@ def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.n
 
 def _check_finite(values: np.ndarray) -> None:
     if not np.all(np.isfinite(values)):
-        bad = np.argwhere(~np.isfinite(values))[0]
-        raise InvalidValue(f"non-finite input at index {tuple(bad)}")
+        bad = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
+        raise InvalidValue(f"non-finite input at index {bad}")
 
 
 def quantize_block(values, fmt: BfpFormat) -> BfpBlock:
@@ -264,7 +263,6 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
         blocking_axis=axis,
         exponents=e,
         mantissas=mant,
-        padding_count=padding,
     )
 
 
@@ -373,5 +371,4 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
         blocking_axis=axis,
         exponents=exps.reshape(outer + (nblocks_axis,)),
         mantissas=mants.reshape(outer + (nblocks_axis, n)),
-        padding_count=padding,
     )

@@ -67,9 +67,6 @@ DEFAULT_GRID = (
     ("BFP16_32", "BFP12_32"),
 )
 
-#: ``--order`` flag values and the sort orders they select.
-ORDER_FLAGS = {"asc": "ascending", "desc": "descending"}
-
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -130,8 +127,8 @@ class ExperimentConfig:
             raise ValueError("wk_path and wq_path must be given together")
         if not all(p is None or isinstance(p, str) for p in (self.wk_path, self.wq_path)):
             raise ValueError("wk_path and wq_path must be strings")
-        if self.order not in ORDER_FLAGS.values():
-            raise ValueError(f"bad sort order {self.order!r}")
+        if self.order != "ascending":  # the one sort order; report.json still echoes it
+            raise ValueError(f"order must be 'ascending', got {self.order!r}")
         if not isinstance(self.rope_enabled, bool):
             raise ValueError(f"rope_enabled must be true or false, got {self.rope_enabled!r}")
         if self.rope_layout not in LAYOUTS:
@@ -175,13 +172,16 @@ class ExperimentConfig:
 def _load_head(wk_path: str, wq_path: str) -> HeadWeights:
     """The head whose key/query projections two float tensor files hold.
 
-    Files that cannot form a head (packed blocks, or matrices of two shapes)
-    raise :class:`InvalidConfig`; unreadable or damaged files raise as
-    :func:`tensorio.load` does.
+    Files that cannot form a head (packed blocks, matrices of two shapes or
+    non-finite weights) raise :class:`InvalidConfig`; unreadable or damaged
+    files raise as :func:`tensorio.load` does.
     """
     wk, wq = tensorio.load(wk_path), tensorio.load(wq_path)
-    if not isinstance(wk, np.ndarray) or not isinstance(wq, np.ndarray):
-        raise InvalidConfig("weight files must hold float tensors, not packed blocks")
+    for path, w in ((wk_path, wk), (wq_path, wq)):
+        if not isinstance(w, np.ndarray):
+            raise InvalidConfig("weight files must hold float tensors, not packed blocks")
+        if not np.all(np.isfinite(w)):
+            raise InvalidConfig(f"{path}: weights must be finite")
     try:
         return HeadWeights(w_k=np.asarray(wk, np.float64), w_q=np.asarray(wq, np.float64))
     except ShapeMismatch as exc:
@@ -207,7 +207,7 @@ def run_cell(
         if cfg.rope_enabled
         else None
     )
-    plan = plan_head(weights, tables, order=cfg.order)
+    plan = plan_head(weights, tables)
 
     cells = []
     for name_q, name_k in cfg.formats:
@@ -325,8 +325,6 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[st
 
 def _cmd_run(args: argparse.Namespace) -> int:
     cfg = ExperimentConfig.from_json_file(args.config) if args.config else ExperimentConfig()
-    if args.order:
-        cfg = dataclasses.replace(cfg, order=ORDER_FLAGS[args.order])
     for path in run(cfg, out_dir=args.out_dir, workers=args.workers):
         print(f"wrote {path}")
     return 0
@@ -337,11 +335,10 @@ def _cmd_plan(args: argparse.Namespace) -> int:
     tables: RopeTables | None = None
     if args.rope != "off":
         tables = default_rope_tables(weights.d_h, args.base, args.rope)
-    order = ORDER_FLAGS[args.order]
-    plan = plan_head(weights, tables, order=order)
+    plan = plan_head(weights, tables)
     with open(args.out, "w") as fh:
         fh.write(plan.to_json() + "\n")
-    print(f"wrote {args.out} (d_h={weights.d_h}, order={order}, rope={args.rope})")
+    print(f"wrote {args.out} (d_h={weights.d_h}, rope={args.rope})")
     return 0
 
 
@@ -394,7 +391,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers", type=_worker_count, default=1,
         help="seeds run at once on a process pool (default 1: serial, no pool)",
     )
-    p_run.add_argument("--order", choices=tuple(ORDER_FLAGS), help="override sort order")
     p_run.set_defaults(func=_cmd_run)
 
     p_plan = sub.add_parser("plan", help="compute a channel-sorting plan for one head")
@@ -403,7 +399,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--out", required=True, help="output JSON path")
     p_plan.add_argument("--rope", choices=("off",) + LAYOUTS, default="interleaved")
     p_plan.add_argument("--base", type=float, default=DEFAULT_BASE)
-    p_plan.add_argument("--order", choices=tuple(ORDER_FLAGS), default="asc")
     p_plan.set_defaults(func=_cmd_plan)
 
     p_inspect = sub.add_parser("inspect", help="print a tensor container header")

@@ -8,10 +8,11 @@ both weight matrices can be reordered once, before inference, so that
 channels of similar magnitude end up adjacent and share blocks.
 
 The pass is purely static: compute Euclidean row norms of the key
-projection, argsort them, apply the permutation to the rows of both
-projections (and their biases), and remap the rotary tables so the rotation
-keeps acting on the same logical pairs.  No calibration data is involved and
-nothing changes at inference time.
+projection, argsort them in ascending order (when blocks do not tile the
+head, the largest channels then share the short last block), apply the
+permutation to the rows of both projections (and their biases), and remap
+the rotary tables so the rotation keeps acting on the same logical pairs.
+No calibration data is involved and nothing changes at inference time.
 
 Grouping every large channel into one block is not always the cheapest
 layout: the grouped channels share the step set by the largest of them, and
@@ -51,8 +52,6 @@ __all__ = [
     "expected_cache_mse",
     "plan_head",
 ]
-
-SORT_ORDERS = ("ascending", "descending")
 
 # Gaussian key model behind the format-aware layout choice: every layout is
 # scored on the same synthetic keys (the first rows of one fixed draw), a
@@ -131,13 +130,10 @@ def row_norms(w) -> np.ndarray:
     return np.sqrt(np.sum(w * w, axis=1))
 
 
-def argsort_norms(norms, order: str = "ascending") -> Permutation:
-    """Stable argsort of the norms; ties keep their original relative order."""
+def argsort_norms(norms) -> Permutation:
+    """Stable ascending argsort of the norms; ties keep their original relative order."""
     norms = np.asarray(norms, dtype=np.float64)
-    if order not in SORT_ORDERS:
-        raise ValueError(f"order must be one of {SORT_ORDERS}, got {order!r}")
-    key = norms if order == "ascending" else -norms
-    return Permutation(np.argsort(key, kind="stable").astype(np.intp))
+    return Permutation(np.argsort(norms, kind="stable").astype(np.intp))
 
 
 def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
@@ -160,8 +156,8 @@ def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
 
 @dataclass(frozen=True)
 class PermutationPlan:
-    """Result of the sorting pass for one head: the channel permutation, the
-    remapped rotary tables (when rotation is in use) and the sort order.
+    """Result of the sorting pass for one head: the channel permutation and
+    the remapped rotary tables (when rotation is in use).
 
     The permuted projections are not stored; a deployed head gathers the rows
     of its own weights through :meth:`Permutation.apply`.
@@ -169,7 +165,6 @@ class PermutationPlan:
 
     perm: Permutation
     rope: RopeTables | None = None
-    order: str = "ascending"
 
     def __post_init__(self) -> None:
         if self.rope is not None and self.rope.d_h != len(self.perm):
@@ -181,7 +176,6 @@ class PermutationPlan:
         """Compact audit document: the permutation and tables, not the weights."""
         doc = {
             "d_h": len(self.perm),
-            "order": self.order,
             "pi": self.perm.indices.tolist(),
             "rope": self.rope.to_jsonable() if self.rope is not None else None,
         }
@@ -194,7 +188,6 @@ class PermutationPlan:
         return cls(
             perm=Permutation(np.asarray(doc["pi"], dtype=np.intp)),
             rope=RopeTables.from_jsonable(doc["rope"]) if doc.get("rope") else None,
-            order=doc.get("order", "ascending"),
         )
 
 
@@ -268,29 +261,24 @@ def _cheapest_layout(weights: HeadWeights, fmt: BfpFormat) -> Permutation:
 def plan_head(
     weights: HeadWeights,
     rope_tables: RopeTables | None = None,
-    order: str = "ascending",
     fmt: BfpFormat | None = None,
 ) -> PermutationPlan:
     """Run the full sorting pass for one head.
 
-    Without ``fmt`` the permutation is the plain argsort of key-row norms in
-    ``order``.  With the key cache's block format ``fmt`` it is the layout of
+    Without ``fmt`` the permutation is the plain ascending argsort of key-row
+    norms.  With the key cache's block format ``fmt`` it is the layout of
     lowest :func:`expected_cache_mse` among the norm sort, the identity and
-    the grouped layouts (see the module docstring); ``order`` must then be
-    left at its default, which the plan records.
+    the grouped layouts (see the module docstring).
 
     Deterministic: equal inputs produce bitwise-equal plans.
     """
     if rope_tables is not None and weights.d_h % 2:
         raise ShapeMismatch("rotary tables require an even head dimension")
     if fmt is None:
-        perm = argsort_norms(row_norms(weights.w_k), order=order)
-    elif order != "ascending":
-        raise ValueError("a format-aware plan picks its own layout; order does not apply")
+        perm = argsort_norms(row_norms(weights.w_k))
     else:
         perm = _cheapest_layout(weights, fmt)
     return PermutationPlan(
         perm=perm,
         rope=remap_rope_tables(rope_tables, perm) if rope_tables is not None else None,
-        order=order,
     )

@@ -133,6 +133,21 @@ def test_exponent_overflow_raises():
         quantize_block([2.0**150, 0.0], fmt)
 
 
+def test_codec_errors_print_plain_indices():
+    # indices read (0, 1), not numpy scalar reprs such as (np.int64(0), np.int64(1))
+    x = np.zeros((2, 4))
+    x[0, 1] = np.nan
+    with pytest.raises(InvalidValue) as exc:
+        quantize_tensor(x, BfpFormat(mantissa_bits=4, block_size=2), blocking_axis=1)
+    assert str(exc.value) == "non-finite input at index (0, 1)"
+    x[0, 1], x[1, 3] = 0.0, 2.0**150
+    with pytest.raises(ExponentOverflow) as exc:
+        quantize_tensor(x, BfpFormat(mantissa_bits=4, block_size=2), blocking_axis=1)
+    assert str(exc.value) == (
+        f"block (1, 1): magnitude {2.0**150:g} needs exponent 148, above the 8-bit maximum 127"
+    )
+
+
 def test_oversized_input_rejected():
     fmt = BfpFormat(mantissa_bits=4, block_size=2)
     with pytest.raises(ShapeMismatch):
@@ -387,7 +402,6 @@ def _unpack_oracle(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -
         blocking_axis=axis,
         exponents=exps.reshape(outer + (nblocks_axis,)),
         mantissas=mants.reshape(outer + (nblocks_axis, n)),
-        padding_count=padding,
     )
 
 
@@ -421,7 +435,7 @@ def _random_bfp_tensor(rng, fmt: BfpFormat, shape, axis) -> BfpTensor:
     mants.reshape(-1, n)[-1] = rng.choice([-fmt.mantissa_max, fmt.mantissa_max], size=n)
     padding = nblocks * n - shape[axis]
     mants[..., -1, n - padding :] = 0
-    return BfpTensor(fmt, shape, axis, exps.astype(np.int32), mants.astype(np.int32), padding)
+    return BfpTensor(fmt, shape, axis, exps.astype(np.int32), mants.astype(np.int32))
 
 
 def _random_packed_buffer(rng, fmt: BfpFormat, shape, axis) -> bytes:

@@ -179,9 +179,11 @@ def test_csv_matches_golden_snapshot():
     )
 
 
+@pytest.mark.filterwarnings("error")
 def test_failed_cell_exits_nonzero(tmp_path, capsys):
-    # an unquantizable imported head must fail the run loudly, not silently
-    wk = np.full((16, 8), np.inf)
+    # an unquantizable imported head must fail the run loudly, not silently: keys
+    # near 1e60 need a shared exponent far above BFP12's 8-bit maximum
+    wk = np.full((16, 8), 1e60)
     tensorio.save(tmp_path / "wk.bfpt", wk)
     tensorio.save(tmp_path / "wq.bfpt", np.ones((16, 8)))
     path = tmp_path / "cfg.json"
@@ -196,10 +198,10 @@ def test_failed_cell_exits_nonzero(tmp_path, capsys):
             }
         )
     )
-    with np.errstate(invalid="ignore"):  # inf @ matrix warns before the raise
-        code = main(["run", "--config", str(path), "--out-dir", str(tmp_path), "--workers", "1"])
+    code = main(["run", "--config", str(path), "--out-dir", str(tmp_path), "--workers", "1"])
     assert code == 1
-    assert "cell failed" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment cell failed: block (0, 0): "), err
 
 
 #: SHA-256 of the default sweep's report.csv / report.json.  The same digests
@@ -273,7 +275,7 @@ def _run_cell_oracle(cfg, pair_index, seed, imported=None) -> list[dict]:
         if cfg.rope_enabled
         else None
     )
-    plan = plan_head(weights, tables, order=cfg.order)
+    plan = plan_head(weights, tables)
 
     rows = []
     for sorted_flag, use_plan in ((False, None), (True, plan)):
@@ -316,13 +318,12 @@ ORACLE_FORMATS = (
     [
         (dict(rope_enabled=False), 1),
         (dict(rope_layout="half_split"), 1),
-        (dict(order="descending"), 1),
         (dict(seeds=(3, 11, 4)), 1),
         (dict(seeds=(3, 11, 4)), 2),
         (dict(d_h=40, formats=(("FP-lossless", "FP-lossless"), ("BFP16_32", "BFP12_32"))), 1),
         ("imported", 1),
     ],
-    ids=["rope_off", "half_split", "descending", "seeds_3_11_4", "seeds_3_11_4_pooled",
+    ids=["rope_off", "half_split", "seeds_3_11_4", "seeds_3_11_4_pooled",
          "d_h_40_block_32", "imported"],
 )
 def test_sweep_reports_match_per_cell_oracle(tmp_path, overrides, workers):
@@ -444,15 +445,39 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize(
     "entry",
     [{"outlier_scale": "x"}, {"outlier_scale": 10**400}, {"d_model": 2.5}, {"seeds": [1.7]},
-     {"d_h": 3}],
-    ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h"],
+     {"d_h": 3}, {"n_outlier_channels": 17}, {"rope_base": 0}, {"rope_base": -1.0},
+     {"wk_path": 1, "wq_path": 2}, {"rope_enabled": 1}, {"rope_layout": "spiral"},
+     {"formats": [["BFP16_8"]]}, {"formats": ["BFP16_8"]}, {"order": "descending"}],
+    ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h",
+         "outliers_beyond_d_h", "rope_base_zero", "rope_base_negative", "non_string_paths",
+         "non_bool_rope_enabled", "unknown_rope_layout", "format_not_a_pair",
+         "format_a_string", "order_descending"],
 )
 def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
     # rejected before any cell runs; a fractional seed is not rounded
     code = main(["run", "--config", _write_tiny_config(tmp_path, **entry),
                  "--out-dir", str(tmp_path / "out"), "--workers", "1"])
     assert code == 2
-    assert "invalid config" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: invalid config: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
+@pytest.mark.parametrize("which", ["wk", "wq"])
+@pytest.mark.filterwarnings("error")
+def test_cli_non_finite_weights_exit_2(tmp_path, capsys, bad, which):
+    # both subcommands refuse the head before using it: no plan, no cell, no warning
+    wk, wq = _save_weight_pair(tmp_path)
+    w = np.random.default_rng(6).normal(size=(8, 4))
+    w[3, 1] = bad
+    tensorio.save(tmp_path / f"{which}.bfpt", w)
+    code = main(["plan", "--wk", wk, "--wq", wq, "--out", str(tmp_path / "plan.json")])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {tmp_path / which}.bfpt: weights must be finite\n"
+    assert not (tmp_path / "plan.json").exists()
+    config = _write_tiny_config(tmp_path, d_h=8, d_model=4, wk_path=wk, wq_path=wq)
+    assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid config: ")
     assert not (tmp_path / "out").exists()
 
 
@@ -541,14 +566,6 @@ def test_cli_run_size_beyond_memory_is_a_failed_cell(tmp_path, capsys, entry):
 def test_cli_run_missing_config_exits_1(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
     assert "nope.json" in capsys.readouterr().err
-
-
-def test_cli_order_override(tmp_path):
-    code = main(["run", "--config", _write_tiny_config(tmp_path),
-                 "--out-dir", str(tmp_path / "out"), "--workers", "1", "--order", "desc"])
-    assert code == 0
-    doc = json.loads((tmp_path / "out" / "report.json").read_text())
-    assert doc["config"]["order"] == "descending"
 
 
 def test_cli_plan_and_inspect(tmp_path, capsys):
@@ -656,6 +673,9 @@ def test_cli_inspect_garbage_exits_1(tmp_path, capsys):
 
 
 def test_cli_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        main(["frobnicate"])
-    assert exc.value.code == 2
+    # rejected by the parser before any file is touched; there is no sort-order flag
+    for argv in (["frobnicate"], ["run", "--order", "asc"],
+                 ["plan", "--wk", "k", "--wq", "q", "--out", "p", "--order", "asc"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv

@@ -79,12 +79,6 @@ def test_ascending_order():
 
 def test_ties_keep_original_order():
     assert argsort_norms([5.0, 5.0, 5.0]).indices.tolist() == [0, 1, 2]
-    assert argsort_norms([5.0, 5.0, 5.0], order="descending").indices.tolist() == [0, 1, 2]
-
-
-def test_descending_order():
-    perm = argsort_norms([3.0, 1.0, 2.0], order="descending")
-    assert perm.indices.tolist() == [0, 2, 1]
 
 
 def test_sortedness_on_random_input():
@@ -92,13 +86,6 @@ def test_sortedness_on_random_input():
     norms = rng.exponential(size=100)
     perm = argsort_norms(norms)
     assert np.all(np.diff(norms[perm.indices]) >= 0)
-    desc = argsort_norms(norms, order="descending")
-    assert np.all(np.diff(norms[desc.indices]) <= 0)
-
-
-def test_bad_order_rejected():
-    with pytest.raises(ValueError):
-        argsort_norms([1.0], order="sideways")
 
 
 def test_permutation_bijectivity_enforced():
@@ -232,8 +219,6 @@ def test_norms_sorted_after_plan():
     weights = _random_head(rng, d_h=16, d_model=8)
     plan = plan_head(weights)
     assert np.all(np.diff(row_norms(plan.perm.apply(weights.w_k))) >= 0)
-    desc = plan_head(weights, order="descending")
-    assert np.all(np.diff(row_norms(desc.perm.apply(weights.w_k))) <= 0)
 
 
 def test_product_preservation():
@@ -300,7 +285,6 @@ def test_head_weights_shape_validation():
 
 def _assert_plans_equal(a, b):
     assert np.array_equal(a.perm.indices, b.perm.indices)
-    assert a.order == b.order
     assert (a.rope is None) == (b.rope is None)
     if a.rope is not None:
         assert np.array_equal(a.rope.theta, b.rope.theta)
@@ -311,18 +295,14 @@ def _assert_plans_equal(a, b):
 def test_plan_json_round_trip():
     rng = np.random.default_rng(23)
     weights = _random_head(rng, d_h=8)
-    tables = default_rope_tables(8, layout="half_split")
-    for order in ("ascending", "descending"):
-        plan = plan_head(weights, tables, order=order)
-        _assert_plans_equal(PermutationPlan.from_json(plan.to_json()), plan)
+    plan = plan_head(weights, default_rope_tables(8, layout="half_split"))
+    _assert_plans_equal(PermutationPlan.from_json(plan.to_json()), plan)
 
 
 def test_plan_json_without_rope():
     rng = np.random.default_rng(24)
-    weights = _random_head(rng)
-    for order in ("ascending", "descending"):
-        plan = plan_head(weights, order=order)
-        _assert_plans_equal(PermutationPlan.from_json(plan.to_json()), plan)
+    plan = plan_head(_random_head(rng))
+    _assert_plans_equal(PermutationPlan.from_json(plan.to_json()), plan)
 
 
 def test_plan_json_rejects_mismatched_lengths():
@@ -389,12 +369,6 @@ def test_format_plan_ragged_head_and_bias():
     x = rng.normal(size=24)
     lhs = rope_apply(tables, x, 3)[plan.perm.indices]
     assert np.array_equal(lhs, rope_apply(plan.rope, x[plan.perm.indices], 3))
-
-
-def test_format_plan_rejects_sort_order():
-    rng = np.random.default_rng(27)
-    with pytest.raises(ValueError):
-        plan_head(_random_head(rng), order="descending", fmt=BFP12_BLOCK32)
 
 
 def test_expected_cache_mse_matches_gaussian_keys():

@@ -95,6 +95,15 @@ def test_validate_catches_broken_tables():
     bad_theta = RopeTables(np.arange(4.0), good.partner, good.sign)
     with pytest.raises(InvalidRopeTables):
         bad_theta.validate()
+    short_partner = RopeTables(good.theta, good.partner[:3], good.sign)
+    with pytest.raises(InvalidRopeTables, match="lengths disagree"):
+        short_partner.validate()
+    partner_out_of_range = RopeTables(good.theta, np.array([1, 0, 3, 4], np.intp), good.sign)
+    with pytest.raises(InvalidRopeTables, match="out of range"):
+        partner_out_of_range.validate()
+    sign_not_unit = RopeTables(good.theta, good.partner, good.sign * 2)
+    with pytest.raises(InvalidRopeTables, match=r"\+/-1"):
+        sign_not_unit.validate()
 
 
 # ---------------------------------------------------------------------------

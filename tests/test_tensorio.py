@@ -116,6 +116,14 @@ def test_overwrite_is_atomic_replace(tmp_path):
     assert np.array_equal(tensorio.load(path), np.zeros(5))
 
 
+def test_save_onto_a_directory_leaves_no_temp_file(tmp_path):
+    (tmp_path / "w.bfpt").mkdir()
+    with pytest.raises(OSError):
+        tensorio.save(tmp_path / "w.bfpt", np.ones(3))
+    assert [p.name for p in tmp_path.iterdir()] == ["w.bfpt"]
+    assert list((tmp_path / "w.bfpt").iterdir()) == []
+
+
 # ---------------------------------------------------------------------------
 # error taxonomy
 # ---------------------------------------------------------------------------
