@@ -151,12 +151,7 @@ class BfpTensor:
 
     def __post_init__(self) -> None:
         n = self.fmt.block_size
-        axis_len = self.logical_shape[self.blocking_axis] if self.logical_shape else 0
-        nblocks = -(-axis_len // n) if axis_len else 0
-        outer = tuple(
-            d for i, d in enumerate(self.logical_shape) if i != self.blocking_axis
-        )
-        if self.exponents.shape != outer + (nblocks,):
+        if self.exponents.shape != _block_grid(self.logical_shape, self.blocking_axis, n):
             raise ShapeMismatch(
                 f"exponent array shape {self.exponents.shape} does not match "
                 f"logical shape {self.logical_shape} blocked along axis {self.blocking_axis}"
@@ -185,6 +180,11 @@ class BfpTensor:
     @property
     def packed_nbytes(self) -> int:
         return self.num_blocks * self.fmt.bytes_per_block
+
+
+def _block_grid(shape: tuple[int, ...], axis: int, n: int) -> tuple[int, ...]:
+    """Exponent-array shape: the dims other than ``axis``, then ``ceil(shape[axis] / n)``."""
+    return tuple(d for i, d in enumerate(shape) if i != axis) + (-(-shape[axis] // n),)
 
 
 def _minimal_exponents(max_abs: np.ndarray, fmt: BfpFormat) -> np.ndarray:
@@ -249,13 +249,10 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
 
     n = fmt.block_size
     moved = np.moveaxis(arr, axis, -1)
-    axis_len = moved.shape[-1]
-    nblocks = -(-axis_len // n)
-    padding = nblocks * n - axis_len
-    if padding:
-        pad_width = [(0, 0)] * (moved.ndim - 1) + [(0, padding)]
-        moved = np.pad(moved, pad_width)
-    grouped = moved.reshape(moved.shape[:-1] + (nblocks, n))
+    padding = -arr.shape[axis] % n
+    if padding:  # padding copies the tensor: only a ragged tail pays for it
+        moved = np.pad(moved, [(0, 0)] * (moved.ndim - 1) + [(0, padding)])
+    grouped = moved.reshape(_block_grid(arr.shape, axis, n) + (n,))
     e, mant = _encode_blocks(grouped, fmt)
     return BfpTensor(
         fmt=fmt,
@@ -317,6 +314,8 @@ def _byte_span(offset: int, width: int) -> range:
 def pack(t: BfpTensor) -> bytes:
     """Serialize the blocks of ``t`` to the packed wire layout."""
     fmt = t.fmt
+    if not t.num_blocks:  # no fields to write, however many a block has
+        return b""
     exps = t.exponents.reshape(-1)
     mants = t.mantissas.reshape(-1, fmt.block_size)
     out = np.zeros((exps.size, fmt.bytes_per_block), dtype=np.uint8)
@@ -339,12 +338,9 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
         raise ShapeMismatch(f"axis {blocking_axis} out of range for shape {shape}")
     axis = blocking_axis % ndim
 
-    n = fmt.block_size
-    axis_len = shape[axis]
-    nblocks_axis = -(-axis_len // n)
-    outer = tuple(d for i, d in enumerate(shape) if i != axis)
-    count = math.prod(outer) * nblocks_axis
-    nbytes = fmt.bytes_per_block
+    n, nbytes = fmt.block_size, fmt.bytes_per_block
+    grid = _block_grid(shape, axis, n)
+    count = math.prod(grid)
     if len(buf) != count * nbytes:
         raise CorruptBuffer(
             f"expected {count * nbytes} bytes for {count} blocks of {nbytes}, got {len(buf)}"
@@ -353,22 +349,22 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, nbytes)
     exps = np.empty(count, dtype=np.int32)
     mants = np.empty((count, n), dtype=np.int32)
-    for col, (offset, width) in zip([exps, *mants.T], _fields(fmt)):
-        word = np.zeros(count, dtype=np.int32)
-        for k, byte in enumerate(_byte_span(offset, width)):
-            word |= raw[:, byte].astype(np.int32) << (8 * k)
-        field = (word >> (offset & 7)) & ((1 << width) - 1)
-        col[...] = field - ((field >> (width - 1)) << width)  # two's-complement sign extension
+    if count:  # with no blocks there are no fields to read, however many a block has
+        for col, (offset, width) in zip([exps, *mants.T], _fields(fmt)):
+            word = np.zeros(count, dtype=np.int32)
+            for k, byte in enumerate(_byte_span(offset, width)):
+                word |= raw[:, byte].astype(np.int32) << (8 * k)
+            field = (word >> (offset & 7)) & ((1 << width) - 1)
+            col[...] = field - ((field >> (width - 1)) << width)  # two's-complement sign extension
 
-    padding = nblocks_axis * n - axis_len
-    if padding:
-        tail = mants.reshape(outer + (nblocks_axis, n))[..., -1, n - padding :]
-        if np.any(tail != 0):
-            raise CorruptBuffer("padding mantissas must decode to zero")
-    return BfpTensor(
+    t = BfpTensor(
         fmt=fmt,
         logical_shape=shape,
         blocking_axis=axis,
-        exponents=exps.reshape(outer + (nblocks_axis,)),
-        mantissas=mants.reshape(outer + (nblocks_axis, n)),
+        exponents=exps.reshape(grid),
+        mantissas=mants.reshape(grid + (n,)),
     )
+    padding = t.padding_count
+    if padding and np.any(t.mantissas[..., -1, n - padding :] != 0):
+        raise CorruptBuffer("padding mantissas must decode to zero")
+    return t

@@ -133,8 +133,8 @@ class ExperimentConfig:
             raise ValueError(f"rope_enabled must be true or false, got {self.rope_enabled!r}")
         if self.rope_layout not in LAYOUTS:
             raise ValueError(f"bad rope layout {self.rope_layout!r}")
-        if self.rope_enabled and self.d_h % 2:
-            raise ValueError(f"rotary embeddings need an even d_h, got {self.d_h}")
+        if self.rope_enabled:  # an odd d_h, or a base so small that a frequency overflows
+            default_rope_tables(self.d_h, self.rope_base, self.rope_layout)
         for pair in self.formats:
             if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
                 raise ValueError(f"a format entry must be a pair of names, got {pair!r}")
@@ -290,8 +290,11 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[st
     imported = None
     if cfg.wk_path is not None:
         imported = _load_head(cfg.wk_path, cfg.wq_path)
-        if cfg.rope_enabled and imported.d_h % 2:
-            raise InvalidConfig(f"rotary embeddings need an even d_h, imported d_h={imported.d_h}")
+        if cfg.rope_enabled:  # the rotary checks the config made of its own d_h
+            try:
+                default_rope_tables(imported.d_h, cfg.rope_base, cfg.rope_layout)
+            except ValueError as exc:
+                raise InvalidConfig(f"imported d_h={imported.d_h}: {exc}") from None
 
     task = functools.partial(run_cell, cfg, imported=imported)
     pool_size = min(workers, len(cfg.seeds))

@@ -10,9 +10,9 @@ channels of similar magnitude end up adjacent and share blocks.
 The pass is purely static: compute Euclidean row norms of the key
 projection, argsort them in ascending order (when blocks do not tile the
 head, the largest channels then share the short last block), apply the
-permutation to the rows of both projections (and their biases), and remap
-the rotary tables so the rotation keeps acting on the same logical pairs.
-No calibration data is involved and nothing changes at inference time.
+permutation to the rows of both projections, and remap the rotary tables
+so the rotation keeps acting on the same logical pairs.  No calibration data
+is involved and nothing changes at inference time.
 
 Grouping every large channel into one block is not always the cheapest
 layout: the grouped channels share the step set by the largest of them, and
@@ -67,13 +67,11 @@ class HeadWeights:
     """Key/query projection matrices for one attention head.
 
     Rows are output channels (length ``d_h``), columns model features
-    (``d_model``).  Biases are optional and permuted along with the rows.
+    (``d_model``).
     """
 
     w_k: np.ndarray
     w_q: np.ndarray
-    b_k: np.ndarray | None = None
-    b_q: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         if self.w_k.ndim != 2 or self.w_k.shape != self.w_q.shape:
@@ -81,9 +79,6 @@ class HeadWeights:
                 f"w_k and w_q must be matrices of identical shape, "
                 f"got {self.w_k.shape} and {self.w_q.shape}"
             )
-        for name, b in (("b_k", self.b_k), ("b_q", self.b_q)):
-            if b is not None and b.shape != (self.d_h,):
-                raise ShapeMismatch(f"{name} must have shape ({self.d_h},), got {b.shape}")
 
     @property
     def d_h(self) -> int:
@@ -123,11 +118,17 @@ class Permutation:
 
 
 def row_norms(w) -> np.ndarray:
-    """Euclidean norm of each row, in double precision."""
+    """Euclidean norm of each row, in double precision; inf beyond float range."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {w.shape}")
-    return np.sqrt(np.sum(w * w, axis=1))
+    # square w / 2**e, its largest entry in [0.5, 1), so finite weights cannot
+    # overflow; the scaling is exact, so ordinary norms keep their bits
+    _, e = np.frexp(np.abs(w).max(initial=0.0))
+    sq = np.ldexp(w, -e)
+    sq *= sq
+    with np.errstate(over="ignore"):
+        return np.ldexp(np.sqrt(np.sum(sq, axis=1)), e)
 
 
 def argsort_norms(norms) -> Permutation:
@@ -199,8 +200,8 @@ def expected_cache_mse(
 ) -> np.ndarray:
     """Expected key-cache MSE at ``fmt`` of each channel layout in ``perms``.
 
-    Key channel ``i`` is modelled as an independent Gaussian with mean
-    ``b_k[i]`` and standard deviation ``||w_k[i]||``, which is what unit
+    Key channel ``i`` is modelled as an independent zero-mean Gaussian with
+    standard deviation ``||w_k[i]||``, which is what unit
     Gaussian activations give up to cross-channel correlation.  The
     expectation is estimated on ``samples`` keys drawn once from a fixed
     seed and shared by all layouts, so differences between layouts are not
@@ -211,8 +212,6 @@ def expected_cache_mse(
             raise ShapeMismatch(f"permutation length {len(perm)} != d_h {weights.d_h}")
     z = np.random.default_rng(COST_MODEL_SEED).standard_normal((samples, weights.d_h))
     keys = z * row_norms(weights.w_k)
-    if weights.b_k is not None:
-        keys = keys + weights.b_k
     stacked = np.concatenate([keys[:, perm.indices] for perm in perms])
     err = dequantize(quantize_tensor(stacked, fmt, blocking_axis=1)) - stacked
     return np.square(err).reshape(len(perms), -1).mean(axis=1)

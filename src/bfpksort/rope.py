@@ -90,14 +90,18 @@ def default_rope_tables(
     ``interleaved`` pairs adjacent channels ``(0, 1), (2, 3), ...`` with the
     frequency vector ``[t1, t1, t2, t2, ...]``; ``half_split`` pairs channel
     ``j`` with ``j + d_h/2`` and repeats the frequencies as
-    ``[t1..t_{d_h/2}, t1..t_{d_h/2}]``.
+    ``[t1..t_{d_h/2}, t1..t_{d_h/2}]``.  A base so small that a frequency
+    overflows raises :class:`ValueError`.
     """
     if d_h < 2 or d_h % 2:
         raise ValueError(f"d_h must be even and >= 2, got {d_h}")
     if not (math.isfinite(base) and base > 0.0):
         raise ValueError(f"base must be finite and positive, got {base}")
     half = d_h // 2
-    freqs = float(base) ** (-2.0 * np.arange(half) / d_h)
+    with np.errstate(over="ignore"):
+        freqs = float(base) ** (-2.0 * np.arange(half) / d_h)
+    if not np.all(np.isfinite(freqs)):
+        raise ValueError(f"base {base} overflows the rotary frequencies at d_h={d_h}")
     if layout == "interleaved":
         theta = np.repeat(freqs, 2)
         partner = np.arange(d_h, dtype=np.intp).reshape(half, 2)[:, ::-1].reshape(-1)

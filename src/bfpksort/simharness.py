@@ -131,8 +131,7 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
-    w_k, w_q, b_k, b_q = weights.w_k, weights.w_q, weights.b_k, weights.b_q
-    tables = rope_tables
+    w_k, w_q, tables = weights.w_k, weights.w_q, rope_tables
     if plan is not None:
         if len(plan.perm) != weights.d_h:
             raise PlanMismatch(f"plan is for d_h={len(plan.perm)}, weights have d_h={weights.d_h}")
@@ -140,15 +139,9 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
             raise PlanMismatch("plan and call disagree on whether rotation is in use")
         gather = plan.perm.apply
         w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
-        b_k = None if b_k is None else gather(b_k)
-        b_q = None if b_q is None else gather(b_q)
 
     keys = X @ w_k.T
     queries = X @ w_q.T
-    if b_k is not None:
-        keys = keys + b_k
-    if b_q is not None:
-        queries = queries + b_q
     if tables is not None:
         queries = rope_apply(tables, queries, np.arange(X.shape[0]))
     return keys, queries, tables
@@ -172,7 +165,7 @@ def simulate_decode(
     """Run a T-step decode, quantizing keys at ``fmt_k`` and queries at ``fmt_q``.
 
     ``None`` formats mean lossless float storage.  With ``plan`` given, the
-    projection rows (and biases) are gathered through ``plan.perm`` and the
+    projection rows are gathered through ``plan.perm`` and the
     plan's remapped rotary tables are used, as a deployed head would after
     the compile-time pass; ``rope_tables`` then names the original tables the
     plan was derived from.

@@ -144,12 +144,9 @@ def load(path) -> Union[np.ndarray, BfpTensor]:
     shape = info["shape"]
 
     if code == DTYPE_PACKED:
-        axis = info["blocking_axis"]
-        if not shape or axis >= len(shape):
-            raise CorruptFile(f"{path}: blocking axis {axis} invalid for shape {shape}")
-        try:
+        try:  # unpack checks the blocking axis against the shape
             fmt = BfpFormat(info["mantissa_bits"], info["block_size"], info["exponent_bits"])
-            return unpack(data[r.pos :], fmt, shape, blocking_axis=axis)
+            return unpack(data[r.pos :], fmt, shape, blocking_axis=info["blocking_axis"])
         except (BfpKsortError, ValueError) as exc:
             raise CorruptFile(f"{path}: {exc}") from exc
 

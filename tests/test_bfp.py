@@ -276,6 +276,15 @@ def test_empty_tensor():
     assert pack(t) == b""
 
 
+def test_empty_tensor_with_huge_block_size(deadline):
+    # no blocks, so no fields to pack or unpack, however many a block would hold
+    fmt = BfpFormat(mantissa_bits=4, block_size=2**32 - 1)
+    with deadline(10):
+        t = quantize_tensor(np.zeros(0), fmt)
+        assert pack(t) == b""
+        assert unpack(b"", fmt, (0,)).logical_shape == t.logical_shape
+
+
 # ---------------------------------------------------------------------------
 # bfp_dot
 # ---------------------------------------------------------------------------

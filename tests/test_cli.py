@@ -349,6 +349,8 @@ def test_sweep_reports_match_per_cell_oracle(tmp_path, overrides, workers):
 
 
 def test_sweep_builds_each_seed_once(tmp_path, monkeypatch):
+    # built before the counters: validating a config builds one set of rotary tables
+    cfg = tiny_config(formats=ORACLE_FORMATS, seeds=(0, 1, 2))
     calls = collections.Counter()
     for name in ("gen_outlier_head", "gen_activations", "default_rope_tables", "plan_head",
                  "simulate_decode"):
@@ -359,7 +361,6 @@ def test_sweep_builds_each_seed_once(tmp_path, monkeypatch):
             return _original(*args, **kwargs)
 
         monkeypatch.setattr(bfpksort.cli, name, counted)
-    cfg = tiny_config(formats=ORACLE_FORMATS, seeds=(0, 1, 2))
     run(cfg, out_dir=str(tmp_path), workers=1)
     n_seeds, n_pairs = len(cfg.seeds), len(cfg.formats)
     assert calls == {
@@ -447,11 +448,12 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
     [{"outlier_scale": "x"}, {"outlier_scale": 10**400}, {"d_model": 2.5}, {"seeds": [1.7]},
      {"d_h": 3}, {"n_outlier_channels": 17}, {"rope_base": 0}, {"rope_base": -1.0},
      {"wk_path": 1, "wq_path": 2}, {"rope_enabled": 1}, {"rope_layout": "spiral"},
-     {"formats": [["BFP16_8"]]}, {"formats": ["BFP16_8"]}, {"order": "descending"}],
+     {"formats": [["BFP16_8"]]}, {"formats": ["BFP16_8"]}, {"order": "descending"},
+     {"rope_base": 5e-324, "d_h": 64}],
     ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h",
          "outliers_beyond_d_h", "rope_base_zero", "rope_base_negative", "non_string_paths",
          "non_bool_rope_enabled", "unknown_rope_layout", "format_not_a_pair",
-         "format_a_string", "order_descending"],
+         "format_a_string", "order_descending", "rope_base_overflowing_a_frequency"],
 )
 def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
     # rejected before any cell runs; a fractional seed is not rounded
@@ -498,6 +500,16 @@ def test_cli_run_bad_imported_weights_is_invalid_config(tmp_path, capsys, wk, wq
     code = main(["run", "--config", config, "--out-dir", str(tmp_path / "out"), "--workers", "1"])
     assert code == 2
     assert "error: invalid config:" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_run_imported_head_too_wide_for_its_base_is_invalid_config(tmp_path, capsys):
+    # the config's own 16 channels fit a base of 5e-324; the imported head's 64 do not
+    tensorio.save(tmp_path / "wk.bfpt", np.ones((64, 8)))
+    config = _write_tiny_config(tmp_path, rope_base=5e-324, wk_path=str(tmp_path / "wk.bfpt"),
+                                wq_path=str(tmp_path / "wk.bfpt"))
+    assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: invalid config: imported d_h=64: base ")
     assert not (tmp_path / "out").exists()
 
 
@@ -595,11 +607,12 @@ def test_cli_plan_rope_off(tmp_path):
     assert json.loads((tmp_path / "plan.json").read_text())["rope"] is None
 
 
-@pytest.mark.parametrize("base", ["0", "-10000", "inf", "nan"])
+@pytest.mark.parametrize("base", ["0", "-10000", "inf", "nan", "5e-324"])
 def test_cli_plan_bad_base_exits_2(tmp_path, capsys, base):
+    # 64 channels: 5e-324 ** (-62/64) overflows, where an 8-channel head's frequencies fit
     rng = np.random.default_rng(8)
-    tensorio.save(tmp_path / "wk.bfpt", rng.normal(size=(8, 4)))
-    tensorio.save(tmp_path / "wq.bfpt", rng.normal(size=(8, 4)))
+    tensorio.save(tmp_path / "wk.bfpt", rng.normal(size=(64, 4)))
+    tensorio.save(tmp_path / "wq.bfpt", rng.normal(size=(64, 4)))
     code = main(["plan", "--wk", str(tmp_path / "wk.bfpt"), "--wq", str(tmp_path / "wq.bfpt"),
                  "--out", str(tmp_path / "plan.json"), "--base", base])
     assert code == 2
@@ -623,6 +636,38 @@ def test_cli_plan_packed_weights_exits_2(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "plan.json").exists()
+
+
+def test_cli_empty_packed_weights_with_huge_block_size_exit_2(tmp_path, capsys, deadline):
+    # an empty tensor in blocks of 2**32 - 1: refused as packed, without walking its fields
+    packed = quantize_tensor(np.zeros(0), BfpFormat(4, 2**32 - 1))
+    tensorio.save(tmp_path / "wk.bfpt", packed)
+    wk = wq = str(tmp_path / "wk.bfpt")
+    config = _write_tiny_config(tmp_path, wk_path=wk, wq_path=wq)
+    with deadline(10):
+        assert main(["plan", "--wk", wk, "--wq", wq, "--out", str(tmp_path / "plan.json")]) == 2
+        assert capsys.readouterr().err == (
+            "error: weight files must hold float tensors, not packed blocks\n"
+        )
+        assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err.startswith("error: invalid config: weight files must")
+    assert not (tmp_path / "plan.json").exists() and not (tmp_path / "out").exists()
+
+
+def test_cli_huge_finite_weights(tmp_path, capsys):
+    # squared, weights of 1e200 overflow: the plan sorts on finite norms, with
+    # no warning, and a head of 1e160 outliers is a failed cell, not a warning
+    tensorio.save(tmp_path / "wk.bfpt", np.full((8, 4), 1e200))
+    tensorio.save(tmp_path / "wq.bfpt", np.ones((8, 4)))
+    code = main(["plan", "--wk", str(tmp_path / "wk.bfpt"), "--wq", str(tmp_path / "wq.bfpt"),
+                 "--out", str(tmp_path / "plan.json")])
+    assert code == 0
+    assert json.loads((tmp_path / "plan.json").read_text())["pi"] == list(range(8))
+    capsys.readouterr()
+    config = _write_tiny_config(tmp_path, outlier_scale=1e160)
+    assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment cell failed: block (0, ") and err.count("\n") == 1
 
 
 def test_cli_plan_missing_weight_file_exits_1(tmp_path, capsys):

@@ -84,6 +84,13 @@ def test_odd_or_tiny_dims_rejected():
         default_rope_tables(8, layout="rotato")
 
 
+def test_base_overflowing_a_frequency_rejected():
+    # 5e-324 ** (-62/64) is beyond float range; at d_h = 16 every frequency fits
+    with pytest.raises(ValueError, match="overflows the rotary frequencies"):
+        default_rope_tables(64, 5e-324)
+    assert np.all(np.isfinite(default_rope_tables(16, 5e-324).theta))
+
+
 def test_validate_catches_broken_tables():
     good = default_rope_tables(4)
     bad_sign = RopeTables(good.theta, good.partner, np.abs(good.sign))

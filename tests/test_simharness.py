@@ -258,21 +258,14 @@ def _dense_operands(weights, rope_tables, X, fmt_k=None, fmt_q=None, plan=None):
     """``(keys, queries, keys_rot_ref, deq_queries, keys_rot_deq)``: the score
     map operands, reference and dequantized, over all T tokens."""
     X = np.asarray(X, dtype=np.float64)
-    w_k, w_q, b_k, b_q = weights.w_k, weights.w_q, weights.b_k, weights.b_q
-    tables = rope_tables
+    w_k, w_q, tables = weights.w_k, weights.w_q, rope_tables
     if plan is not None:
         gather = plan.perm.apply
         w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
-        b_k = None if b_k is None else gather(b_k)
-        b_q = None if b_q is None else gather(b_q)
 
     positions = np.arange(X.shape[0])
     keys = X @ w_k.T
     queries = X @ w_q.T
-    if b_k is not None:
-        keys = keys + b_k
-    if b_q is not None:
-        queries = queries + b_q
     if tables is not None:
         queries = rope_apply(tables, queries, positions)
 
@@ -373,8 +366,6 @@ _FUZZ_TOKENS = (1, 2, 63, 64, 65, 511, 512)
 def _fuzz_head(seed, rope):
     d_h, d_model = 16, 24
     weights = gen_outlier_head(d_h, d_model, OutlierSpec(2, 20.0, seed=seed))
-    rng = np.random.default_rng([seed, 9])
-    weights = replace(weights, b_k=rng.normal(size=d_h) * 3.0, b_q=rng.normal(size=d_h))
     tables = None if rope == "off" else default_rope_tables(d_h, layout=rope)
     return weights, tables
 

@@ -45,6 +45,17 @@ def test_empty_tensor_round_trip(tmp_path):
     assert out.dtype == np.float32
 
 
+def test_empty_packed_tensor_with_huge_block_size_round_trips(tmp_path, deadline):
+    # 32 bytes of header and no payload: loading must not walk 2**32 - 1 mantissa fields
+    path = tmp_path / "empty.bfpt"
+    fmt = BfpFormat(mantissa_bits=4, block_size=2**32 - 1)
+    with deadline(10):
+        tensorio.save(path, quantize_tensor(np.zeros(0), fmt))
+        out = tensorio.load(path)
+    assert path.read_bytes() == tensorio.MAGIC + struct.pack("<8I", 1, 2, 1, 0, 4, 8, 2**32 - 1, 0)
+    assert (out.fmt, out.logical_shape, out.num_blocks) == (fmt, (0,), 0)
+
+
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_random_matrix_round_trip_bitwise(tmp_path, dtype):
     # projection-sized matrix, compared through the raw byte view
