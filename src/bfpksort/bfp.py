@@ -151,6 +151,10 @@ class BfpTensor:
 
     def __post_init__(self) -> None:
         n = self.fmt.block_size
+        if not 0 <= self.blocking_axis < len(self.logical_shape):
+            raise ShapeMismatch(
+                f"blocking axis {self.blocking_axis} is outside logical shape {self.logical_shape}"
+            )
         if self.exponents.shape != _block_grid(self.logical_shape, self.blocking_axis, n):
             raise ShapeMismatch(
                 f"exponent array shape {self.exponents.shape} does not match "

@@ -133,13 +133,29 @@ class ExperimentConfig:
             raise ValueError(f"rope_enabled must be true or false, got {self.rope_enabled!r}")
         if self.rope_layout not in LAYOUTS:
             raise ValueError(f"bad rope layout {self.rope_layout!r}")
-        if self.rope_enabled:  # an odd d_h, or a base so small that a frequency overflows
-            default_rope_tables(self.d_h, self.rope_base, self.rope_layout)
+        self.rope_tables(self.d_h)
         for pair in self.formats:
             if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
                 raise ValueError(f"a format entry must be a pair of names, got {pair!r}")
             for name in pair:
                 resolve_format(name)
+
+    def rope_tables(self, d_h: int) -> RopeTables | None:
+        """The rotary tables of a ``d_h``-wide head, ``None`` with rotary off.
+
+        An odd ``d_h``, or a base so small that a frequency or the angle of
+        the last position (``(n_tokens - 1) * max(theta)``) overflows, raises
+        :class:`ValueError`.
+        """
+        if not self.rope_enabled:
+            return None
+        tables = default_rope_tables(d_h, self.rope_base, self.rope_layout)
+        if not math.isfinite((self.n_tokens - 1) * float(tables.theta.max())):
+            raise ValueError(
+                f"base {self.rope_base} overflows the rotary angles "
+                f"at d_h={d_h}, n_tokens={self.n_tokens}"
+            )
+        return tables
 
     @classmethod
     def from_json_file(cls, path: str) -> "ExperimentConfig":
@@ -202,11 +218,7 @@ def run_cell(
         spec = OutlierSpec(cfg.n_outlier_channels, cfg.outlier_scale, cfg.base_std, seed=seed)
         weights = gen_outlier_head(cfg.d_h, cfg.d_model, spec)
     X = gen_activations(cfg.n_tokens, weights.d_model, seed)
-    tables = (
-        default_rope_tables(weights.d_h, cfg.rope_base, cfg.rope_layout)
-        if cfg.rope_enabled
-        else None
-    )
+    tables = cfg.rope_tables(weights.d_h)
     plan = plan_head(weights, tables)
 
     cells = []
@@ -290,11 +302,10 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[st
     imported = None
     if cfg.wk_path is not None:
         imported = _load_head(cfg.wk_path, cfg.wq_path)
-        if cfg.rope_enabled:  # the rotary checks the config made of its own d_h
-            try:
-                default_rope_tables(imported.d_h, cfg.rope_base, cfg.rope_layout)
-            except ValueError as exc:
-                raise InvalidConfig(f"imported d_h={imported.d_h}: {exc}") from None
+        try:  # the rotary checks the config made of its own d_h
+            cfg.rope_tables(imported.d_h)
+        except ValueError as exc:
+            raise InvalidConfig(f"imported d_h={imported.d_h}: {exc}") from None
 
     task = functools.partial(run_cell, cfg, imported=imported)
     pool_size = min(workers, len(cfg.seeds))

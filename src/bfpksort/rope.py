@@ -125,9 +125,30 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     ``x`` may be a single vector or a stack ``(..., d_h)``; ``m`` is a scalar
     or an integer array broadcastable against the leading axes (one position
     per row).  Positions enter only through ``cos(m*theta)`` / ``sin(m*theta)``.
+
+    The result equals the module formula bit for bit, but ``cos``/``sin`` are
+    evaluated once per distinct frequency (paired channels share one) and
+    gathered back to the columns, and the sign is folded into the sine:
+    multiplying by +/-1 is exact, so ``(sign*x_p)*sin == x_p*(sign*sin)``,
+    signed zeros included.  An angle that is not finite raises
+    :class:`ValueError`.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape[-1] != tables.d_h:
-        raise ShapeMismatch(f"vector length {x.shape[-1]} != table length {tables.d_h}")
-    angles = np.expand_dims(np.asarray(m, dtype=np.float64), -1) * tables.theta
-    return x * np.cos(angles) + tables.sign * x[..., tables.partner] * np.sin(angles)
+    if x.ndim == 0 or x.shape[-1] != tables.d_h:
+        raise ShapeMismatch(f"vector shape {x.shape} does not end in table length {tables.d_h}")
+    # distinct frequencies by bit pattern, so that -0.0 and +0.0 stay apart
+    theta = np.ascontiguousarray(tables.theta, dtype=np.float64)
+    bits, column = np.unique(theta.view(np.int64), return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = np.expand_dims(np.asarray(m, dtype=np.float64), -1) * bits.view(np.float64)
+    if not np.isfinite(angles).all():
+        raise ValueError("a rotary angle m * theta is not finite")
+    out = x * np.take(np.cos(angles), column, axis=-1)
+    sin = np.take(np.sin(angles, out=angles), column, axis=-1)
+    del angles  # freed before the gather, so the peak holds only out, sin and t
+    sin *= tables.sign.astype(np.float64)
+    x = np.broadcast_to(x, out.shape)  # a position array may add leading axes
+    t = np.take(x, tables.partner, axis=-1)
+    t *= sin
+    out += t
+    return out

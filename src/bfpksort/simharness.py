@@ -230,7 +230,9 @@ def exactness_check(
 
 def _sorted_accumulate_sq(values: np.ndarray) -> float:
     """Sum of squares, accumulated in ascending order: permutation-invariant."""
-    return float(np.sort(np.square(values), axis=None).sum())
+    sq = np.square(values).reshape(-1)
+    sq.sort()
+    return float(sq.sum())
 
 
 @dataclass(frozen=True)

@@ -564,6 +564,17 @@ def test_unpack_bad_axis_rejected():
         unpack(b"", fmt, (2, 4), 5)
 
 
+@pytest.mark.parametrize(
+    "shape, axis", [((3,), 5), ((3,), -1), ((), 0)], ids=["past_end", "negative", "zero_dim"]
+)
+def test_tensor_axis_outside_shape_rejected(shape, axis):
+    # built directly, a tensor does not normalise its axis as quantize_tensor does
+    fmt = BfpFormat(mantissa_bits=4, block_size=4)
+    empty = np.zeros((1,), np.int32)
+    with pytest.raises(ShapeMismatch, match="blocking axis"):
+        BfpTensor(fmt, shape, axis, empty, empty.reshape(1, 1).repeat(4, axis=1))
+
+
 # ---------------------------------------------------------------------------
 # formats and storage cost
 # ---------------------------------------------------------------------------

@@ -449,11 +449,12 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
      {"d_h": 3}, {"n_outlier_channels": 17}, {"rope_base": 0}, {"rope_base": -1.0},
      {"wk_path": 1, "wq_path": 2}, {"rope_enabled": 1}, {"rope_layout": "spiral"},
      {"formats": [["BFP16_8"]]}, {"formats": ["BFP16_8"]}, {"order": "descending"},
-     {"rope_base": 5e-324, "d_h": 64}],
+     {"rope_base": 5e-324, "d_h": 64}, {"rope_base": 5e-324, "d_h": 42, "n_tokens": 6}],
     ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h",
          "outliers_beyond_d_h", "rope_base_zero", "rope_base_negative", "non_string_paths",
          "non_bool_rope_enabled", "unknown_rope_layout", "format_not_a_pair",
-         "format_a_string", "order_descending", "rope_base_overflowing_a_frequency"],
+         "format_a_string", "order_descending", "rope_base_overflowing_a_frequency",
+         "rope_base_overflowing_an_angle"],
 )
 def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
     # rejected before any cell runs; a fractional seed is not rounded
@@ -510,6 +511,20 @@ def test_cli_run_imported_head_too_wide_for_its_base_is_invalid_config(tmp_path,
                                 wq_path=str(tmp_path / "wk.bfpt"))
     assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: invalid config: imported d_h=64: base ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_imported_head_overflowing_an_angle_is_invalid_config(tmp_path, capsys):
+    # at 42 channels every frequency is finite, but the angle of position 5 is not
+    tensorio.save(tmp_path / "wk.bfpt", np.ones((42, 8)))
+    config = _write_tiny_config(tmp_path, rope_base=5e-324, wk_path=str(tmp_path / "wk.bfpt"),
+                                wq_path=str(tmp_path / "wk.bfpt"))
+    assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: invalid config: imported d_h=42: base 5e-324 overflows the rotary angles "
+        "at d_h=42, n_tokens=6\n"
+    )
     assert not (tmp_path / "out").exists()
 
 

@@ -2,7 +2,8 @@
 
 The dense-matrix path (`rope_apply_matrix`) is the oracle; the scalar
 expansion below is a second, loop-based reference sharing nothing with
-either vectorized path.
+either vectorized path.  `_rope_apply_oracle` is the one-line formula the
+kernel replaced: the kernel must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -13,9 +14,12 @@ import numpy as np
 import pytest
 
 from bfpksort import (
+    OutlierSpec,
     Permutation,
     RopeTables,
     default_rope_tables,
+    gen_outlier_head,
+    plan_head,
     remap_rope_tables,
     rope_apply,
 )
@@ -36,6 +40,14 @@ def rope_apply_matrix(tables: RopeTables, x, m) -> np.ndarray:
     rot[np.arange(d), np.arange(d)] = np.cos(angles)
     rot[np.arange(d), tables.partner] = tables.sign * np.sin(angles)
     return x @ rot.T
+
+
+def _rope_apply_oracle(tables: RopeTables, x, m) -> np.ndarray:
+    """The formula of the module docstring, evaluated as written: every
+    column's cos/sin, a fancy-index gather and the int8 sign."""
+    x = np.asarray(x, dtype=np.float64)
+    angles = np.expand_dims(np.asarray(m, dtype=np.float64), -1) * tables.theta
+    return x * np.cos(angles) + tables.sign * x[..., tables.partner] * np.sin(angles)
 
 
 def scalar_rope(tables: RopeTables, x, m):
@@ -205,7 +217,102 @@ def test_length_mismatch_rejected():
     with pytest.raises(ShapeMismatch):
         rope_apply(t, np.ones(6), 0)
     with pytest.raises(ShapeMismatch):
+        rope_apply(t, 1.0, 0)
+    with pytest.raises(ShapeMismatch):
         rope_apply_matrix(t, np.ones(6), 0)
+
+
+# ---------------------------------------------------------------------------
+# the kernel against the formula it replaced, byte for byte
+# ---------------------------------------------------------------------------
+
+
+def _with_signed_zeros(x: np.ndarray) -> np.ndarray:
+    """``x`` with +0.0 and -0.0 planted at fixed strides."""
+    x = x.copy()
+    x.reshape(-1)[::7] = 0.0
+    x.reshape(-1)[3::11] = -0.0
+    return x
+
+
+def _assert_same_bytes(tables: RopeTables, x, m) -> None:
+    got, want = rope_apply(tables, x, m), _rope_apply_oracle(tables, x, m)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()  # signed zeros count, unlike array_equal
+
+
+def _plan_tables(layout: str, seed: int) -> RopeTables:
+    """A sorted plan's tables: equal frequencies sit at arbitrary columns."""
+    weights = gen_outlier_head(128, 64, OutlierSpec(4, 20.0, seed=seed))
+    plan = plan_head(weights, default_rope_tables(128, layout=layout))
+    assert not np.array_equal(plan.perm.indices, np.arange(128))
+    return plan.rope
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "half_split"])
+@pytest.mark.parametrize("d_h", [2, 8, 42, 128])
+def test_kernel_matches_oracle_bytewise_single_vectors(layout, d_h):
+    rng = np.random.default_rng(8)
+    for base in (10000.0, 500000.0, 1.5):
+        tables = default_rope_tables(d_h, base, layout)
+        x = _with_signed_zeros(rng.normal(size=d_h))
+        for m in (0, 1, 7, 4095, math.pi / 2, -3.25):
+            _assert_same_bytes(tables, x, m)
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "half_split"])
+def test_kernel_matches_oracle_bytewise_on_plan_tables(layout):
+    rng = np.random.default_rng(9)
+    for seed in range(3):
+        tables = _plan_tables(layout, seed)
+        x = _with_signed_zeros(rng.normal(size=(2, 64, 128)))
+        _assert_same_bytes(tables, x, np.arange(64))
+        _assert_same_bytes(tables, x[0, 5], 5)
+
+
+@pytest.mark.parametrize("layout", ["interleaved", "half_split"])
+def test_kernel_matches_oracle_bytewise_at_4k_tokens(layout):
+    # the long-context decode: queries (T, d_h), then the stacked keys (2, T, d_h)
+    rng = np.random.default_rng(10)
+    T = 4096
+    positions = np.arange(T)
+    for tables in (default_rope_tables(128, layout=layout), _plan_tables(layout, 0)):
+        x = _with_signed_zeros(rng.normal(size=(T, 128)))
+        _assert_same_bytes(tables, x, positions)
+        _assert_same_bytes(tables, np.stack([x, -x]), positions)
+
+
+def test_kernel_matches_oracle_bytewise_on_zeros_and_broadcast_positions():
+    tables = default_rope_tables(2)
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 0.0]])
+    for m in (0, 1, math.pi / 2, math.pi, 3 * math.pi / 2, np.arange(4)):
+        _assert_same_bytes(tables, zeros, m)
+    # positions with more axes than x broadcast the result up
+    x = np.random.default_rng(11).normal(size=(5, 8))
+    _assert_same_bytes(default_rope_tables(8), x, np.arange(5) * np.ones((3, 1)))
+
+
+def test_kernel_keeps_signed_zero_frequencies_apart():
+    # -0.0 == +0.0, but sin(m * -0.0) is -0.0: each bit pattern is its own frequency
+    tables = RopeTables(
+        theta=np.array([0.0, 0.0, -0.0, -0.0]),
+        partner=np.array([1, 0, 3, 2], dtype=np.intp),
+        sign=np.array([-1, 1, -1, 1], dtype=np.int8),
+    )
+    _assert_same_bytes(tables, np.array([1.0, -2.0, 3.0, -0.0]), 5)
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_angle_raises_without_warning():
+    # every frequency is finite (the largest about 8.1e307), but 3 * theta overflows
+    tables = default_rope_tables(42, 5e-324)
+    assert np.all(np.isfinite(tables.theta))
+    x = np.ones((6, 42))
+    with pytest.raises(ValueError, match="not finite"):
+        rope_apply(tables, x, np.arange(6))
+    with pytest.raises(ValueError, match="not finite"):
+        rope_apply(default_rope_tables(8), x[0, :8], math.inf)
+    assert np.all(np.isfinite(rope_apply(tables, x[:1], np.arange(1))))
 
 
 # ---------------------------------------------------------------------------
