@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, BfpTensor, bits_per_element, dequantize, quantize_tensor
-from .errors import PlanMismatch, ShapeMismatch
+from .errors import InvalidValue, PlanMismatch, ShapeMismatch
 from .ksort import HeadWeights, PermutationPlan
 from .rope import RopeTables, rope_apply
 
@@ -75,14 +75,21 @@ def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:
 
     Consumes ``default_rng(spec.seed)`` in a fixed order (key matrix, outlier
     row choice, query matrix), so equal specs give bitwise-equal weights.
+    A spec whose weights overflow float64 raises :class:`ValueError`.
     """
     if spec.n_outlier_channels > d_h:
         raise ValueError(f"{spec.n_outlier_channels} outlier channels > d_h={d_h}")
     rng = np.random.default_rng(spec.seed)
     w_k = rng.normal(0.0, spec.base_std, size=(d_h, d_model))
     rows = rng.choice(d_h, size=spec.n_outlier_channels, replace=False)
-    w_k[rows] *= spec.outlier_scale
+    with np.errstate(over="ignore"):
+        w_k[rows] *= spec.outlier_scale
     w_q = rng.normal(0.0, spec.base_std, size=(d_h, d_model))
+    if not (np.isfinite(w_k).all() and np.isfinite(w_q).all()):
+        raise ValueError(
+            f"weights overflow float64 at base_std={spec.base_std}, "
+            f"outlier_scale={spec.outlier_scale}"
+        )
     return HeadWeights(w_k=w_k, w_q=w_q)
 
 
@@ -106,23 +113,49 @@ class DecodeTrace:
     score_err: float  # largest causal |score - reference score|, see score_max_abs_err
 
 
-#: Elements of the score map reduced at a time: query rows [i0, i1) are scored
-#: against the causal keys [:i1], budget // T rows per block.  Every T <= 1024
-#: is one block; T = 4096 takes 256 rows (8 MiB of float64) per block.
+#: Elements of the score map reduced at a time by :func:`_causal_gap`, for both
+#: :func:`simulate_decode` and :func:`exactness_check`: query rows [i0, i1) are
+#: scored against the causal keys [:i1], budget // T rows per block.  Every
+#: T <= 1024 is one block; T = 4096 takes 256 rows (8 MiB of float64) per block.
 SCORE_BLOCK_ELEMENTS = 1 << 20
 
 
-def _row_blocks(n_tokens: int):
+def _causal_gap(qa, ka, qb=None, kb=None) -> float:
+    """Largest causal ``|qa @ ka.T - qb @ kb.T|``, or ``|qa @ ka.T|`` without ``qb``.
+
+    Reduced one block of query rows at a time (:data:`SCORE_BLOCK_ELEMENTS`),
+    so no T x T map is built.  NaN when a causal entry is NaN, inf or NaN
+    when a score overflows (see :func:`_check_overflow`), 0.0 for zero tokens.
+    """
+    n_tokens = qa.shape[0]
     rows = max(1, SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
-    for i0 in range(0, n_tokens, rows):
-        yield i0, min(n_tokens, i0 + rows)
+    gap = np.float64(0.0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i0 in range(0, n_tokens, rows):
+            i1 = min(n_tokens, i0 + rows)
+            scores = qa[i0:i1] @ ka[:i1].T
+            if qb is not None:
+                scores -= qb[i0:i1] @ kb[:i1].T
+            np.abs(scores, out=scores)
+            # every key before i0 is causal for the whole block: mask only the diagonal
+            block_max = np.maximum(scores[:, :i0].max(initial=0.0), np.tril(scores[:, i0:]).max())
+            gap = np.maximum(gap, block_max)
+    return float(gap)
 
 
-def _causal_max(values: np.ndarray, i0: int) -> np.float64:
-    """Largest of the non-negative ``values`` of query rows ``[i0, i1)`` against
-    keys ``[:i1]`` over the causal part; NaN when a causal entry is NaN."""
-    # every key before i0 is causal for the whole block: mask only the diagonal
-    return np.maximum(values[:, :i0].max(initial=0.0), np.tril(values[:, i0:]).max())
+def _check_overflow(weights: HeadWeights, X, *results: float) -> None:
+    """Raise :class:`InvalidValue` when finite activations and weights gave a
+    result that is not finite: float64 overflowed in a projection, a rotation
+    or a score.  Non-finite activations pass through to the result.
+
+    Every query is scored against the first key and every key against the
+    last query, so an overflow anywhere in the operands reaches the result,
+    and the common path pays one test per result.
+    """
+    if not all(map(math.isfinite, results)) and all(
+        np.isfinite(a).all() for a in (np.asarray(X, dtype=np.float64), weights.w_k, weights.w_q)
+    ):
+        raise InvalidValue("keys, queries or attention scores overflow float64")
 
 
 def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
@@ -140,10 +173,11 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
         gather = plan.perm.apply
         w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
 
-    keys = X @ w_k.T
-    queries = X @ w_q.T
-    if tables is not None:
-        queries = rope_apply(tables, queries, np.arange(X.shape[0]))
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
+        keys = X @ w_k.T
+        queries = X @ w_q.T
+        if tables is not None:
+            queries = rope_apply(tables, queries, np.arange(X.shape[0]))
     return keys, queries, tables
 
 
@@ -151,7 +185,8 @@ def _rotate_keys(tables: RopeTables | None, keys: np.ndarray) -> np.ndarray:
     """Rotate cached keys ``(..., T, d_h)`` to their positions, after retrieval."""
     if tables is None:
         return keys
-    return rope_apply(tables, keys, np.arange(keys.shape[-2]))
+    with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
+        return rope_apply(tables, keys, np.arange(keys.shape[-2]))
 
 
 def simulate_decode(
@@ -189,13 +224,10 @@ def simulate_decode(
         else queries
     )
 
-    score_err = np.float64(0.0)
-    for i0, i1 in _row_blocks(keys.shape[0]):
-        err = deq_queries[i0:i1] @ keys_rot_deq[:i1].T
-        err -= queries[i0:i1] @ keys_rot_ref[:i1].T
-        score_err = np.maximum(score_err, _causal_max(np.abs(err, out=err), i0))
+    score_err = _causal_gap(deq_queries, keys_rot_deq, queries, keys_rot_ref)
+    _check_overflow(weights, X, score_err)
     return DecodeTrace(
-        keys=keys, queries=queries, key_cache=key_cache, score_err=float(score_err)
+        keys=keys, queries=queries, key_cache=key_cache, score_err=score_err
     )
 
 
@@ -217,14 +249,9 @@ def exactness_check(
     keys, queries, tables = _project(weights, rope_tables, X, None)
     p_keys, p_queries, p_tables = _project(weights, rope_tables, X, plan)
     keys, p_keys = _rotate_keys(tables, keys), _rotate_keys(p_tables, p_keys)
-    scale = diff = np.float64(0.0)
-    for i0, i1 in _row_blocks(keys.shape[0]):
-        ref = queries[i0:i1] @ keys[:i1].T
-        dev = p_queries[i0:i1] @ p_keys[:i1].T
-        dev -= ref
-        scale = np.maximum(scale, _causal_max(np.abs(ref, out=ref), i0))
-        diff = np.maximum(diff, _causal_max(np.abs(dev, out=dev), i0))
-    scale, diff = float(scale), float(diff)
+    scale = _causal_gap(queries, keys)
+    diff = _causal_gap(p_queries, p_keys, queries, keys)
+    _check_overflow(weights, X, scale, diff)
     return diff / scale if scale > 0.0 else diff
 
 

@@ -328,6 +328,9 @@ def test_dot_mismatched_partitioning_rejected():
         bfp_dot(a, b)
     with pytest.raises(ShapeMismatch):
         bfp_dot(a, c)
+    matrix = quantize_tensor(np.ones((2, 4)), BfpFormat(4, 4), 1)
+    with pytest.raises(ShapeMismatch, match="1-D"):
+        bfp_dot(matrix, matrix)
 
 
 def test_dot_allows_mixed_mantissa_widths():
@@ -573,6 +576,20 @@ def test_tensor_axis_outside_shape_rejected(shape, axis):
     empty = np.zeros((1,), np.int32)
     with pytest.raises(ShapeMismatch, match="blocking axis"):
         BfpTensor(fmt, shape, axis, empty, empty.reshape(1, 1).repeat(4, axis=1))
+
+
+def test_tensor_arrays_of_wrong_shape_rejected():
+    fmt = BfpFormat(mantissa_bits=4, block_size=4)
+    good = quantize_tensor(np.ones((2, 8)), fmt, 1)  # 2 x 2 blocks of 4
+    with pytest.raises(ShapeMismatch, match="exponent array shape"):
+        BfpTensor(fmt, (2, 8), 1, good.exponents[:, :1], good.mantissas[:, :1])
+    with pytest.raises(ShapeMismatch, match="mantissa array shape"):
+        BfpTensor(fmt, (2, 8), 1, good.exponents, good.mantissas[..., :3])
+
+
+def test_quantize_axis_outside_shape_rejected():
+    with pytest.raises(ShapeMismatch, match="axis 1 out of range"):
+        quantize_tensor(np.zeros(3), BfpFormat(mantissa_bits=4, block_size=4), blocking_axis=1)
 
 
 # ---------------------------------------------------------------------------

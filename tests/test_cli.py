@@ -449,12 +449,13 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
      {"d_h": 3}, {"n_outlier_channels": 17}, {"rope_base": 0}, {"rope_base": -1.0},
      {"wk_path": 1, "wq_path": 2}, {"rope_enabled": 1}, {"rope_layout": "spiral"},
      {"formats": [["BFP16_8"]]}, {"formats": ["BFP16_8"]}, {"order": "descending"},
-     {"rope_base": 5e-324, "d_h": 64}, {"rope_base": 5e-324, "d_h": 42, "n_tokens": 6}],
+     {"rope_base": 5e-324, "d_h": 64}, {"rope_base": 5e-324, "d_h": 42, "n_tokens": 6},
+     {"base_std": 0}, {"base_std": -1}],
     ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h",
          "outliers_beyond_d_h", "rope_base_zero", "rope_base_negative", "non_string_paths",
          "non_bool_rope_enabled", "unknown_rope_layout", "format_not_a_pair",
          "format_a_string", "order_descending", "rope_base_overflowing_a_frequency",
-         "rope_base_overflowing_an_angle"],
+         "rope_base_overflowing_an_angle", "base_std_zero", "base_std_negative"],
 )
 def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
     # rejected before any cell runs; a fractional seed is not rounded
@@ -683,6 +684,31 @@ def test_cli_huge_finite_weights(tmp_path, capsys):
     assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: experiment cell failed: block (0, ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "entry, w_k",
+    [({"outlier_scale": 1e308, "base_std": 10}, None), ({"base_std": 1e300}, None),
+     ({"outlier_scale": 1e308, "formats": [["BFP16_32", "BFP12_32"]]}, None),
+     ({}, 1e307), ({"formats": [["BFP16_8", "BFP12_8"]]}, 1e308)],
+    ids=["outlier_weights", "scores", "outlier_weights_bfp", "imported_scores",
+         "imported_keys_bfp"],
+)
+def test_cli_run_head_overflowing_float64_is_a_failed_cell(tmp_path, capsys, entry, w_k):
+    # weights, keys or scores beyond float64 fail the cell, with no numpy warning
+    # (tier-1 turns warnings into errors) and no report
+    doc = {"seeds": [0], "formats": [["FP-lossless", "FP-lossless"]], **entry}
+    if w_k is not None:
+        tensorio.save(tmp_path / "wk.bfpt", np.full((16, 8), w_k))
+        tensorio.save(tmp_path / "wq.bfpt", np.ones((16, 8)))
+        doc.update(d_h=16, d_model=8, n_outlier_channels=2,
+                   wk_path=str(tmp_path / "wk.bfpt"), wq_path=str(tmp_path / "wq.bfpt"))
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(doc))
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: experiment cell failed: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_plan_missing_weight_file_exits_1(tmp_path, capsys):

@@ -195,6 +195,11 @@ def test_invalid_input_tables_rejected():
         remap_rope_tables(bad, Permutation.identity(4))
 
 
+def test_remap_with_permutation_of_other_length_rejected():
+    with pytest.raises(ShapeMismatch, match="permutation length 6"):
+        remap_rope_tables(default_rope_tables(4), Permutation.identity(6))
+
+
 # ---------------------------------------------------------------------------
 # plan_head
 # ---------------------------------------------------------------------------

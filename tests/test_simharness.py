@@ -36,7 +36,7 @@ from bfpksort import (
     simharness,
     simulate_decode,
 )
-from bfpksort.errors import PlanMismatch, ShapeMismatch
+from bfpksort.errors import InvalidValue, PlanMismatch, ShapeMismatch
 
 BFP12_4 = BfpFormat(mantissa_bits=4, block_size=4)
 
@@ -85,6 +85,9 @@ def test_outlier_spec_validation():
         OutlierSpec(n_outlier_channels=1, outlier_scale=0.5)
     with pytest.raises(ValueError):
         gen_outlier_head(4, 8, OutlierSpec(n_outlier_channels=8, outlier_scale=10.0))
+    for spec in (OutlierSpec(1, 1e308, base_std=10.0), OutlierSpec(0, 1.0, base_std=1e308)):
+        with pytest.raises(ValueError, match="weights overflow float64"):
+            gen_outlier_head(4, 8, spec)
 
 
 # ---------------------------------------------------------------------------
@@ -418,6 +421,77 @@ def test_exactness_check_matches_dense_oracle(monkeypatch, rows, rope):
             )
 
 
+# ---------------------------------------------------------------------------
+# streamed oracle: the two row-block loops simulate_decode and exactness_check
+# ran before both called one causal-score kernel, kept to pin the kernel's bits
+# ---------------------------------------------------------------------------
+
+
+def _row_blocks_oracle(n_tokens: int):
+    rows = max(1, simharness.SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
+    for i0 in range(0, n_tokens, rows):
+        yield i0, min(n_tokens, i0 + rows)
+
+
+def _causal_max_oracle(values, i0):
+    return np.maximum(values[:, :i0].max(initial=0.0), np.tril(values[:, i0:]).max())
+
+
+def _streamed_score_err_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, plan=None):
+    keys, queries, keys_rot_ref, deq_queries, keys_rot_deq = _dense_operands(
+        weights, rope_tables, X, fmt_k, fmt_q, plan
+    )
+    score_err = np.float64(0.0)
+    for i0, i1 in _row_blocks_oracle(keys.shape[0]):
+        err = deq_queries[i0:i1] @ keys_rot_deq[:i1].T
+        err -= queries[i0:i1] @ keys_rot_ref[:i1].T
+        score_err = np.maximum(score_err, _causal_max_oracle(np.abs(err, out=err), i0))
+    return float(score_err)
+
+
+def _streamed_exactness_oracle(weights, plan, X, rope_tables=None):
+    _, queries, keys = _dense_operands(weights, rope_tables, X)[:3]
+    _, p_queries, p_keys = _dense_operands(weights, rope_tables, X, plan=plan)[:3]
+    scale = diff = np.float64(0.0)
+    for i0, i1 in _row_blocks_oracle(keys.shape[0]):
+        ref = queries[i0:i1] @ keys[:i1].T
+        dev = p_queries[i0:i1] @ p_keys[:i1].T
+        dev -= ref
+        scale = np.maximum(scale, _causal_max_oracle(np.abs(ref, out=ref), i0))
+        diff = np.maximum(diff, _causal_max_oracle(np.abs(dev, out=dev), i0))
+    scale, diff = float(scale), float(diff)
+    return diff / scale if scale > 0.0 else diff
+
+
+@pytest.mark.parametrize("rope", ["interleaved", "half_split", "off"])
+@pytest.mark.parametrize("rows", [1, 7, None], ids=["rows_1", "rows_7", "default"])
+def test_score_kernel_matches_streamed_oracle_bitwise(monkeypatch, rows, rope):
+    weights, tables = _fuzz_head(len(rope) + 2, rope)
+    plan = plan_head(weights, tables)
+    plans = [plan]
+    if tables is not None:
+        idx = plan.perm.indices
+        shuffled = RopeTables(tables.theta[idx], tables.partner[idx], tables.sign[idx])
+        plans.append(replace(plan, rope=shuffled))
+    formats = ((None, None), (BfpFormat(4, 8), BfpFormat(8, 8)), (BfpFormat(4, 16), None))
+    for t in (0, 1, 5, 33, 200):
+        X = gen_activations(t, weights.d_model, t + 100)
+        _patch_rows(monkeypatch, rows, t)
+        for use_plan in (None, plan):
+            for fmt_k, fmt_q in formats:
+                got = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan).score_err
+                want = _streamed_score_err_oracle(weights, tables, X, fmt_k, fmt_q, use_plan)
+                assert got.hex() == want.hex(), (t, use_plan, fmt_k, fmt_q)
+        for p in plans:
+            got = exactness_check(weights, p, X, tables)
+            assert got.hex() == _streamed_exactness_oracle(weights, p, X, tables).hex(), t
+        if t:
+            X[t // 2, 1] = np.nan
+            got = simulate_decode(weights, tables, X, plan=plan).score_err
+            want = _streamed_score_err_oracle(weights, tables, X, plan=plan)
+            assert math.isnan(got) and math.isnan(want), t
+
+
 def test_nan_in_a_later_block_makes_score_error_nan(monkeypatch):
     # a running max built on Python's max() would drop it: max(0.0, nan) is 0.0
     weights, tables, X = _small_setup(n_tokens=64)
@@ -426,6 +500,19 @@ def test_nan_in_a_later_block_makes_score_error_nan(monkeypatch):
     scores_ref, scores = _dense_decode_oracle(weights, tables, X)[2:]
     assert math.isnan(_score_err_oracle(scores_ref, scores))
     assert math.isnan(score_max_abs_err(simulate_decode(weights, tables, X)))
+
+
+@pytest.mark.parametrize("scale", [1e307, 3e307, 5e307], ids=["scores", "rotation", "keys"])
+def test_finite_head_overflowing_float64_raises(scale):
+    # every key is scale times the sum of a token's 8 activations (up to about 6x):
+    # finite keys whose scores overflow, keys whose rotation overflows, keys that do
+    weights = HeadWeights(w_k=np.full((16, 8), scale), w_q=np.ones((16, 8)))
+    tables = default_rope_tables(16)
+    X = gen_activations(6, 8, 0)
+    with pytest.raises(InvalidValue, match="overflow float64"):
+        simulate_decode(weights, tables, X)
+    with pytest.raises(InvalidValue, match="overflow float64"):
+        exactness_check(weights, plan_head(weights, tables), X, tables)
 
 
 def test_zero_tokens_report_zero_error():
@@ -502,6 +589,14 @@ def test_all_zero_reference_flags_degenerate():
     rep = error_metrics(z, quantize_tensor(z, BFP12_4, 0))
     assert rep.mse == 0.0
     assert math.isnan(rep.sqnr_db)
+
+
+def test_empty_tensor_reports_zero_error():
+    x = np.zeros((0, 8))
+    rep = error_metrics(x, quantize_tensor(x, BFP12_4, 1))
+    assert rep.mse == 0.0
+    assert math.isnan(rep.sqnr_db)
+    assert rep.max_abs_err == 0.0
 
 
 def test_more_mantissa_bits_reduce_error():
