@@ -11,54 +11,36 @@ The package splits into six modules:
                              the sorting buys under low-bit cache storage,
 * :mod:`bfpksort.tensorio`   a small audited binary tensor container,
 * :mod:`bfpksort.cli`        the experiment sweep runner.
+
+The top level re-exports the pipeline's entry points and the types a caller
+builds inputs from or catches; every other name (the other presets,
+``format_from_name``, the error subclasses) is imported from its module.
 """
 
 from .bfp import (
     BFP12_32,
-    BFP12_64,
-    BFP12_128,
     BFP16_32,
-    BFP16_64,
-    BFP16_128,
-    BfpBlock,
     BfpFormat,
     BfpTensor,
     bfp_dot,
     bits_per_element,
     dequantize,
-    format_from_name,
     pack,
     quantize_block,
     quantize_tensor,
     unpack,
 )
-from .errors import (
-    BfpKsortError,
-    CorruptBuffer,
-    CorruptFile,
-    ExponentOverflow,
-    InvalidConfig,
-    InvalidRopeTables,
-    InvalidValue,
-    NotATensorFile,
-    PlanMismatch,
-    ShapeMismatch,
-    UnsupportedVersion,
-)
+from .errors import BfpKsortError
 from .ksort import (
     HeadWeights,
     Permutation,
     PermutationPlan,
-    argsort_norms,
-    expected_cache_mse,
     plan_head,
     remap_rope_tables,
     row_norms,
 )
 from .rope import RopeTables, default_rope_tables, rope_apply
 from .simharness import (
-    DecodeTrace,
-    ErrorReport,
     OutlierSpec,
     error_metrics,
     exactness_check,

@@ -103,12 +103,19 @@ _PRESET_MANTISSA_BITS = {"BFP12": 4, "BFP16": 8}
 
 
 def format_from_name(name: str) -> BfpFormat:
-    """Resolve a preset name like ``"BFP12_64"`` to a :class:`BfpFormat`."""
+    """The format whose :attr:`BfpFormat.name` is ``name``, such as ``"BFP12_64"``.
+
+    The exact inverse of :attr:`BfpFormat.name`: any other spelling (``"BFP12_064"``,
+    ``"bfp12_64"``, ``"BFP12_+64"``) raises :class:`ValueError`.
+    """
+    family, _, size = name.partition("_")
     try:
-        family, _, size = name.partition("_")
-        return BfpFormat(mantissa_bits=_PRESET_MANTISSA_BITS[family], block_size=int(size))
+        fmt = BfpFormat(mantissa_bits=_PRESET_MANTISSA_BITS[family], block_size=int(size))
     except (KeyError, ValueError):
-        raise ValueError(f"unknown format name {name!r}") from None
+        fmt = None
+    if fmt is None or fmt.name != name:
+        raise ValueError(f"unknown format name {name!r}")
+    return fmt
 
 
 def bits_per_element(fmt: BfpFormat) -> Fraction:

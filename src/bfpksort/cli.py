@@ -55,13 +55,13 @@ from . import tensorio
 
 __all__ = ["ExperimentConfig", "run", "emit_report", "main"]
 
-LOSSLESS_NAMES = ("lossless", "fp-lossless")
+_LOSSLESS = "FP-lossless"
 
 #: Format grid used when the config does not name one: a lossless baseline
 #: plus low-precision keys with higher-precision queries at matching block
 #: sizes 128/64/32.
 DEFAULT_GRID = (
-    ("FP-lossless", "FP-lossless"),
+    (_LOSSLESS, _LOSSLESS),
     ("BFP16_128", "BFP12_128"),
     ("BFP16_64", "BFP12_64"),
     ("BFP16_32", "BFP12_32"),
@@ -79,10 +79,9 @@ def _is_finite_number(value) -> bool:
 
 
 def resolve_format(name: str) -> BfpFormat | None:
-    """Preset name to format; ``None`` stands for lossless float storage."""
-    if name.lower() in LOSSLESS_NAMES:
-        return None
-    return format_from_name(name)
+    """Format name to format; ``"FP-lossless"`` gives ``None``, lossless float
+    storage.  Names are exact: see :func:`bfpksort.bfp.format_from_name`."""
+    return None if name == _LOSSLESS else format_from_name(name)
 
 
 @dataclass(frozen=True)

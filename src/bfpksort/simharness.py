@@ -105,11 +105,13 @@ def gen_activations(n_tokens: int, d_model: int, seed: int = 0) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DecodeTrace:
-    """What one simulated decode produced: float operands, cache and score error."""
+    """What one simulated decode produced: ``keys``, ``key_cache`` and ``score_err``.
+
+    The queries are formed and scored, but not kept.
+    """
 
     keys: np.ndarray  # (T, d_h) pre-rotation keys, the cache reference
-    queries: np.ndarray  # (T, d_h) post-rotation queries
-    key_cache: BfpTensor | None
+    key_cache: BfpTensor | None  # None for lossless float storage
     score_err: float  # largest causal |score - reference score|, see score_max_abs_err
 
 
@@ -146,7 +148,8 @@ def _causal_gap(qa, ka, qb=None, kb=None) -> float:
 def _check_overflow(weights: HeadWeights, X, *results: float) -> None:
     """Raise :class:`InvalidValue` when finite activations and weights gave a
     result that is not finite: float64 overflowed in a projection, a rotation
-    or a score.  Non-finite activations pass through to the result.
+    or a score (a BFP cast that met a non-finite operand passes NaN).
+    Non-finite activations pass through to the result.
 
     Every query is scored against the first key and every key against the
     last query, so an overflow anywhere in the operands reaches the result,
@@ -209,26 +212,28 @@ def simulate_decode(
     (:data:`SCORE_BLOCK_ELEMENTS`), so no T x T score map is ever built.
     """
     keys, queries, tables = _project(weights, rope_tables, X, plan)
-    if fmt_k is not None:
-        key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-        # one rotation for both: cos/sin are computed once
-        keys_rot_ref, keys_rot_deq = _rotate_keys(
-            tables, np.stack([keys, dequantize(key_cache)])
+    try:
+        if fmt_k is not None:
+            key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
+            # one rotation for both: cos/sin are computed once
+            keys_rot_ref, keys_rot_deq = _rotate_keys(
+                tables, np.stack([keys, dequantize(key_cache)])
+            )
+        else:
+            key_cache = None
+            keys_rot_ref = keys_rot_deq = _rotate_keys(tables, keys)
+        deq_queries = (
+            dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
+            if fmt_q is not None
+            else queries
         )
-    else:
-        key_cache = None
-        keys_rot_ref = keys_rot_deq = _rotate_keys(tables, keys)
-    deq_queries = (
-        dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
-        if fmt_q is not None
-        else queries
-    )
+    except InvalidValue:  # a non-finite cast input: name the overflow if finite inputs made it
+        _check_overflow(weights, X, math.nan)
+        raise
 
     score_err = _causal_gap(deq_queries, keys_rot_deq, queries, keys_rot_ref)
     _check_overflow(weights, X, score_err)
-    return DecodeTrace(
-        keys=keys, queries=queries, key_cache=key_cache, score_err=score_err
-    )
+    return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 
 
 def exactness_check(

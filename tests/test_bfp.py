@@ -19,20 +19,18 @@ import pytest
 
 from bfpksort import (
     BFP12_32,
-    BFP12_64,
-    BFP12_128,
     BFP16_32,
     BfpFormat,
     BfpTensor,
     bfp_dot,
     bits_per_element,
     dequantize,
-    format_from_name,
     pack,
     quantize_block,
     quantize_tensor,
     unpack,
 )
+from bfpksort.bfp import BFP12_64, BFP12_128, format_from_name
 from bfpksort.errors import (
     CorruptBuffer,
     ExponentOverflow,
@@ -612,6 +610,14 @@ def test_format_from_name():
         format_from_name("BFP13_32")
     with pytest.raises(ValueError):
         format_from_name("BFP12")
+
+
+def test_format_names_round_trip():
+    # format_from_name is the exact inverse of BfpFormat.name
+    for mantissa_bits in (4, 8):
+        for block_size in range(1, 257):
+            fmt = BfpFormat(mantissa_bits, block_size)
+            assert format_from_name(fmt.name) == fmt
 
 
 def test_format_validation():

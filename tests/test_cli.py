@@ -17,7 +17,6 @@ import pytest
 import bfpksort.cli
 from bfpksort import (
     BfpFormat,
-    ErrorReport,
     HeadWeights,
     OutlierSpec,
     default_rope_tables,
@@ -39,6 +38,7 @@ from bfpksort.cli import (
     run,
     run_cell,
 )
+from bfpksort.simharness import ErrorReport
 
 
 def tiny_config(**overrides) -> ExperimentConfig:
@@ -68,8 +68,9 @@ def test_default_grid_mirrors_block_size_ladder():
 
 def test_resolve_format_names():
     assert resolve_format("FP-lossless") is None
-    assert resolve_format("lossless") is None
     assert resolve_format("BFP12_64").mantissa_bits == 4
+    with pytest.raises(ValueError):
+        resolve_format("lossless")
     with pytest.raises(ValueError):
         resolve_format("BFP9_64")
 
@@ -466,6 +467,22 @@ def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "name",
+    ["BFP16_032", "BFP16_3_2", "BFP16_+32", "BFP16_ 32", "BFP16_\u0663\u0662", "lossless",
+     "fp-lossless"],
+    ids=["leading_zero", "digit_separator", "plus_sign", "space", "arabic_indic_digits",
+         "lossless", "lower_case_lossless"],
+)
+def test_cli_run_other_spelling_of_a_format_is_invalid_config(tmp_path, capsys, name):
+    # one spelling per format, so report.json cannot echo two names for one format
+    code = main(["run", "--config", _write_tiny_config(tmp_path, formats=[[name, "BFP12_8"]]),
+                 "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: invalid config: unknown format name")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "minus_inf"])
 @pytest.mark.parametrize("which", ["wk", "wq"])
 @pytest.mark.filterwarnings("error")
@@ -686,21 +703,24 @@ def test_cli_huge_finite_weights(tmp_path, capsys):
     assert err.startswith("error: experiment cell failed: block (0, ") and err.count("\n") == 1
 
 
+_BFP_8 = {"formats": [["BFP16_8", "BFP12_8"]]}
+
+
 @pytest.mark.parametrize(
-    "entry, w_k",
+    "entry, imported",
     [({"outlier_scale": 1e308, "base_std": 10}, None), ({"base_std": 1e300}, None),
      ({"outlier_scale": 1e308, "formats": [["BFP16_32", "BFP12_32"]]}, None),
-     ({}, 1e307), ({"formats": [["BFP16_8", "BFP12_8"]]}, 1e308)],
+     ({}, (1e307, 1.0)), (_BFP_8, (1e308, 1.0)), (_BFP_8, (1.0, 1e308))],
     ids=["outlier_weights", "scores", "outlier_weights_bfp", "imported_scores",
-         "imported_keys_bfp"],
+         "imported_keys_bfp", "imported_queries_bfp"],
 )
-def test_cli_run_head_overflowing_float64_is_a_failed_cell(tmp_path, capsys, entry, w_k):
-    # weights, keys or scores beyond float64 fail the cell, with no numpy warning
-    # (tier-1 turns warnings into errors) and no report
+def test_cli_run_head_overflowing_float64_is_a_failed_cell(tmp_path, capsys, entry, imported):
+    # weights, keys, queries or scores beyond float64 fail the cell and name the
+    # overflow, with no numpy warning (tier-1 turns warnings into errors) and no report
     doc = {"seeds": [0], "formats": [["FP-lossless", "FP-lossless"]], **entry}
-    if w_k is not None:
-        tensorio.save(tmp_path / "wk.bfpt", np.full((16, 8), w_k))
-        tensorio.save(tmp_path / "wq.bfpt", np.ones((16, 8)))
+    if imported is not None:
+        for name, value in zip(("wk", "wq"), imported):
+            tensorio.save(tmp_path / f"{name}.bfpt", np.full((16, 8), value))
         doc.update(d_h=16, d_model=8, n_outlier_channels=2,
                    wk_path=str(tmp_path / "wk.bfpt"), wq_path=str(tmp_path / "wq.bfpt"))
     config = tmp_path / "cfg.json"
@@ -708,6 +728,7 @@ def test_cli_run_head_overflowing_float64_is_a_failed_cell(tmp_path, capsys, ent
     assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: experiment cell failed: ") and err.count("\n") == 1, err
+    assert "overflow float64" in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -1,4 +1,5 @@
-"""Demos: every name they import from bfpksort exists.
+"""Demos: every name they import from bfpksort exists, and the package
+exports just those names plus the types a caller builds inputs from.
 
 The demos run outside the test suite, so a renamed or deleted library name
 would otherwise break them unnoticed.  The scripts are parsed, not run.
@@ -7,13 +8,32 @@ would otherwise break them unnoticed.  The scripts are parsed, not run.
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import pytest
 
+import bfpksort
+from bfpksort.simharness import DecodeTrace
+
 DEMOS = sorted((Path(__file__).resolve().parent.parent / "demos").glob("*.py"))
+
+#: The top-level names of ``bfpksort``: what the demos import, plus the types a
+#: caller needs to build inputs (HeadWeights, BfpTensor, PermutationPlan) and to
+#: catch failures (BfpKsortError).  Everything else is imported from its module.
+PACKAGE_NAMES = {
+    "BFP12_32", "BFP16_32", "BfpFormat", "BfpTensor", "bfp_dot", "bits_per_element",
+    "dequantize", "pack", "quantize_block", "quantize_tensor", "unpack",
+    "BfpKsortError",
+    "HeadWeights", "Permutation", "PermutationPlan", "plan_head", "remap_rope_tables",
+    "row_norms",
+    "RopeTables", "default_rope_tables", "rope_apply",
+    "OutlierSpec", "error_metrics", "exactness_check", "gen_activations", "gen_outlier_head",
+    "score_max_abs_err", "simulate_decode",
+}
 
 
 def _bfpksort_imports(path: Path):
@@ -44,3 +64,15 @@ def test_demo_imports_exist(path):
             hasattr(mod, "__path__") and importlib.util.find_spec(f"{module}.{name}") is not None
         )
         assert exists, f"{path.name}: {module}.{name} does not exist"
+
+
+def test_package_exports_only_the_kept_names():
+    public = {
+        name for name, obj in vars(bfpksort).items()
+        if not name.startswith("_") and not inspect.ismodule(obj)
+    }
+    assert public == PACKAGE_NAMES
+
+
+def test_decode_trace_holds_keys_cache_and_score_error():
+    assert [f.name for f in dataclasses.fields(DecodeTrace)] == ["keys", "key_cache", "score_err"]

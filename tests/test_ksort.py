@@ -15,10 +15,8 @@ from bfpksort import (
     Permutation,
     PermutationPlan,
     RopeTables,
-    argsort_norms,
     default_rope_tables,
     dequantize,
-    expected_cache_mse,
     gen_outlier_head,
     plan_head,
     quantize_tensor,
@@ -28,6 +26,7 @@ from bfpksort import (
     simulate_decode,
 )
 from bfpksort.errors import InvalidRopeTables, ShapeMismatch
+from bfpksort.ksort import argsort_norms, expected_cache_mse
 
 
 def naive_row_norms(w):
@@ -259,13 +258,12 @@ def test_plan_is_deterministic():
 
 
 def _assert_rows_follow_plan(weights, tables, plan):
-    # the sorted decode's keys and queries are the unsorted ones with their
-    # channels gathered by the plan
+    # the sorted decode's keys are the unsorted ones with their channels
+    # gathered by the plan
     X = np.random.default_rng(29).normal(size=(5, weights.d_model))
     unsorted = simulate_decode(weights, tables, X)
     sorted_ = simulate_decode(weights, tables, X, plan=plan)
     assert np.array_equal(sorted_.keys, plan.perm.apply(unsorted.keys, axis=1))
-    assert np.array_equal(sorted_.queries, plan.perm.apply(unsorted.queries, axis=1))
 
 
 def test_rope_commutes_through_plan():

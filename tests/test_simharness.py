@@ -11,9 +11,7 @@ import pytest
 
 from bfpksort import (
     BFP12_32,
-    BFP12_64,
     BFP16_32,
-    BFP16_64,
     BfpFormat,
     HeadWeights,
     OutlierSpec,
@@ -36,6 +34,7 @@ from bfpksort import (
     simharness,
     simulate_decode,
 )
+from bfpksort.bfp import BFP12_64, BFP16_64
 from bfpksort.errors import InvalidValue, PlanMismatch, ShapeMismatch
 
 BFP12_4 = BfpFormat(mantissa_bits=4, block_size=4)
@@ -105,10 +104,9 @@ def _small_setup(seed=0, d_h=8, d_model=16, n_tokens=6, rope=True):
 def test_lossless_trace_matches_reference():
     weights, tables, X = _small_setup()
     trace = simulate_decode(weights, tables, X)
-    keys, queries, scores_ref, scores = _dense_decode_oracle(weights, tables, X)
+    keys, _, scores_ref, scores = _dense_decode_oracle(weights, tables, X)
     assert trace.key_cache is None
     assert np.array_equal(trace.keys, keys)
-    assert np.array_equal(trace.queries, queries)
     assert np.array_equal(scores, scores_ref)
     assert score_max_abs_err(trace) == 0.0
 
@@ -131,7 +129,6 @@ def test_identity_plan_equals_no_plan():
     a = simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
     b = simulate_decode(weights, tables, X, BFP12_4, BFP12_4, plan=identity)
     assert np.array_equal(a.keys, b.keys)
-    assert np.array_equal(a.queries, b.queries)
     assert np.array_equal(dequantize(a.key_cache), dequantize(b.key_cache))
     assert score_max_abs_err(a) > 0.0
     assert score_max_abs_err(a) == score_max_abs_err(b)
@@ -384,11 +381,10 @@ def test_score_error_matches_dense_oracle(monkeypatch, rows, rope):
         for use_plan in (None, plan):
             for fmt_k, fmt_q in ((None, None), (BfpFormat(4, 8), BfpFormat(8, 8))):
                 trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
-                keys, queries, scores_ref, scores = _dense_decode_oracle(
+                keys, _, scores_ref, scores = _dense_decode_oracle(
                     weights, tables, X, fmt_k, fmt_q, use_plan
                 )
                 assert np.array_equal(trace.keys, keys)
-                assert np.array_equal(trace.queries, queries)
                 _assert_oracle_value(
                     score_max_abs_err(trace), _score_err_oracle(scores_ref, scores), rows,
                     _rounding_bound(weights, tables, X, fmt_k, fmt_q, use_plan),
@@ -502,15 +498,32 @@ def test_nan_in_a_later_block_makes_score_error_nan(monkeypatch):
     assert math.isnan(score_max_abs_err(simulate_decode(weights, tables, X)))
 
 
-@pytest.mark.parametrize("scale", [1e307, 3e307, 5e307], ids=["scores", "rotation", "keys"])
-def test_finite_head_overflowing_float64_raises(scale):
-    # every key is scale times the sum of a token's 8 activations (up to about 6x):
-    # finite keys whose scores overflow, keys whose rotation overflows, keys that do
-    weights = HeadWeights(w_k=np.full((16, 8), scale), w_q=np.ones((16, 8)))
+def test_nan_activations_on_a_bfp_grid_are_non_finite_input():
+    # not an overflow: the guard names only what finite activations and weights made
+    weights, tables, X = _small_setup()
+    X[2, 3] = np.nan
+    with pytest.raises(InvalidValue, match="non-finite input"):
+        simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
+
+
+_BFP_PAIR = (BfpFormat(4, 8), BfpFormat(8, 8))
+
+
+@pytest.mark.parametrize(
+    "w_k, w_q, fmts",
+    [(1e307, 1.0, ()), (3e307, 1.0, ()), (5e307, 1.0, ()), (5e307, 1.0, _BFP_PAIR),
+     (1.0, 5e307, _BFP_PAIR)],
+    ids=["scores", "rotation", "keys", "keys_bfp", "queries_bfp"],
+)
+def test_finite_head_overflowing_float64_raises(w_k, w_q, fmts):
+    # every key is w_k times the sum of a token's 8 activations (up to about 6x):
+    # finite keys whose scores overflow, keys whose rotation overflows, keys that
+    # do; on a BFP grid, keys or queries that overflow before their cast
+    weights = HeadWeights(w_k=np.full((16, 8), w_k), w_q=np.full((16, 8), w_q))
     tables = default_rope_tables(16)
     X = gen_activations(6, 8, 0)
     with pytest.raises(InvalidValue, match="overflow float64"):
-        simulate_decode(weights, tables, X)
+        simulate_decode(weights, tables, X, *fmts)
     with pytest.raises(InvalidValue, match="overflow float64"):
         exactness_check(weights, plan_head(weights, tables), X, tables)
 
@@ -645,7 +658,7 @@ def _cache_bytes(n_tokens: int, d_h: int, fmt: BfpFormat) -> int:
 
 
 def test_footprint_single_token_single_block():
-    from bfpksort import BFP12_128
+    from bfpksort.bfp import BFP12_128
 
     assert _cache_bytes(1, 128, BFP12_128) == 65  # (8 + 128*4) / 8
 
