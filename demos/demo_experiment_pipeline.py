@@ -9,6 +9,7 @@ Run: python demos/demo_experiment_pipeline.py
 import json
 import os
 import tempfile
+from pathlib import Path
 
 from bfpksort import OutlierSpec, gen_outlier_head, tensorio
 from bfpksort.cli import ExperimentConfig, main, run
@@ -32,7 +33,7 @@ with tempfile.TemporaryDirectory(prefix="bfpksort-demo-") as workdir:
     plan_path = os.path.join(workdir, "plan.json")
     print("\n$ bfpksort plan --wk wk.bfpt --wq wq.bfpt --out plan.json")
     main(["plan", "--wk", wk_path, "--wq", wq_path, "--out", plan_path])
-    doc = json.loads(open(plan_path).read())
+    doc = json.loads(Path(plan_path).read_text())
     print("plan moves channel", doc["pi"][-1], "to the last slot (largest norm)")
 
     # --- run a small sweep -----------------------------------------------------
@@ -48,9 +49,9 @@ with tempfile.TemporaryDirectory(prefix="bfpksort-demo-") as workdir:
     )
     csv_path, json_path = run(cfg, out_dir=workdir, workers=1)
     print("\nreport.csv:")
-    print(open(csv_path).read())
+    print(Path(csv_path).read_text())
 
-    cells = json.loads(open(json_path).read())["cells"]
+    cells = json.loads(Path(json_path).read_text())["cells"]
     print("per-cell detail rows:", len(cells), "(formats x seeds x sorted-flag)")
     print("first cell:", {k: cells[0][k] for k in ("format_k", "sorted", "seed", "mse")})
 

@@ -145,17 +145,16 @@ def _causal_gap(qa, ka, qb=None, kb=None) -> float:
     return float(gap)
 
 
-def _check_overflow(weights: HeadWeights, X, *results: float) -> None:
+def _check_overflow(weights: HeadWeights, X, *results: np.ndarray | float) -> None:
     """Raise :class:`InvalidValue` when finite activations and weights gave a
-    result that is not finite: float64 overflowed in a projection, a rotation
-    or a score (a BFP cast that met a non-finite operand passes NaN).
-    Non-finite activations pass through to the result.
+    result (an array or a score) that is not finite: float64 overflowed in a
+    projection, a rotation or a score.  Non-finite activations pass through.
 
-    Every query is scored against the first key and every key against the
-    last query, so an overflow anywhere in the operands reaches the result,
-    and the common path pays one test per result.
+    :func:`_project` checks its keys and rotated queries, so no cast meets an
+    overflow.  The final score check covers a key rotation or a score that
+    overflows: every key is scored against the last query.
     """
-    if not all(map(math.isfinite, results)) and all(
+    if not all(np.isfinite(r).all() for r in results) and all(
         np.isfinite(a).all() for a in (np.asarray(X, dtype=np.float64), weights.w_k, weights.w_q)
     ):
         raise InvalidValue("keys, queries or attention scores overflow float64")
@@ -163,7 +162,9 @@ def _check_overflow(weights: HeadWeights, X, *results: float) -> None:
 
 def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
     """Pre-rotation keys, rotated queries and the rotary tables of the head,
-    with the rows gathered through ``plan`` when one is given."""
+    with the rows gathered through ``plan`` when one is given.  A float64
+    overflow from finite activations and weights is named here, before any
+    cast (see :func:`_check_overflow`)."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
@@ -181,6 +182,7 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
         queries = X @ w_q.T
         if tables is not None:
             queries = rope_apply(tables, queries, np.arange(X.shape[0]))
+    _check_overflow(weights, X, keys, queries)
     return keys, queries, tables
 
 
@@ -212,26 +214,18 @@ def simulate_decode(
     (:data:`SCORE_BLOCK_ELEMENTS`), so no T x T score map is ever built.
     """
     keys, queries, tables = _project(weights, rope_tables, X, plan)
-    try:
-        if fmt_k is not None:
-            key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-            # one rotation for both: cos/sin are computed once
-            keys_rot_ref, keys_rot_deq = _rotate_keys(
-                tables, np.stack([keys, dequantize(key_cache)])
-            )
-        else:
-            key_cache = None
-            keys_rot_ref = keys_rot_deq = _rotate_keys(tables, keys)
-        deq_queries = (
-            dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
-            if fmt_q is not None
-            else queries
-        )
-    except InvalidValue:  # a non-finite cast input: name the overflow if finite inputs made it
-        _check_overflow(weights, X, math.nan)
-        raise
-
-    score_err = _causal_gap(deq_queries, keys_rot_deq, queries, keys_rot_ref)
+    key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1) if fmt_k is not None else None
+    # one rotation gives the reference (rotated[0]) and the decoded keys
+    # (rotated[-1]).  Lossless keys are their own decode, so they go in once,
+    # not stacked with a copy; the decoded cache stays a temporary of np.stack,
+    # so it is freed before the rotation runs.
+    rotated = _rotate_keys(
+        tables, keys[None] if key_cache is None else np.stack([keys, dequantize(key_cache)])
+    )
+    deq_queries = (
+        dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1)) if fmt_q is not None else queries
+    )
+    score_err = _causal_gap(deq_queries, rotated[-1], queries, rotated[0])
     _check_overflow(weights, X, score_err)
     return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 

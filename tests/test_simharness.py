@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import tracemalloc
 from dataclasses import replace
@@ -13,6 +14,7 @@ from bfpksort import (
     BFP12_32,
     BFP16_32,
     BfpFormat,
+    BfpKsortError,
     HeadWeights,
     OutlierSpec,
     Permutation,
@@ -34,7 +36,7 @@ from bfpksort import (
     simharness,
     simulate_decode,
 )
-from bfpksort.bfp import BFP12_64, BFP16_64
+from bfpksort.bfp import BFP12_64, BFP16_64, BFP16_128
 from bfpksort.errors import InvalidValue, PlanMismatch, ShapeMismatch
 
 BFP12_4 = BfpFormat(mantissa_bits=4, block_size=4)
@@ -363,9 +365,8 @@ def _assert_oracle_value(got, want, rows, bound):
 _FUZZ_TOKENS = (1, 2, 63, 64, 65, 511, 512)
 
 
-def _fuzz_head(seed, rope):
-    d_h, d_model = 16, 24
-    weights = gen_outlier_head(d_h, d_model, OutlierSpec(2, 20.0, seed=seed))
+def _fuzz_head(seed, rope, d_h=16):
+    weights = gen_outlier_head(d_h, 24, OutlierSpec(2, 20.0, seed=seed))
     tables = None if rope == "off" else default_rope_tables(d_h, layout=rope)
     return weights, tables
 
@@ -526,6 +527,153 @@ def test_finite_head_overflowing_float64_raises(w_k, w_q, fmts):
         simulate_decode(weights, tables, X, *fmts)
     with pytest.raises(InvalidValue, match="overflow float64"):
         exactness_check(weights, plan_head(weights, tables), X, tables)
+
+
+# ---------------------------------------------------------------------------
+# branching oracle: simulate_decode and exactness_check as they were before
+# _project named a float64 overflow, with a lossless branch and a cast that
+# re-raised its non-finite input as an overflow, kept to pin the straight path
+# ---------------------------------------------------------------------------
+
+
+def _unchecked_project_oracle(weights, rope_tables, X, plan):
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[1] != weights.d_model:
+        raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
+    w_k, w_q, tables = weights.w_k, weights.w_q, rope_tables
+    if plan is not None:
+        if len(plan.perm) != weights.d_h:
+            raise PlanMismatch(f"plan is for d_h={len(plan.perm)}, weights have d_h={weights.d_h}")
+        if (plan.rope is None) != (rope_tables is None):
+            raise PlanMismatch("plan and call disagree on whether rotation is in use")
+        gather = plan.perm.apply
+        w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        keys = X @ w_k.T
+        queries = X @ w_q.T
+        if tables is not None:
+            queries = rope_apply(tables, queries, np.arange(X.shape[0]))
+    return keys, queries, tables
+
+
+def _branching_decode_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, plan=None):
+    keys, queries, tables = _unchecked_project_oracle(weights, rope_tables, X, plan)
+    try:
+        if fmt_k is not None:
+            key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
+            keys_rot_ref, keys_rot_deq = simharness._rotate_keys(
+                tables, np.stack([keys, dequantize(key_cache)])
+            )
+        else:
+            key_cache = None
+            keys_rot_ref = keys_rot_deq = simharness._rotate_keys(tables, keys)
+        deq_queries = (
+            dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
+            if fmt_q is not None
+            else queries
+        )
+    except InvalidValue:
+        simharness._check_overflow(weights, X, math.nan)
+        raise
+
+    score_err = simharness._causal_gap(deq_queries, keys_rot_deq, queries, keys_rot_ref)
+    simharness._check_overflow(weights, X, score_err)
+    return simharness.DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
+
+
+def _branching_exactness_oracle(weights, plan, X, rope_tables=None):
+    keys, queries, tables = _unchecked_project_oracle(weights, rope_tables, X, None)
+    p_keys, p_queries, p_tables = _unchecked_project_oracle(weights, rope_tables, X, plan)
+    rotate = simharness._rotate_keys
+    keys, p_keys = rotate(tables, keys), rotate(p_tables, p_keys)
+    scale = simharness._causal_gap(queries, keys)
+    diff = simharness._causal_gap(p_queries, p_keys, queries, keys)
+    simharness._check_overflow(weights, X, scale, diff)
+    return diff / scale if scale > 0.0 else diff
+
+
+def _outcome(fn, *args):
+    """The bits a decode or exactness check gave, or the type and message it raised."""
+    try:
+        got = fn(*args)
+    except BfpKsortError as exc:
+        return type(exc), str(exc)
+    if isinstance(got, float):
+        return got.hex()
+    cache = got.key_cache
+    return (
+        got.keys.shape, got.keys.tobytes(), got.score_err.hex(),
+        None if cache is None else (cache.exponents.tobytes(), cache.mantissas.tobytes()),
+    )
+
+
+#: lossless, BFP16_8, BFP12_8 and two presets; block 128 is one ragged block at d_h 16 and 40
+_GRID_FORMATS = (None, BfpFormat(8, 8), BfpFormat(4, 8), BFP12_32, BFP16_128)
+
+
+def _assert_matches_branching_oracle(weights, tables, X, plan):
+    for use_plan, fmt_k, fmt_q in itertools.product((None, plan), _GRID_FORMATS, _GRID_FORMATS):
+        args = (weights, tables, X, fmt_k, fmt_q, use_plan)
+        assert _outcome(simulate_decode, *args) == _outcome(_branching_decode_oracle, *args), (
+            X.shape, use_plan is None, fmt_k, fmt_q,
+        )
+    args = (weights, plan, X, tables)
+    assert _outcome(exactness_check, *args) == _outcome(_branching_exactness_oracle, *args)
+
+
+@pytest.mark.parametrize("rope", ["interleaved", "half_split", "off"])
+@pytest.mark.parametrize("rows", [1, None], ids=["rows_1", "default"])
+def test_straight_decode_matches_branching_oracle_bitwise(monkeypatch, rows, rope):
+    for d_h in (16, 40):
+        weights, tables = _fuzz_head(d_h + len(rope), rope, d_h)
+        plan = plan_head(weights, tables)
+        for t in (0, 1, 5, 64) + ((300,) if rows is None else ()):
+            _patch_rows(monkeypatch, rows, t)
+            _assert_matches_branching_oracle(
+                weights, tables, gen_activations(t, weights.d_model, t + 200), plan
+            )
+
+
+def _with(X, index, value):
+    X = X.copy()
+    X[index] = value
+    return X
+
+
+_X_HOSTILE = gen_activations(6, 8, 0)
+
+
+@pytest.mark.parametrize(
+    "w_k, w_q, X",
+    [(1.0, 1.0, _with(_X_HOSTILE, (2, 3), np.nan)), (1.0, 1.0, _with(_X_HOSTILE, (4, 0), -np.inf)),
+     (5e307, 1.0, _X_HOSTILE), (1e308, 1.0, _X_HOSTILE), (1.0, 5e307, _X_HOSTILE),
+     (1.0, 1e308, _X_HOSTILE), (1e160, 1e160, _X_HOSTILE), (3e307, 1.0, _X_HOSTILE),
+     (1e60, 1e60, _X_HOSTILE)],
+    ids=["nan_activations", "inf_activations", "keys_5e307", "keys_1e308", "queries_5e307",
+         "queries_1e308", "scores_1e160", "rotation_3e307", "exponent_1e60"],
+)
+@pytest.mark.parametrize("rope", [True, False], ids=["rope", "no_rope"])
+def test_hostile_heads_fail_like_the_branching_oracle(w_k, w_q, X, rope):
+    # the same error type and message on every format pair, sorted and unsorted
+    weights = HeadWeights(w_k=np.full((16, 8), w_k), w_q=np.full((16, 8), w_q))
+    tables = default_rope_tables(16) if rope else None
+    _assert_matches_branching_oracle(weights, tables, X, plan_head(weights, tables))
+
+
+@pytest.mark.parametrize("w_k, w_q", [(5e307, 1.0), (1.0, 5e307)], ids=["keys", "queries"])
+def test_projection_overflow_is_named_before_any_cast(monkeypatch, w_k, w_q):
+    calls = []
+
+    def recording_cast(*args, **kwargs):
+        calls.append(args)
+        return quantize_tensor(*args, **kwargs)
+
+    monkeypatch.setattr(simharness, "quantize_tensor", recording_cast)
+    weights = HeadWeights(w_k=np.full((16, 8), w_k), w_q=np.full((16, 8), w_q))
+    with pytest.raises(InvalidValue, match="overflow float64"):
+        simulate_decode(weights, default_rope_tables(16), _X_HOSTILE, *_BFP_PAIR)
+    assert calls == []
 
 
 def test_zero_tokens_report_zero_error():
