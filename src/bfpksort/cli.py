@@ -163,6 +163,18 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
+            # JSON types first, so a string or an object is not read as a list
+            if not isinstance(doc, dict):
+                raise ValueError(f"a config must be a JSON object, got {json.dumps(doc)}")
+            formats = doc.get("formats", [])
+            if not (isinstance(formats, list)
+                    and all(isinstance(pair, list) and len(pair) == 2 for pair in formats)):
+                raise ValueError(
+                    f"formats must be an array of [format_q, format_k] arrays, "
+                    f"got {json.dumps(formats)}"
+                )
+            if not isinstance(doc.get("seeds", []), list):
+                raise ValueError(f"seeds must be an array of integers, got {json.dumps(doc['seeds'])}")
             known = {f.name for f in dataclasses.fields(cls)}
             unknown = set(doc) - known
             if unknown:
@@ -188,8 +200,9 @@ def _load_head(wk_path: str, wq_path: str) -> HeadWeights:
     """The head whose key/query projections two float tensor files hold.
 
     Files that cannot form a head (packed blocks, matrices of two shapes or
-    non-finite weights) raise :class:`InvalidConfig`; unreadable or damaged
-    files raise as :func:`tensorio.load` does.
+    with no rows or no columns, non-finite weights) raise
+    :class:`InvalidConfig`; unreadable or damaged files raise as
+    :func:`tensorio.load` does.
     """
     wk, wq = tensorio.load(wk_path), tensorio.load(wq_path)
     for path, w in ((wk_path, wk), (wq_path, wq)):
@@ -198,9 +211,12 @@ def _load_head(wk_path: str, wq_path: str) -> HeadWeights:
         if not np.all(np.isfinite(w)):
             raise InvalidConfig(f"{path}: weights must be finite")
     try:
-        return HeadWeights(w_k=np.asarray(wk, np.float64), w_q=np.asarray(wq, np.float64))
+        weights = HeadWeights(w_k=np.asarray(wk, np.float64), w_q=np.asarray(wq, np.float64))
     except ShapeMismatch as exc:
         raise InvalidConfig(str(exc)) from None
+    if weights.d_h < 1 or weights.d_model < 1:  # the sizes a config must have
+        raise InvalidConfig(f"weight matrices need a row and a column, got shape {wk.shape}")
+    return weights
 
 
 def run_cell(

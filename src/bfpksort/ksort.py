@@ -174,22 +174,20 @@ class PermutationPlan:
             )
 
     def to_json(self) -> str:
-        """Compact audit document: the permutation and tables, not the weights."""
+        """The audit document ``bfpksort plan`` writes: the permutation and
+        the rotary tables (``null`` without rotation), not the weights.
+        Nothing reads it back."""
+        rope = self.rope
         doc = {
             "d_h": len(self.perm),
             "pi": self.perm.indices.tolist(),
-            "rope": self.rope.to_jsonable() if self.rope is not None else None,
+            "rope": None if rope is None else {
+                "theta": rope.theta.tolist(),
+                "partner": rope.partner.tolist(),
+                "sign": rope.sign.tolist(),
+            },
         }
         return json.dumps(doc, indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "PermutationPlan":
-        """Inverse of :meth:`to_json`."""
-        doc = json.loads(text)
-        return cls(
-            perm=Permutation(np.asarray(doc["pi"], dtype=np.intp)),
-            rope=RopeTables.from_jsonable(doc["rope"]) if doc.get("rope") else None,
-        )
 
 
 def expected_cache_mse(

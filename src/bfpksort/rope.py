@@ -64,23 +64,6 @@ class RopeTables:
         if np.any(self.theta[self.partner] != self.theta):
             raise InvalidRopeTables("paired channels must share a frequency")
 
-    def to_jsonable(self) -> dict:
-        return {
-            "theta": self.theta.tolist(),
-            "partner": self.partner.tolist(),
-            "sign": self.sign.tolist(),
-        }
-
-    @classmethod
-    def from_jsonable(cls, obj: dict) -> "RopeTables":
-        tables = cls(
-            theta=np.asarray(obj["theta"], dtype=np.float64),
-            partner=np.asarray(obj["partner"], dtype=np.intp),
-            sign=np.asarray(obj["sign"], dtype=np.int8),
-        )
-        tables.validate()
-        return tables
-
 
 def default_rope_tables(
     d_h: int, base: float = DEFAULT_BASE, layout: str = "interleaved"

@@ -179,19 +179,17 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
         keys = X @ w_k.T
-        queries = X @ w_q.T
-        if tables is not None:
-            queries = rope_apply(tables, queries, np.arange(X.shape[0]))
+        queries = _rotate(tables, X @ w_q.T)
     _check_overflow(weights, X, keys, queries)
     return keys, queries, tables
 
 
-def _rotate_keys(tables: RopeTables | None, keys: np.ndarray) -> np.ndarray:
-    """Rotate cached keys ``(..., T, d_h)`` to their positions, after retrieval."""
+def _rotate(tables: RopeTables | None, x: np.ndarray) -> np.ndarray:
+    """Rotate queries or cached keys ``(..., T, d_h)`` to their positions 0..T-1."""
     if tables is None:
-        return keys
+        return x
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
-        return rope_apply(tables, keys, np.arange(keys.shape[-2]))
+        return rope_apply(tables, x, np.arange(x.shape[-2]))
 
 
 def simulate_decode(
@@ -219,7 +217,7 @@ def simulate_decode(
     # (rotated[-1]).  Lossless keys are their own decode, so they go in once,
     # not stacked with a copy; the decoded cache stays a temporary of np.stack,
     # so it is freed before the rotation runs.
-    rotated = _rotate_keys(
+    rotated = _rotate(
         tables, keys[None] if key_cache is None else np.stack([keys, dequantize(key_cache)])
     )
     deq_queries = (
@@ -247,7 +245,7 @@ def exactness_check(
     """
     keys, queries, tables = _project(weights, rope_tables, X, None)
     p_keys, p_queries, p_tables = _project(weights, rope_tables, X, plan)
-    keys, p_keys = _rotate_keys(tables, keys), _rotate_keys(p_tables, p_keys)
+    keys, p_keys = _rotate(tables, keys), _rotate(p_tables, p_keys)
     scale = _causal_gap(queries, keys)
     diff = _causal_gap(p_queries, p_keys, queries, keys)
     _check_overflow(weights, X, scale, diff)

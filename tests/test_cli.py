@@ -105,6 +105,22 @@ def test_deeply_nested_config_is_invalid(tmp_path, capsys, text):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [("d_h", 'a config must be a JSON object, got "d_h"'),
+     ({"formats": ["BF"]}, 'formats must be an array of [format_q, format_k] arrays, got ["BF"]'),
+     ({"seeds": "7"}, 'seeds must be an array of integers, got "7"')],
+    ids=["top_level", "formats", "seeds"],
+)
+def test_config_type_error_names_the_key(tmp_path, doc, message):
+    # checked on the JSON as written, before a string is iterated as a list
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError) as exc:
+        ExperimentConfig.from_json_file(str(path))
+    assert str(exc.value) == message
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         tiny_config(seeds=())
@@ -451,17 +467,26 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
      {"wk_path": 1, "wq_path": 2}, {"rope_enabled": 1}, {"rope_layout": "spiral"},
      {"formats": [["BFP16_8"]]}, {"formats": ["BFP16_8"]}, {"order": "descending"},
      {"rope_base": 5e-324, "d_h": 64}, {"rope_base": 5e-324, "d_h": 42, "n_tokens": 6},
-     {"base_std": 0}, {"base_std": -1}],
+     {"base_std": 0}, {"base_std": -1}, {"formats": "BFP16_32"}, {"formats": ["BF"]},
+     {"formats": {"BFP16_32": "BFP12_32"}}, {"seeds": "7"}, "d_h", None, [["d_h", 16]]],
     ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h",
          "outliers_beyond_d_h", "rope_base_zero", "rope_base_negative", "non_string_paths",
          "non_bool_rope_enabled", "unknown_rope_layout", "format_not_a_pair",
          "format_a_string", "order_descending", "rope_base_overflowing_a_frequency",
-         "rope_base_overflowing_an_angle", "base_std_zero", "base_std_negative"],
+         "rope_base_overflowing_an_angle", "base_std_zero", "base_std_negative",
+         "formats_a_string", "format_a_two_letter_string", "formats_an_object",
+         "seeds_a_string", "top_level_a_string", "top_level_null", "top_level_an_array"],
 )
 def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
-    # rejected before any cell runs; a fractional seed is not rounded
-    code = main(["run", "--config", _write_tiny_config(tmp_path, **entry),
-                 "--out-dir", str(tmp_path / "out"), "--workers", "1"])
+    # rejected before any cell runs; a fractional seed is not rounded, and a
+    # string or an object is not read as a list.  A dict entry overrides keys
+    # of the tiny config; any other entry is the whole document.
+    if isinstance(entry, dict):
+        config = _write_tiny_config(tmp_path, **entry)
+    else:
+        config = str(tmp_path / "cfg.json")
+        Path(config).write_text(json.dumps(entry))
+    code = main(["run", "--config", config, "--out-dir", str(tmp_path / "out"), "--workers", "1"])
     assert code == 2
     assert capsys.readouterr().err.startswith("error: invalid config: ")
     assert not (tmp_path / "out").exists()
@@ -503,23 +528,30 @@ def test_cli_non_finite_weights_exit_2(tmp_path, capsys, bad, which):
 
 
 @pytest.mark.parametrize(
-    "wk, wq",
-    [(np.ones((15, 8)), np.ones((15, 8))), (np.ones((16, 8)), np.ones((16, 6))),
-     (np.ones((16, 8, 1)), np.ones((16, 8, 1))),
-     (quantize_tensor(np.ones((16, 8)), BfpFormat(4, 8), 1), np.ones((16, 8)))],
-    ids=["odd_d_h_with_rotary", "shape_mismatch", "not_a_matrix", "packed"],
+    "wk, wq, rope",
+    [(np.ones((15, 8)), np.ones((15, 8)), True), (np.ones((16, 8)), np.ones((16, 6)), True),
+     (np.ones((16, 8, 1)), np.ones((16, 8, 1)), True),
+     (quantize_tensor(np.ones((16, 8)), BfpFormat(4, 8), 1), np.ones((16, 8)), True),
+     (np.ones((0, 5)), np.ones((0, 5)), False), (np.ones((4, 0)), np.ones((4, 0)), True),
+     (np.ones((4, 0)), np.ones((4, 0)), False)],
+    ids=["odd_d_h_with_rotary", "shape_mismatch", "not_a_matrix", "packed", "no_rows",
+         "no_columns_with_rotary", "no_columns"],
 )
-def test_cli_run_bad_imported_weights_is_invalid_config(tmp_path, capsys, wk, wq):
-    # checked once before any cell runs, not failed cell by cell
-    tensorio.save(tmp_path / "wk.bfpt", wk)
-    tensorio.save(tmp_path / "wq.bfpt", wq)
-    config = _write_tiny_config(
-        tmp_path, wk_path=str(tmp_path / "wk.bfpt"), wq_path=str(tmp_path / "wq.bfpt")
-    )
+def test_cli_run_bad_imported_weights_is_invalid_config(tmp_path, capsys, wk, wq, rope):
+    # checked once before any cell runs, not failed cell by cell; plan refuses them too
+    wk_path, wq_path = str(tmp_path / "wk.bfpt"), str(tmp_path / "wq.bfpt")
+    tensorio.save(wk_path, wk)
+    tensorio.save(wq_path, wq)
+    config = _write_tiny_config(tmp_path, wk_path=wk_path, wq_path=wq_path, rope_enabled=rope)
     code = main(["run", "--config", config, "--out-dir", str(tmp_path / "out"), "--workers", "1"])
     assert code == 2
     assert "error: invalid config:" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+    code = main(["plan", "--wk", wk_path, "--wq", wq_path, "--out", str(tmp_path / "plan.json"),
+                 "--rope", "interleaved" if rope else "off"])
+    assert code == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "plan.json").exists()
 
 
 def test_cli_run_imported_head_too_wide_for_its_base_is_invalid_config(tmp_path, capsys):

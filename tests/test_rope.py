@@ -8,6 +8,7 @@ kernel replaced: the kernel must match it byte for byte.
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -335,8 +336,9 @@ def test_permutation_commutes_bitwise(layout, d_h):
 
 
 def test_json_round_trip():
-    t = default_rope_tables(8, layout="half_split")
-    again = RopeTables.from_jsonable(t.to_jsonable())
-    assert np.array_equal(t.theta, again.theta)
-    assert np.array_equal(t.partner, again.partner)
-    assert np.array_equal(t.sign, again.sign)
+    # the plan document's bytes, tables included, for one fixed half-split head
+    weights = gen_outlier_head(8, 4, OutlierSpec(2, 20.0, seed=3))
+    plan = plan_head(weights, default_rope_tables(8, layout="half_split"))
+    assert hashlib.sha256(plan.to_json().encode()).hexdigest() == (
+        "f3e737dcd61084b3c237546b4725b4cdab60e28605d39384da46f28b20ac992f"
+    )

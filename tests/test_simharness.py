@@ -562,12 +562,12 @@ def _branching_decode_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, pl
     try:
         if fmt_k is not None:
             key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-            keys_rot_ref, keys_rot_deq = simharness._rotate_keys(
+            keys_rot_ref, keys_rot_deq = simharness._rotate(
                 tables, np.stack([keys, dequantize(key_cache)])
             )
         else:
             key_cache = None
-            keys_rot_ref = keys_rot_deq = simharness._rotate_keys(tables, keys)
+            keys_rot_ref = keys_rot_deq = simharness._rotate(tables, keys)
         deq_queries = (
             dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1))
             if fmt_q is not None
@@ -585,7 +585,7 @@ def _branching_decode_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, pl
 def _branching_exactness_oracle(weights, plan, X, rope_tables=None):
     keys, queries, tables = _unchecked_project_oracle(weights, rope_tables, X, None)
     p_keys, p_queries, p_tables = _unchecked_project_oracle(weights, rope_tables, X, plan)
-    rotate = simharness._rotate_keys
+    rotate = simharness._rotate
     keys, p_keys = rotate(tables, keys), rotate(p_tables, p_keys)
     scale = simharness._causal_gap(queries, keys)
     diff = simharness._causal_gap(p_queries, p_keys, queries, keys)
