@@ -123,7 +123,7 @@ def bits_per_element(fmt: BfpFormat) -> Fraction:
     return Fraction(fmt.mantissa_bits) + Fraction(fmt.exponent_bits, fmt.block_size)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BfpBlock:
     """One encoded block: shared exponent plus integer mantissas."""
 
@@ -132,11 +132,6 @@ class BfpBlock:
 
     def decode(self) -> np.ndarray:
         return np.ldexp(self.mantissas.astype(np.float64), self.exponent)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, BfpBlock):
-            return NotImplemented
-        return self.exponent == other.exponent and np.array_equal(self.mantissas, other.mantissas)
 
 
 @dataclass(frozen=True)

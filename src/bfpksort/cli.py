@@ -21,6 +21,7 @@ serial or pooled.
 from __future__ import annotations
 
 import argparse
+import collections
 import concurrent.futures
 import dataclasses
 import functools
@@ -78,6 +79,13 @@ def _is_finite_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
 
 
+def _reject_repeats(name: str, items) -> None:
+    # a repeated seed or pair would be run, written and averaged twice
+    for item, count in collections.Counter(items).items():
+        if count > 1:
+            raise ValueError(f"{name} must not repeat: {json.dumps(item)} appears {count} times")
+
+
 def resolve_format(name: str) -> BfpFormat | None:
     """Format name to format; ``"FP-lossless"`` gives ``None``, lossless float
     storage.  Names are exact: see :func:`bfpksort.bfp.format_from_name`."""
@@ -122,6 +130,7 @@ class ExperimentConfig:
             raise ValueError("seeds must be non-empty")
         if not all(_is_int(s) and s >= 0 for s in self.seeds):
             raise ValueError(f"seeds must be non-negative integers, got {list(self.seeds)!r}")
+        _reject_repeats("seeds", self.seeds)
         if (self.wk_path is None) != (self.wq_path is None):
             raise ValueError("wk_path and wq_path must be given together")
         if not all(p is None or isinstance(p, str) for p in (self.wk_path, self.wq_path)):
@@ -133,11 +142,14 @@ class ExperimentConfig:
         if self.rope_layout not in LAYOUTS:
             raise ValueError(f"bad rope layout {self.rope_layout!r}")
         self.rope_tables(self.d_h)
+        if not self.formats:
+            raise ValueError("formats must name at least one [format_q, format_k] pair")
         for pair in self.formats:
             if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
                 raise ValueError(f"a format entry must be a pair of names, got {pair!r}")
             for name in pair:
                 resolve_format(name)
+        _reject_repeats("formats", [tuple(pair) for pair in self.formats])
 
     def rope_tables(self, d_h: int) -> RopeTables | None:
         """The rotary tables of a ``d_h``-wide head, ``None`` with rotary off.
@@ -188,12 +200,6 @@ class ExperimentConfig:
             raise InvalidConfig("config nests too deeply") from None
         except (TypeError, ValueError) as exc:
             raise InvalidConfig(str(exc)) from None
-
-    def to_jsonable(self) -> dict:
-        doc = dataclasses.asdict(self)
-        doc["formats"] = [list(pair) for pair in self.formats]
-        doc["seeds"] = list(self.seeds)
-        return doc
 
 
 def _load_head(wk_path: str, wq_path: str) -> HeadWeights:
@@ -266,39 +272,23 @@ def run_cell(
     return cells
 
 
-def _float_cell(value: float) -> str:
-    return repr(float(value))
-
-
 def emit_report(cfg: ExperimentConfig, rows: list[dict]) -> tuple[str, str]:
     """Render the aggregate CSV and the full JSON document, byte-stable."""
     lines = ["format_q,format_k,mse_original,mse_sorted"]
     for name_q, name_k in cfg.formats:
-        original = [
-            r["mse"] for r in rows
-            if (r["format_q"], r["format_k"]) == (name_q, name_k) and not r["sorted"]
+        means = [
+            np.mean([r["mse"] for r in rows
+                     if (r["format_q"], r["format_k"], r["sorted"]) == (name_q, name_k, flag)])
+            for flag in (False, True)
         ]
-        sorted_ = [
-            r["mse"] for r in rows
-            if (r["format_q"], r["format_k"]) == (name_q, name_k) and r["sorted"]
-        ]
-        lines.append(
-            f"{name_q},{name_k},"
-            f"{_float_cell(float(np.mean(original)))},{_float_cell(float(np.mean(sorted_)))}"
-        )
-    csv_text = "\n".join(lines) + "\n"
-
-    def jsonable(value):
-        if isinstance(value, float) and not math.isfinite(value):
-            return None
-        return value
-
-    doc = {
-        "config": cfg.to_jsonable(),
-        "cells": [{k: jsonable(v) for k, v in row.items()} for row in rows],
-    }
-    json_text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    return csv_text, json_text
+        # float(): numpy 2 reprs an np.float64 as "np.float64(...)"
+        lines.append(f"{name_q},{name_k},{float(means[0])!r},{float(means[1])!r}")
+    cells = [
+        {k: None if isinstance(v, float) and not math.isfinite(v) else v for k, v in row.items()}
+        for row in rows
+    ]
+    doc = {"config": dataclasses.asdict(cfg), "cells": cells}
+    return "\n".join(lines) + "\n", json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[str, str]:
@@ -336,15 +326,12 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[st
         for cells in per_seed
         for row in cells[pair_index]
     ]
-    csv_text, json_text = emit_report(cfg, rows)
+    paths = (os.path.join(out_dir, "report.csv"), os.path.join(out_dir, "report.json"))
     os.makedirs(out_dir, exist_ok=True)
-    csv_path = os.path.join(out_dir, "report.csv")
-    json_path = os.path.join(out_dir, "report.json")
-    with open(csv_path, "w", newline="") as fh:
-        fh.write(csv_text)
-    with open(json_path, "w", newline="") as fh:
-        fh.write(json_text)
-    return csv_path, json_path
+    for path, text in zip(paths, emit_report(cfg, rows)):
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+    return paths
 
 
 # ---------------------------------------------------------------------------

@@ -130,6 +130,15 @@ def test_config_validation():
         tiny_config(formats=(("BFP9_8", "BFP12_8"),))
     with pytest.raises(ValueError):
         tiny_config(wk_path="only_one.bfpt")
+    with pytest.raises(ValueError, match="formats must name at least one"):
+        tiny_config(formats=())
+    with pytest.raises(ValueError, match=r"seeds must not repeat: 0 appears 2 times"):
+        tiny_config(seeds=(0, 1, 0))
+    pair = ("BFP16_8", "BFP12_8")
+    with pytest.raises(
+        ValueError, match=r'formats must not repeat: \["BFP16_8", "BFP12_8"\] appears 3 times'
+    ):
+        tiny_config(formats=(pair, ("FP-lossless", "FP-lossless"), pair, pair))
 
 
 # ---------------------------------------------------------------------------
@@ -160,12 +169,25 @@ def test_quantized_cell_reports_both_variants():
         assert row["cache_bytes"] == 6 * 2 * 5  # T * blocks/token * bytes/block
 
 
-def test_emit_report_zero_rows_is_header_only():
-    csv_text, json_text = emit_report(tiny_config(formats=()), [])
-    assert csv_text == "format_q,format_k,mse_original,mse_sorted\n"
-    doc = json.loads(json_text)
-    assert doc["cells"] == []
-    assert doc["config"]["d_h"] == 16
+def test_emit_report_renders_the_rows_it_is_given():
+    # the CSV holds each pair's unsorted and sorted mean as a plain float repr,
+    # and every non-finite float of a cell is written as null
+    cfg = tiny_config(formats=(("BFP16_8", "BFP12_8"),), seeds=(0, 1))
+    rows = [
+        {"format_q": "BFP16_8", "format_k": "BFP12_8", "sorted": flag, "seed": seed,
+         "mse": np.float64(mse), "sqnr_db": sqnr, "max_abs_err": 0.25}
+        for flag, seed, mse, sqnr in [(False, 0, 0.1, math.inf), (False, 1, 0.2, -math.inf),
+                                      (True, 0, 1.0, math.nan), (True, 1, 2.5, 3.5)]
+    ]
+    csv_text, json_text = emit_report(cfg, rows)
+    assert csv_text == (
+        "format_q,format_k,mse_original,mse_sorted\n"
+        "BFP16_8,BFP12_8,0.15000000000000002,1.75\n"
+    )
+    cells = json.loads(json_text)["cells"]
+    assert [cell["sqnr_db"] for cell in cells] == [None, None, None, 3.5]
+    assert [cell["mse"] for cell in cells] == [0.1, 0.2, 1.0, 2.5]
+    assert "NaN" not in json_text and "Infinity" not in json_text
 
 
 def test_emit_report_is_parseable_csv(tmp_path):
@@ -250,6 +272,31 @@ def test_worker_pool_matches_serial(tmp_path):
     b_csv, b_json = run(cfg, out_dir=str(tmp_path / "pool"), workers=2)
     assert Path(a_csv).read_bytes() == Path(b_csv).read_bytes()
     assert Path(a_json).read_bytes() == Path(b_json).read_bytes()
+
+
+#: ``report.json``'s config echo of the default config, written out by hand.
+DEFAULT_CONFIG_ECHO = {
+    "d_h": 128, "d_model": 256, "n_tokens": 64, "n_outlier_channels": 4,
+    "outlier_scale": 50.0, "base_std": 1.0, "wk_path": None, "wq_path": None,
+    "formats": [["FP-lossless", "FP-lossless"], ["BFP16_128", "BFP12_128"],
+                ["BFP16_64", "BFP12_64"], ["BFP16_32", "BFP12_32"]],
+    "order": "ascending", "rope_enabled": True, "rope_layout": "interleaved",
+    "rope_base": 10000.0, "seeds": list(range(20)),
+}
+
+
+def test_report_echoes_a_config_file_over_the_defaults(tmp_path):
+    overrides = {
+        "d_h": 16, "d_model": 8, "n_tokens": 6,
+        "formats": [["BFP16_8", "BFP12_8"], ["FP-lossless", "FP-lossless"]],
+        "seeds": [4, 1], "rope_layout": "half_split", "rope_base": 500,
+    }
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps(overrides))
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path)]) == 0
+    echo = json.loads((tmp_path / "report.json").read_text())["config"]
+    want = {**DEFAULT_CONFIG_ECHO, **overrides}
+    assert json.dumps(echo, sort_keys=True) == json.dumps(want, sort_keys=True)
 
 
 def test_imported_weights_run(tmp_path):
@@ -468,14 +515,17 @@ def test_cli_run_bad_config_exits_2(tmp_path, capsys):
      {"formats": [["BFP16_8"]]}, {"formats": ["BFP16_8"]}, {"order": "descending"},
      {"rope_base": 5e-324, "d_h": 64}, {"rope_base": 5e-324, "d_h": 42, "n_tokens": 6},
      {"base_std": 0}, {"base_std": -1}, {"formats": "BFP16_32"}, {"formats": ["BF"]},
-     {"formats": {"BFP16_32": "BFP12_32"}}, {"seeds": "7"}, "d_h", None, [["d_h", 16]]],
+     {"formats": {"BFP16_32": "BFP12_32"}}, {"seeds": "7"}, "d_h", None, [["d_h", 16]],
+     {"formats": []}, {"seeds": [0, 0]},
+     {"formats": [["BFP16_8", "BFP12_8"], ["BFP16_8", "BFP12_8"]]}],
     ids=["outlier_scale", "outlier_scale_beyond_float", "d_model", "seeds", "d_h",
          "outliers_beyond_d_h", "rope_base_zero", "rope_base_negative", "non_string_paths",
          "non_bool_rope_enabled", "unknown_rope_layout", "format_not_a_pair",
          "format_a_string", "order_descending", "rope_base_overflowing_a_frequency",
          "rope_base_overflowing_an_angle", "base_std_zero", "base_std_negative",
          "formats_a_string", "format_a_two_letter_string", "formats_an_object",
-         "seeds_a_string", "top_level_a_string", "top_level_null", "top_level_an_array"],
+         "seeds_a_string", "top_level_a_string", "top_level_null", "top_level_an_array",
+         "formats_empty", "seeds_repeated", "format_pair_repeated"],
 )
 def test_cli_run_bad_value_is_invalid_config(tmp_path, capsys, entry):
     # rejected before any cell runs; a fractional seed is not rounded, and a
