@@ -27,22 +27,15 @@ import numpy as np
 from bfpksort import (
     BfpFormat,
     OutlierSpec,
-    dequantize,
+    Permutation,
     gen_activations,
     gen_outlier_head,
     plan_head,
-    quantize_tensor,
     row_norms,
 )
+from bfpksort.ksort import cache_mse
 
 D_H, D_MODEL, SEEDS, TOKENS = 128, 256, range(20), (64, 512)
-
-
-def cache_mse(keys, perms, fmt):
-    """Key-cache MSE of each channel layout (rows of ``perms``)."""
-    k = keys[:, perms].transpose(1, 0, 2).reshape(-1, D_H)
-    err = dequantize(quantize_tensor(k, fmt, blocking_axis=1)) - k
-    return np.square(err).reshape(len(perms), -1).mean(axis=1)
 
 
 def placements(norms, block):
@@ -54,7 +47,7 @@ def placements(norms, block):
         for b in range(D_H // block):
             mine = [c for c, a in zip(top, assign) if a == b]
             perm += [next(rest) for _ in range(block - len(mine))] + mine
-        yield perm
+        yield Permutation(np.array(perm))
 
 
 def summary(reductions):
@@ -74,13 +67,12 @@ for scale, ws in heads.items():
     for block in (32, 64):
         fmt = BfpFormat(mantissa_bits=4, block_size=block)
         perms = [
-            (np.arange(D_H), plan_head(w).perm.indices, plan_head(w, fmt=fmt).perm.indices)
-            for w in ws
+            (Permutation.identity(D_H), plan_head(w).perm, plan_head(w, fmt=fmt).perm) for w in ws
         ]
         for t in TOKENS:
             red = [[], []]
             for w, X, p in zip(ws, acts, perms):
-                mse = cache_mse(X[:t] @ w.w_k.T, np.stack(p), fmt)
+                mse = cache_mse(X[:t] @ w.w_k.T, p, fmt)
                 for i in (0, 1):
                     red[i].append((mse[0] - mse[i + 1]) / mse[0])
             print(f"{scale:5g} {block:5d} {t:6d}   {summary(red[0]):>12}   {summary(red[1]):>12}")
@@ -94,8 +86,8 @@ for block in (32, 64):
         best = []
         for w, X in zip(heads[50.0], acts):
             keys = X[:t] @ w.w_k.T
-            (base,) = cache_mse(keys, np.arange(D_H)[None], fmt)
-            cand = np.array(list(placements(row_norms(w.w_k), block)))
+            (base,) = cache_mse(keys, [Permutation.identity(D_H)], fmt)
+            cand = list(placements(row_norms(w.w_k), block))
             chunks = (cand[i : i + 32] for i in range(0, len(cand), 32))
             low = min(cache_mse(keys, c, fmt).min() for c in chunks)
             best.append((base - low) / base)

@@ -18,11 +18,11 @@ Grouping every large channel into one block is not always the cheapest
 layout: the grouped channels share the step set by the largest of them, and
 at large outlier magnitudes that shared step costs more than grouping saves.
 Given the key cache's block format, :func:`plan_head` instead picks the
-channel layout with the lowest expected cache MSE (:func:`expected_cache_mse`)
+channel layout of lowest cache MSE on a key sample (:func:`cache_mse`)
 among the plain norm sort, the identity and layouts that split the largest
 channels into a few blocks, each filled with the smallest channels.  Still no
-calibration data: the expectation is taken under a Gaussian key model built
-from the projection weights alone.
+calibration data: the sample is a fixed draw from a Gaussian key model built
+from the projection weights alone, one caller of :func:`cache_mse`.
 
 Note the rotary partner table holds channel *indices*, so it is not enough
 to permute it as an array like ``theta`` and ``sign``; its values must also
@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, dequantize, quantize_tensor
-from .errors import ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch
 from .rope import RopeTables
 
 __all__ = [
@@ -49,13 +49,15 @@ __all__ = [
     "row_norms",
     "argsort_norms",
     "remap_rope_tables",
-    "expected_cache_mse",
+    "cache_mse",
     "plan_head",
 ]
 
-# Gaussian key model behind the format-aware layout choice: every layout is
-# scored on the same synthetic keys (the first rows of one fixed draw), a
-# rough pass picking the best layout per number of groups, then a fine pass.
+# Gaussian key model behind the format-aware layout choice: key channel i is
+# N(0, ||w_k[i]||^2), what unit Gaussian activations give up to cross-channel
+# correlation.  One fixed draw of COST_SAMPLES keys per plan scores every
+# layout: a rough pass on its first SEARCH_SAMPLES rows picks the best layout
+# per number of groups, a fine pass on all of them picks the plan.
 COST_MODEL_SEED = 0
 SEARCH_SAMPLES = 128
 SEARCH_CHUNK = 8
@@ -182,45 +184,28 @@ class PermutationPlan:
             "d_h": len(self.perm),
             "pi": self.perm.indices.tolist(),
             "rope": None if rope is None else {
-                "theta": rope.theta.tolist(),
-                "partner": rope.partner.tolist(),
-                "sign": rope.sign.tolist(),
+                name: getattr(rope, name).tolist() for name in ("theta", "partner", "sign")
             },
         }
         return json.dumps(doc, indent=2, sort_keys=True)
 
 
-def expected_cache_mse(
-    weights: HeadWeights,
-    perms: list[Permutation],
-    fmt: BfpFormat,
-    samples: int = COST_SAMPLES,
-) -> np.ndarray:
-    """Expected key-cache MSE at ``fmt`` of each channel layout in ``perms``.
-
-    Key channel ``i`` is modelled as an independent zero-mean Gaussian with
-    standard deviation ``||w_k[i]||``, which is what unit
-    Gaussian activations give up to cross-channel correlation.  The
-    expectation is estimated on ``samples`` keys drawn once from a fixed
-    seed and shared by all layouts, so differences between layouts are not
-    drowned in sampling noise and equal inputs give equal costs.
-    """
-    for perm in perms:
-        if len(perm) != weights.d_h:
-            raise ShapeMismatch(f"permutation length {len(perm)} != d_h {weights.d_h}")
-    z = np.random.default_rng(COST_MODEL_SEED).standard_normal((samples, weights.d_h))
-    keys = z * row_norms(weights.w_k)
+def cache_mse(keys: np.ndarray, perms: list[Permutation], fmt: BfpFormat) -> np.ndarray:
+    """Key-cache MSE at ``fmt`` of each channel layout in ``perms`` on the
+    key sample ``keys`` (one key per row, ``d_h`` columns).  Every layout is
+    scored on the same keys, so equal inputs give equal costs."""
+    if any(len(perm) != keys.shape[1] for perm in perms):
+        raise ShapeMismatch(f"permutation lengths {list(map(len, perms))} != d_h {keys.shape[1]}")
     stacked = np.concatenate([keys[:, perm.indices] for perm in perms])
     err = dequantize(quantize_tensor(stacked, fmt, blocking_axis=1)) - stacked
     return np.square(err).reshape(len(perms), -1).mean(axis=1)
 
 
-def _grouped_layout(norms, block_size: int, n_heavy: int, n_groups: int) -> Permutation:
-    """The ``n_heavy`` largest-norm channels split by rank into ``n_groups``
-    groups (any larger groups hold the smaller of them), each group in its
-    own leading block topped up with the smallest channels; the remaining
-    channels follow in ascending norm order."""
-    asc = np.argsort(norms, kind="stable")
+def _grouped_layout(asc: np.ndarray, block_size: int, n_heavy: int, n_groups: int) -> Permutation:
+    """The last ``n_heavy`` channels of the ascending ranking ``asc`` split by
+    rank into ``n_groups`` groups (any larger groups hold the smaller of them),
+    each group in its own leading block topped up with the first channels of
+    ``asc``; the remaining channels follow in ascending order."""
     light, heavy = asc[: asc.size - n_heavy], asc[asc.size - n_heavy :]
     parts, start = [], 0
     for group in np.array_split(heavy, n_groups):
@@ -231,12 +216,9 @@ def _grouped_layout(norms, block_size: int, n_heavy: int, n_groups: int) -> Perm
     return Permutation(np.concatenate(parts).astype(np.intp))
 
 
-def _cheapest_layout(weights: HeadWeights, fmt: BfpFormat) -> Permutation:
-    """The candidate layout of lowest expected cache MSE at ``fmt``."""
-    norms = row_norms(weights.w_k)
-    n, d = fmt.block_size, weights.d_h
-    if d <= n:  # one block per key: every layout quantizes alike
-        return argsort_norms(norms)
+def _cheapest_layout(order: Permutation, keys: np.ndarray, fmt: BfpFormat) -> Permutation:
+    """The candidate layout of lowest cache MSE on ``keys``, ranked by ``order``."""
+    n, d = fmt.block_size, len(order)
     # rough pass: for each number of groups, the best number of large
     # channels, tried a chunk at a time until a chunk brings no improvement
     shortlist = []
@@ -244,15 +226,15 @@ def _cheapest_layout(weights: HeadWeights, fmt: BfpFormat) -> Permutation:
         best, best_cost = None, np.inf
         for lo in range(g, n + 1, SEARCH_CHUNK):
             hs = range(lo, min(lo + SEARCH_CHUNK, n + 1))
-            layouts = [_grouped_layout(norms, n, h, g) for h in hs]
-            rough = expected_cache_mse(weights, layouts, fmt, SEARCH_SAMPLES)
+            layouts = [_grouped_layout(order.indices, n, h, g) for h in hs]
+            rough = cache_mse(keys[:SEARCH_SAMPLES], layouts, fmt)
             if rough.min() >= best_cost:
                 break
             best, best_cost = layouts[int(np.argmin(rough))], rough.min()
         shortlist.append(best)
     # fine pass; ties go to the earliest candidate: the plain norm sort, identity last
-    candidates = [argsort_norms(norms), *shortlist, Permutation.identity(d)]
-    return candidates[int(np.argmin(expected_cache_mse(weights, candidates, fmt)))]
+    candidates = [order, *shortlist, Permutation.identity(d)]
+    return candidates[int(np.argmin(cache_mse(keys, candidates, fmt)))]
 
 
 def plan_head(
@@ -262,19 +244,27 @@ def plan_head(
 ) -> PermutationPlan:
     """Run the full sorting pass for one head.
 
-    Without ``fmt`` the permutation is the plain ascending argsort of key-row
-    norms.  With the key cache's block format ``fmt`` it is the layout of
-    lowest :func:`expected_cache_mse` among the norm sort, the identity and
-    the grouped layouts (see the module docstring).
+    The permutation is the ascending argsort of key-row norms.  When the key
+    cache's block format ``fmt`` splits a key over several blocks, it is the
+    layout of lowest :func:`cache_mse` on the Gaussian model keys among the
+    norm sort, the identity and the grouped layouts (see the module docstring).
 
     Deterministic: equal inputs produce bitwise-equal plans.
     """
-    if rope_tables is not None and weights.d_h % 2:
-        raise ShapeMismatch("rotary tables require an even head dimension")
-    if fmt is None:
-        perm = argsort_norms(row_norms(weights.w_k))
-    else:
-        perm = _cheapest_layout(weights, fmt)
+    if rope_tables is not None and (weights.d_h % 2 or rope_tables.d_h != weights.d_h):
+        raise ShapeMismatch(
+            f"rotary tables need an even head dimension of their width {rope_tables.d_h}, "
+            f"got d_h {weights.d_h}"
+        )
+    norms = row_norms(weights.w_k)
+    perm = argsort_norms(norms)
+    if fmt is not None and weights.d_h > fmt.block_size:
+        z = np.random.default_rng(COST_MODEL_SEED).standard_normal((COST_SAMPLES, weights.d_h))
+        with np.errstate(over="ignore", invalid="ignore"):
+            keys = z * norms
+        if not np.isfinite(keys).all():
+            raise InvalidValue(f"model keys overflow: key-projection norms up to {norms.max():.4g}")
+        perm = _cheapest_layout(perm, keys, fmt)
     return PermutationPlan(
         perm=perm,
         rope=remap_rope_tables(rope_tables, perm) if rope_tables is not None else None,

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -10,6 +11,7 @@ import pytest
 
 from bfpksort import (
     BfpFormat,
+    BfpKsortError,
     HeadWeights,
     OutlierSpec,
     Permutation,
@@ -17,6 +19,7 @@ from bfpksort import (
     RopeTables,
     default_rope_tables,
     dequantize,
+    gen_activations,
     gen_outlier_head,
     plan_head,
     quantize_tensor,
@@ -25,8 +28,9 @@ from bfpksort import (
     row_norms,
     simulate_decode,
 )
+from bfpksort import ksort
 from bfpksort.errors import InvalidRopeTables, ShapeMismatch
-from bfpksort.ksort import argsort_norms, expected_cache_mse
+from bfpksort.ksort import _grouped_layout, argsort_norms, cache_mse
 
 
 def naive_row_norms(w):
@@ -331,6 +335,12 @@ def test_plan_json_rejects_mismatched_lengths():
 BFP12_BLOCK32 = BfpFormat(mantissa_bits=4, block_size=32)
 
 
+def _model_keys(weights):
+    """The Gaussian model keys ``plan_head(..., fmt=)`` draws once per plan."""
+    rng = np.random.default_rng(ksort.COST_MODEL_SEED)
+    return rng.standard_normal((ksort.COST_SAMPLES, weights.d_h)) * row_norms(weights.w_k)
+
+
 def _outlier_blocks(weights, plan, block):
     """Block index of each of the four largest-norm channels after the plan."""
     top = np.argsort(row_norms(weights.w_k))[-4:]
@@ -354,8 +364,8 @@ def test_format_plan_is_cheapest_of_norm_sort_and_identity():
     for scale in (5.0, 50.0, 100.0):
         weights = gen_outlier_head(128, 256, OutlierSpec(4, scale, seed=4))
         plan = plan_head(weights, fmt=BFP12_BLOCK32)
-        cost = expected_cache_mse(
-            weights,
+        cost = cache_mse(
+            _model_keys(weights),
             [plan.perm, argsort_norms(row_norms(weights.w_k)), Permutation.identity(128)],
             BFP12_BLOCK32,
         )
@@ -382,9 +392,9 @@ def test_format_plan_ragged_head():
     assert np.array_equal(lhs, rope_apply(plan.rope, x[plan.perm.indices], 3))
 
 
-def test_expected_cache_mse_matches_gaussian_keys():
-    # the model's expectation agrees with the measured MSE of keys from unit
-    # Gaussian activations, the distribution it stands for
+def test_cache_mse_matches_gaussian_keys():
+    # the cost on the model keys agrees with the measured MSE of keys from
+    # unit Gaussian activations, the distribution the model stands for
     weights = gen_outlier_head(128, 256, OutlierSpec(4, 20.0, seed=5))
     perm = argsort_norms(row_norms(weights.w_k))
     keys = np.random.default_rng(6).normal(size=(4096, 256)) @ weights.w_k.T
@@ -392,11 +402,137 @@ def test_expected_cache_mse_matches_gaussian_keys():
         k = keys[:, p.indices]
         deq = dequantize(quantize_tensor(k, BFP12_BLOCK32, blocking_axis=1))
         measured = np.mean((deq - k) ** 2)
-        (model,) = expected_cache_mse(weights, [p], BFP12_BLOCK32)
+        (model,) = cache_mse(_model_keys(weights), [p], BFP12_BLOCK32)
         assert abs(model - measured) < 0.05 * measured
 
 
-def test_expected_cache_mse_rejects_wrong_length():
-    rng = np.random.default_rng(28)
-    with pytest.raises(ShapeMismatch):
-        expected_cache_mse(_random_head(rng), [Permutation.identity(4)], BFP12_BLOCK32)
+def test_cache_mse_rejects_wrong_length():
+    keys = np.random.default_rng(28).normal(size=(4, 8))
+    with pytest.raises(ShapeMismatch, match=r"lengths \[8, 4\] != d_h 8"):
+        cache_mse(keys, [Permutation.identity(8), Permutation.identity(4)], BFP12_BLOCK32)
+
+
+def test_format_plan_whose_model_keys_overflow_float64_is_rejected():
+    # every key-row norm is finite, but the largest times a Gaussian draw is not;
+    # one package error naming the norms, and no numpy warning on the way
+    rng = np.random.default_rng(0)
+    w_k = rng.normal(size=(128, 16))
+    w_k[3] *= 3e307
+    weights = HeadWeights(w_k=w_k, w_q=rng.normal(size=(128, 16)))
+    assert np.isfinite(row_norms(w_k)).all()
+    message = r"model keys overflow: key-projection norms up to 1\.206e\+308"
+    with pytest.raises(BfpKsortError, match=message):
+        plan_head(weights, fmt=BFP12_BLOCK32)
+    assert plan_head(weights).perm.indices[-1] == 3  # the norm sort draws no model keys
+
+
+@pytest.mark.parametrize("fmt", [None, BFP12_BLOCK32], ids=["norm_sort", "format_plan"])
+def test_rope_tables_of_another_width_rejected_before_the_search(monkeypatch, fmt):
+    def no_search(*args):
+        raise AssertionError("the layout search ran")
+
+    monkeypatch.setattr(ksort, "cache_mse", no_search)
+    weights = gen_outlier_head(128, 16, OutlierSpec(4, 20.0, seed=0))
+    with pytest.raises(ShapeMismatch, match="width 64, got d_h 128"):
+        plan_head(weights, default_rope_tables(64), fmt=fmt)
+
+
+@pytest.mark.parametrize("block", [32, 64])
+def test_grouped_layout_fills_block_j_with_group_j_and_the_lightest_channels(block):
+    # every (groups, heavy) pair the search can try at d_h 128: group j (the
+    # heavy ranks split in order, larger groups first) starts block j, whose
+    # other channels are the lightest ones no earlier block took
+    d = 128
+    rank = np.random.default_rng(30).permutation(d)  # rank[c] is channel c's rank
+    asc = np.argsort(rank).astype(np.intp)
+    for g in range(1, d // block + 1):
+        for h in range(g, block + 1):
+            ranks = rank[_grouped_layout(asc, block, h, g).indices]
+            sizes = [h // g + (j < h % g) for j in range(g)]
+            light = heavy = 0
+            for j, size in enumerate(sizes):
+                got = ranks[j * block : (j + 1) * block]
+                group = range(d - h + heavy, d - h + heavy + size)
+                assert got[block - size :].tolist() == list(group), (g, h, j)
+                assert got[: block - size].tolist() == list(range(light, light + block - size))
+                light, heavy = light + block - size, heavy + size
+            assert ranks[g * block :].tolist() == list(range(light, d - h)), (g, h)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the layout search as it drew a fresh model sample on every call,
+# and the outlier-magnitude demo's own layout cost
+# ---------------------------------------------------------------------------
+
+
+def _oracle_expected_cache_mse(weights, perms, fmt, samples=ksort.COST_SAMPLES):
+    z = np.random.default_rng(ksort.COST_MODEL_SEED).standard_normal((samples, weights.d_h))
+    keys = z * row_norms(weights.w_k)
+    stacked = np.concatenate([keys[:, perm.indices] for perm in perms])
+    err = dequantize(quantize_tensor(stacked, fmt, blocking_axis=1)) - stacked
+    return np.square(err).reshape(len(perms), -1).mean(axis=1)
+
+
+def _oracle_cheapest_layout(weights, fmt):
+    norms = row_norms(weights.w_k)
+    n, d = fmt.block_size, weights.d_h
+    if d <= n:
+        return argsort_norms(norms)
+    asc = np.argsort(norms, kind="stable")
+    shortlist = []
+    for g in range(1, d // n + 1):
+        best, best_cost = None, np.inf
+        for lo in range(g, n + 1, ksort.SEARCH_CHUNK):
+            hs = range(lo, min(lo + ksort.SEARCH_CHUNK, n + 1))
+            layouts = [_grouped_layout(asc, n, h, g) for h in hs]
+            rough = _oracle_expected_cache_mse(weights, layouts, fmt, ksort.SEARCH_SAMPLES)
+            if rough.min() >= best_cost:
+                break
+            best, best_cost = layouts[int(np.argmin(rough))], rough.min()
+        shortlist.append(best)
+    candidates = [argsort_norms(norms), *shortlist, Permutation.identity(d)]
+    return candidates[int(np.argmin(_oracle_expected_cache_mse(weights, candidates, fmt)))]
+
+
+def _demo_cache_mse(keys, perms, fmt):
+    """Rows of ``perms`` are index arrays."""
+    k = keys[:, perms].transpose(1, 0, 2).reshape(-1, keys.shape[1])
+    err = dequantize(quantize_tensor(k, fmt, blocking_axis=1)) - k
+    return np.square(err).reshape(len(perms), -1).mean(axis=1)
+
+
+#: (d_h, d_model, outlier channels, block): criterion 5's heads, then ragged ones
+ORACLE_SHAPES = [(128, 256, 4, 32), (128, 256, 4, 64), (24, 64, 2, 16), (40, 64, 2, 16)]
+
+
+def test_format_plan_matches_the_per_call_draw_oracle():
+    for (d_h, d_model, n_out, block), scale, seed in itertools.product(
+        ORACLE_SHAPES, (5.0, 50.0, 100.0), range(5)
+    ):
+        weights = gen_outlier_head(d_h, d_model, OutlierSpec(n_out, scale, seed=seed))
+        tables = default_rope_tables(d_h)
+        fmt = BfpFormat(mantissa_bits=4, block_size=block)
+        plan = plan_head(weights, tables, fmt=fmt)
+        want = _oracle_cheapest_layout(weights, fmt)
+        assert np.array_equal(plan.perm.indices, want.indices), (d_h, scale, seed, block)
+        expected = remap_rope_tables(tables, want)
+        for name in ("theta", "partner", "sign"):
+            assert np.array_equal(getattr(plan.rope, name), getattr(expected, name))
+
+
+@pytest.mark.parametrize("block", [32, 64])
+def test_cache_mse_matches_the_demo_oracle_bit_for_bit(block):
+    fmt = BfpFormat(mantissa_bits=4, block_size=block)
+    rng = np.random.default_rng(31)
+    for scale in (5.0, 50.0):
+        weights = gen_outlier_head(128, 256, OutlierSpec(4, scale, seed=7))
+        keys = gen_activations(64, 256, 7) @ weights.w_k.T
+        perms = [
+            Permutation.identity(128),
+            plan_head(weights).perm,
+            plan_head(weights, fmt=fmt).perm,
+            *(Permutation(rng.permutation(128).astype(np.intp)) for _ in range(5)),
+        ]
+        got = cache_mse(keys, perms, fmt)
+        want = _demo_cache_mse(keys, np.stack([p.indices for p in perms]), fmt)
+        assert got.tobytes() == want.tobytes()

@@ -1,12 +1,14 @@
 """README: the ``## Command line`` block shows exactly the options each
-subcommand accepts.
+subcommand accepts, and every module name it cites in backticks exists.
 
 A flag added to or removed from :func:`bfpksort.cli.build_parser` without the
-README following (or the other way round) fails here.
+README following (or the other way round) fails here, and so does a renamed
+or deleted ``ksort.<name>``-style reference.
 """
 
 from __future__ import annotations
 
+import importlib
 import re
 from pathlib import Path
 
@@ -57,3 +59,26 @@ def test_readme_flags_match_the_parser(command):
         if flag.startswith("--") and flag != "--help"
     }
     assert shown == options, f"README shows {sorted(shown)}, parser takes {sorted(options)}"
+
+
+def _module_references() -> set[str]:
+    """Every ``bfp.``/``rope.``/``ksort.``/``simharness.``/``tensorio.``/``cli.``
+    dotted name inside an inline backtick span, fenced blocks left out."""
+    text = re.sub(r"```.*?```", "", README.read_text(), flags=re.DOTALL)
+    name = re.compile(r"(?<![\w.])(?:bfp|rope|ksort|simharness|tensorio|cli)(?:\.[A-Za-z_]\w*)+")
+    return {ref for span in re.findall(r"`([^`]+)`", text) for ref in name.findall(span)}
+
+
+def test_readme_module_references_exist():
+    refs = _module_references()
+    assert "simharness.SCORE_BLOCK_ELEMENTS" in refs  # the scan sees the README's references
+    missing = []
+    for ref in sorted(refs):
+        module, *attrs = ref.split(".")
+        obj = importlib.import_module(f"bfpksort.{module}")
+        for attr in attrs:
+            if not hasattr(obj, attr):
+                missing.append(ref)
+                break
+            obj = getattr(obj, attr)
+    assert not missing, f"README cites names that do not exist: {missing}"
