@@ -221,7 +221,6 @@ def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.n
         )
     np.maximum(e, fmt.exponent_min, out=e)  # tiny blocks underflow toward zero mantissas
     mant = np.rint(np.ldexp(values, -e[..., None]))
-    np.clip(mant, -fmt.mantissa_max, fmt.mantissa_max, out=mant)
     return e.astype(np.int32), mant.astype(np.int32)
 
 

@@ -8,11 +8,11 @@ both weight matrices can be reordered once, before inference, so that
 channels of similar magnitude end up adjacent and share blocks.
 
 The pass is purely static: compute Euclidean row norms of the key
-projection, argsort them in ascending order (when blocks do not tile the
-head, the largest channels then share the short last block), apply the
-permutation to the rows of both projections, and remap the rotary tables
-so the rotation keeps acting on the same logical pairs.  No calibration data
-is involved and nothing changes at inference time.
+projection in units of ``2**e``, ``e`` putting its largest weight in [0.5, 1),
+argsort them in ascending order, apply the permutation to the rows of both
+projections, and remap the rotary tables so the rotation keeps acting on the
+same logical pairs.  The scaling is exact, so no norm overflows and a head
+scaled by a power of two gets the same plan.  Nothing changes at inference.
 
 Grouping every large channel into one block is not always the cheapest
 layout: the grouped channels share the step set by the largest of them, and
@@ -20,9 +20,9 @@ at large outlier magnitudes that shared step costs more than grouping saves.
 Given the key cache's block format, :func:`plan_head` instead picks the
 channel layout of lowest cache MSE on a key sample (:func:`cache_mse`)
 among the plain norm sort, the identity and layouts that split the largest
-channels into a few blocks, each filled with the smallest channels.  Still no
+channels into a few blocks, each filled with the smallest channels.  No
 calibration data: the sample is a fixed draw from a Gaussian key model built
-from the projection weights alone, one caller of :func:`cache_mse`.
+from the norms in those units, one caller of :func:`cache_mse`.
 
 Note the rotary partner table holds channel *indices*, so it is not enough
 to permute it as an array like ``theta`` and ``sign``; its values must also
@@ -47,7 +47,6 @@ __all__ = [
     "Permutation",
     "PermutationPlan",
     "row_norms",
-    "argsort_norms",
     "remap_rope_tables",
     "cache_mse",
     "plan_head",
@@ -119,24 +118,24 @@ class Permutation:
         return np.take(x, self.indices, axis=axis)
 
 
-def row_norms(w) -> np.ndarray:
-    """Euclidean norm of each row, in double precision; inf beyond float range."""
+def _unit_row_norms(w) -> tuple[np.ndarray, int]:
+    """Row norms of ``w / 2**e``, and ``e``, which puts the largest ``|w|`` in
+    [0.5, 1): an exact scaling under which no finite ``w`` overflows."""
     w = np.asarray(w, dtype=np.float64)
     if w.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {w.shape}")
-    # square w / 2**e, its largest entry in [0.5, 1), so finite weights cannot
-    # overflow; the scaling is exact, so ordinary norms keep their bits
     _, e = np.frexp(np.abs(w).max(initial=0.0))
     sq = np.ldexp(w, -e)
-    sq *= sq
+    with np.errstate(over="ignore"):  # overflows only beside an inf or a NaN
+        sq *= sq
+    return np.sqrt(np.sum(sq, axis=1)), int(e)
+
+
+def row_norms(w) -> np.ndarray:
+    """Euclidean norm of each row, in double precision; inf beyond float range."""
+    norms, e = _unit_row_norms(w)
     with np.errstate(over="ignore"):
-        return np.ldexp(np.sqrt(np.sum(sq, axis=1)), e)
-
-
-def argsort_norms(norms) -> Permutation:
-    """Stable ascending argsort of the norms; ties keep their original relative order."""
-    norms = np.asarray(norms, dtype=np.float64)
-    return Permutation(np.argsort(norms, kind="stable").astype(np.intp))
+        return np.ldexp(norms, e)
 
 
 def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
@@ -194,6 +193,8 @@ def cache_mse(keys: np.ndarray, perms: list[Permutation], fmt: BfpFormat) -> np.
     """Key-cache MSE at ``fmt`` of each channel layout in ``perms`` on the
     key sample ``keys`` (one key per row, ``d_h`` columns).  Every layout is
     scored on the same keys, so equal inputs give equal costs."""
+    if keys.ndim != 2 or not keys.size or not perms:
+        raise ShapeMismatch(f"need (n, d_h) keys and layouts, got {keys.shape}, {len(perms)} layouts")
     if any(len(perm) != keys.shape[1] for perm in perms):
         raise ShapeMismatch(f"permutation lengths {list(map(len, perms))} != d_h {keys.shape[1]}")
     stacked = np.concatenate([keys[:, perm.indices] for perm in perms])
@@ -242,29 +243,27 @@ def plan_head(
     rope_tables: RopeTables | None = None,
     fmt: BfpFormat | None = None,
 ) -> PermutationPlan:
-    """Run the full sorting pass for one head.
+    """Run the full sorting pass for one head; non-finite key weights raise
+    :class:`InvalidValue`.
 
-    The permutation is the ascending argsort of key-row norms.  When the key
-    cache's block format ``fmt`` splits a key over several blocks, it is the
-    layout of lowest :func:`cache_mse` on the Gaussian model keys among the
-    norm sort, the identity and the grouped layouts (see the module docstring).
-
-    Deterministic: equal inputs produce bitwise-equal plans.
+    The permutation is the stable ascending argsort of key-row norms.  When
+    the key cache's block format ``fmt`` splits a key over several blocks, it
+    is the layout of lowest :func:`cache_mse` on the Gaussian model keys among
+    the norm sort, the identity and the grouped layouts (see the module
+    docstring).  Heads equal up to a power of two get bitwise-equal plans.
     """
     if rope_tables is not None and (weights.d_h % 2 or rope_tables.d_h != weights.d_h):
         raise ShapeMismatch(
             f"rotary tables need an even head dimension of their width {rope_tables.d_h}, "
             f"got d_h {weights.d_h}"
         )
-    norms = row_norms(weights.w_k)
-    perm = argsort_norms(norms)
+    norms, _ = _unit_row_norms(weights.w_k)
+    if not np.isfinite(norms).all():
+        raise InvalidValue("key-projection weights must be finite")
+    perm = Permutation(np.argsort(norms, kind="stable"))
     if fmt is not None and weights.d_h > fmt.block_size:
         z = np.random.default_rng(COST_MODEL_SEED).standard_normal((COST_SAMPLES, weights.d_h))
-        with np.errstate(over="ignore", invalid="ignore"):
-            keys = z * norms
-        if not np.isfinite(keys).all():
-            raise InvalidValue(f"model keys overflow: key-projection norms up to {norms.max():.4g}")
-        perm = _cheapest_layout(perm, keys, fmt)
+        perm = _cheapest_layout(perm, z * norms, fmt)
     return PermutationPlan(
         perm=perm,
         rope=remap_rope_tables(rope_tables, perm) if rope_tables is not None else None,

@@ -64,10 +64,10 @@ class OutlierSpec:
     def __post_init__(self) -> None:
         if self.n_outlier_channels < 0:
             raise ValueError("n_outlier_channels must be >= 0")
-        if self.outlier_scale < 1.0:
-            raise ValueError("outlier_scale must be >= 1")
-        if not self.base_std > 0.0:
-            raise ValueError("base_std must be positive")
+        if not 1.0 <= self.outlier_scale < math.inf:
+            raise ValueError(f"outlier_scale must be finite and >= 1, got {self.outlier_scale!r}")
+        if not 0.0 < self.base_std < math.inf:
+            raise ValueError(f"base_std must be finite and positive, got {self.base_std!r}")
 
 
 def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 import math
@@ -11,7 +12,6 @@ import pytest
 
 from bfpksort import (
     BfpFormat,
-    BfpKsortError,
     HeadWeights,
     OutlierSpec,
     Permutation,
@@ -29,8 +29,9 @@ from bfpksort import (
     simulate_decode,
 )
 from bfpksort import ksort
-from bfpksort.errors import InvalidRopeTables, ShapeMismatch
-from bfpksort.ksort import _grouped_layout, argsort_norms, cache_mse
+from bfpksort.bfp import BFP12_32, BFP12_64
+from bfpksort.errors import InvalidRopeTables, InvalidValue, ShapeMismatch
+from bfpksort.ksort import _grouped_layout, cache_mse
 
 
 def naive_row_norms(w):
@@ -86,23 +87,28 @@ def test_row_norms_rejects_vectors():
 
 
 # ---------------------------------------------------------------------------
-# argsort_norms / Permutation
+# norm order / Permutation
 # ---------------------------------------------------------------------------
 
 
+def _plain_plan(norms):
+    """``plan_head`` on a one-column head whose key-row norms are ``norms``."""
+    w = np.asarray(norms, dtype=np.float64)[:, None]
+    return plan_head(HeadWeights(w_k=w, w_q=w)).perm
+
+
 def test_ascending_order():
-    perm = argsort_norms([3.0, 1.0, 2.0])
-    assert perm.indices.tolist() == [1, 2, 0]
+    assert _plain_plan([3.0, 1.0, 2.0]).indices.tolist() == [1, 2, 0]
 
 
 def test_ties_keep_original_order():
-    assert argsort_norms([5.0, 5.0, 5.0]).indices.tolist() == [0, 1, 2]
+    assert _plain_plan([5.0, 5.0, 5.0]).indices.tolist() == [0, 1, 2]
 
 
 def test_sortedness_on_random_input():
     rng = np.random.default_rng(12)
     norms = rng.exponential(size=100)
-    perm = argsort_norms(norms)
+    perm = _plain_plan(norms)
     assert np.all(np.diff(norms[perm.indices]) >= 0)
 
 
@@ -341,6 +347,11 @@ def _model_keys(weights):
     return rng.standard_normal((ksort.COST_SAMPLES, weights.d_h)) * row_norms(weights.w_k)
 
 
+def _norm_sort(weights):
+    """The plain plan: key channels by ascending row norm, ties in index order."""
+    return Permutation(np.argsort(row_norms(weights.w_k), kind="stable"))
+
+
 def _outlier_blocks(weights, plan, block):
     """Block index of each of the four largest-norm channels after the plan."""
     top = np.argsort(row_norms(weights.w_k))[-4:]
@@ -366,7 +377,7 @@ def test_format_plan_is_cheapest_of_norm_sort_and_identity():
         plan = plan_head(weights, fmt=BFP12_BLOCK32)
         cost = cache_mse(
             _model_keys(weights),
-            [plan.perm, argsort_norms(row_norms(weights.w_k)), Permutation.identity(128)],
+            [plan.perm, _norm_sort(weights), Permutation.identity(128)],
             BFP12_BLOCK32,
         )
         assert cost[0] <= cost[1] and cost[0] <= cost[2]
@@ -396,7 +407,7 @@ def test_cache_mse_matches_gaussian_keys():
     # the cost on the model keys agrees with the measured MSE of keys from
     # unit Gaussian activations, the distribution the model stands for
     weights = gen_outlier_head(128, 256, OutlierSpec(4, 20.0, seed=5))
-    perm = argsort_norms(row_norms(weights.w_k))
+    perm = _norm_sort(weights)
     keys = np.random.default_rng(6).normal(size=(4096, 256)) @ weights.w_k.T
     for p in (Permutation.identity(128), perm):
         k = keys[:, p.indices]
@@ -412,18 +423,102 @@ def test_cache_mse_rejects_wrong_length():
         cache_mse(keys, [Permutation.identity(8), Permutation.identity(4)], BFP12_BLOCK32)
 
 
-def test_format_plan_whose_model_keys_overflow_float64_is_rejected():
-    # every key-row norm is finite, but the largest times a Gaussian draw is not;
-    # one package error naming the norms, and no numpy warning on the way
+@pytest.mark.parametrize(
+    "keys, n_perms, message",
+    [
+        (np.ones((4, 64)), 0, r"got \(4, 64\), 0 layouts"),
+        (np.ones(64), 1, r"got \(64,\), 1 layouts"),
+        (np.ones((0, 64)), 1, r"got \(0, 64\), 1 layouts"),
+    ],
+    ids=["no_layouts", "vector_sample", "zero_rows"],
+)
+def test_cache_mse_rejects_an_empty_or_flat_input(keys, n_perms, message):
+    with pytest.raises(ShapeMismatch, match=message):
+        cache_mse(keys, [Permutation.identity(64)] * n_perms, BFP12_32)
+
+
+def test_format_plan_whose_raw_model_keys_would_overflow_float64_plans():
+    # every key-row norm is finite, but the largest times a Gaussian draw is
+    # not; the model keys are drawn in units of the largest weight, so the
+    # head plans with no numpy warning (tier-1 turns warnings into errors)
     rng = np.random.default_rng(0)
     w_k = rng.normal(size=(128, 16))
     w_k[3] *= 3e307
     weights = HeadWeights(w_k=w_k, w_q=rng.normal(size=(128, 16)))
     assert np.isfinite(row_norms(w_k)).all()
-    message = r"model keys overflow: key-projection norms up to 1\.206e\+308"
-    with pytest.raises(BfpKsortError, match=message):
-        plan_head(weights, fmt=BFP12_BLOCK32)
-    assert plan_head(weights).perm.indices[-1] == 3  # the norm sort draws no model keys
+    assert plan_head(weights, fmt=BFP12_BLOCK32).perm.indices[-1] == 3
+    assert plan_head(weights).perm.indices[-1] == 3
+
+
+def _scaled(weights, k):
+    return HeadWeights(w_k=np.ldexp(weights.w_k, k), w_q=np.ldexp(weights.w_q, k))
+
+
+def _assert_same_plan(a, b):
+    assert np.array_equal(a.perm.indices, b.perm.indices)
+    if a.rope is not None or b.rope is not None:
+        for name in ("theta", "partner", "sign"):
+            assert np.array_equal(getattr(a.rope, name), getattr(b.rope, name)), name
+
+
+@pytest.mark.parametrize("fmt", [None, BFP12_32, BFP12_64], ids=["plain", "BFP12_32", "BFP12_64"])
+def test_plans_do_not_depend_on_the_heads_power_of_two_scale(fmt):
+    weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, seed=1))
+    tables = default_rope_tables(128)
+    plan = plan_head(weights, tables, fmt=fmt)
+    for k in (-1000, -300, -60, -1, 1, 60, 300, 1000):
+        _assert_same_plan(plan_head(_scaled(weights, k), tables, fmt=fmt), plan)
+
+
+def test_format_plan_of_a_head_beyond_the_key_exponent():
+    # a key-row norm of about 4e200 needs a BFP12 exponent far above 127; the
+    # plan costs layouts in units of the largest weight, so it plans as the
+    # 2**-664 copy (largest weight in [0.5, 1)) does
+    rng = np.random.default_rng(0)
+    w_k = rng.normal(size=(128, 16))
+    w_k[3] *= 1e200
+    weights = HeadWeights(w_k=w_k, w_q=rng.normal(size=(128, 16)))
+    plan = plan_head(weights, fmt=BFP12_32)
+    assert plan.perm.indices[-1] == 3
+    _assert_same_plan(plan, plan_head(_scaled(weights, -664), fmt=BFP12_32))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("fmt", [None, BFP12_32], ids=["plain", "BFP12_32"])
+def test_non_finite_key_weights_rejected_with_or_without_fmt(bad, fmt):
+    weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, seed=1))
+    w_k = weights.w_k.copy()
+    w_k[5, 7] = bad
+    w_k[6, 0] = 1e300  # its square overflows beside the non-finite entry, with no warning
+    with pytest.raises(InvalidValue, match="key-projection weights must be finite"):
+        plan_head(HeadWeights(w_k=w_k, w_q=weights.w_q), fmt=fmt)
+
+
+def test_format_plan_keeps_the_norm_sort_on_an_exact_tie():
+    # only channel 0 is nonzero, so every layout puts it alone among zeros in
+    # some block and costs the same; the norm sort, the first candidate, wins
+    w_k = np.zeros((64, 8))
+    w_k[0] = 1.0
+    plan = plan_head(HeadWeights(w_k=w_k, w_q=np.ones((64, 8))), fmt=BFP12_32)
+    assert plan.perm.indices.tolist() == [*range(1, 64), 0]
+
+
+#: SHA-256 over the plain, BFP12_32 and BFP12_64 plans (indices and remapped
+#: rotary tables) of seeds 0-2 at 5/20/50/100x.  Plans use no BLAS product,
+#: so unlike the report digests this one holds for any BLAS kernel.
+PLAN_DIGEST = "2f8a2816e9b47f585b098821c501e526d0140ae2c127dd830167fce4180b82d4"
+
+
+def test_plans_keep_their_digest():
+    digest = hashlib.sha256()
+    tables = default_rope_tables(128)
+    for seed, scale in itertools.product(range(3), (5.0, 20.0, 50.0, 100.0)):
+        weights = gen_outlier_head(128, 256, OutlierSpec(4, scale, seed=seed))
+        for fmt in (None, BFP12_32, BFP12_64):
+            plan = plan_head(weights, tables, fmt=fmt)
+            for a in (plan.perm.indices, plan.rope.theta, plan.rope.partner, plan.rope.sign):
+                digest.update(a.tobytes())
+    assert digest.hexdigest() == PLAN_DIGEST
 
 
 @pytest.mark.parametrize("fmt", [None, BFP12_BLOCK32], ids=["norm_sort", "format_plan"])
@@ -474,11 +569,10 @@ def _oracle_expected_cache_mse(weights, perms, fmt, samples=ksort.COST_SAMPLES):
 
 
 def _oracle_cheapest_layout(weights, fmt):
-    norms = row_norms(weights.w_k)
     n, d = fmt.block_size, weights.d_h
+    asc = np.argsort(row_norms(weights.w_k), kind="stable")
     if d <= n:
-        return argsort_norms(norms)
-    asc = np.argsort(norms, kind="stable")
+        return Permutation(asc)
     shortlist = []
     for g in range(1, d // n + 1):
         best, best_cost = None, np.inf
@@ -490,7 +584,7 @@ def _oracle_cheapest_layout(weights, fmt):
                 break
             best, best_cost = layouts[int(np.argmin(rough))], rough.min()
         shortlist.append(best)
-    candidates = [argsort_norms(norms), *shortlist, Permutation.identity(d)]
+    candidates = [Permutation(asc), *shortlist, Permutation.identity(d)]
     return candidates[int(np.argmin(_oracle_expected_cache_mse(weights, candidates, fmt)))]
 
 

@@ -91,6 +91,19 @@ def test_outlier_spec_validation():
             gen_outlier_head(4, 8, spec)
 
 
+def test_outlier_spec_rejects_non_finite_values():
+    # refused when the spec is built, naming the field, not later as an overflow
+    for kwargs in (
+        dict(outlier_scale=math.nan),
+        dict(outlier_scale=math.inf),
+        dict(outlier_scale=2.0, base_std=math.inf),
+        dict(outlier_scale=2.0, base_std=math.nan),
+    ):
+        field = "base_std" if "base_std" in kwargs else "outlier_scale"
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            OutlierSpec(1, **kwargs)
+
+
 # ---------------------------------------------------------------------------
 # simulate_decode
 # ---------------------------------------------------------------------------
