@@ -20,6 +20,7 @@ Everything here is a pure function over immutable inputs; no shared state.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -48,6 +49,16 @@ __all__ = [
 ]
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_finite_number(value) -> bool:
+    # compared, not converted, so an integer beyond float range is rejected, not overflowed
+    big = sys.float_info.max
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
+
+
 @dataclass(frozen=True)
 class BfpFormat:
     """Block format parameters: mantissa bits, block size, exponent bits."""
@@ -57,13 +68,13 @@ class BfpFormat:
     exponent_bits: int = 8
 
     def __post_init__(self) -> None:
-        if not 2 <= self.mantissa_bits <= 16:
-            raise ValueError(f"mantissa_bits must be in [2, 16], got {self.mantissa_bits}")
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be >= 1, got {self.block_size}")
         # exponents are applied with float64 ldexp; cap the width so scales stay representable
-        if not 2 <= self.exponent_bits <= 11:
-            raise ValueError(f"exponent_bits must be in [2, 11], got {self.exponent_bits}")
+        for name, low, high, bounds in (("mantissa_bits", 2, 16, "in [2, 16]"),
+                                        ("block_size", 1, math.inf, ">= 1"),
+                                        ("exponent_bits", 2, 11, "in [2, 11]")):
+            value = getattr(self, name)
+            if not (_is_int(value) and low <= value <= high):
+                raise InvalidValue(f"{name} must be an integer {bounds}, got {value!r}")
 
     @property
     def mantissa_max(self) -> int:
@@ -337,6 +348,9 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
 
     Inverse of :func:`pack` given the same format, logical shape and axis.
     """
+    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 0
+               for d in shape):
+        raise ShapeMismatch(f"dims must be integers >= 0, got shape {tuple(shape)!r}")
     shape = tuple(int(d) for d in shape)
     ndim = len(shape)
     if ndim == 0 or not -ndim <= blocking_axis < ndim:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bfp import BfpFormat, format_from_name
+from .bfp import BfpFormat, _is_finite_number, _is_int, format_from_name
 from .errors import (
     BfpKsortError,
     CorruptFile,
@@ -69,16 +69,6 @@ DEFAULT_GRID = (
 )
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    # compared, not converted, so an integer beyond float range is rejected, not overflowed
-    big = sys.float_info.max
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
-
-
 def _reject_repeats(name: str, items) -> None:
     # a repeated seed or pair would be run, written and averaged twice
     for item, count in collections.Counter(items).items():
@@ -112,7 +102,20 @@ class ExperimentConfig:
     seeds: tuple[int, ...] = tuple(range(20))
 
     def __post_init__(self) -> None:
-        # validate only, never coerce: report.json echoes the config as given
+        # container types first, so a string or an object is not read as an array; messages
+        # spell values as JSON (repr where JSON has no spelling)
+        formats, seeds = self.formats, self.seeds
+        if not (isinstance(formats, (list, tuple))
+                and all(isinstance(pair, (list, tuple)) and len(pair) == 2 for pair in formats)):
+            raise ValueError(f"formats must be an array of [format_q, format_k] arrays, "
+                             f"got {json.dumps(formats, default=repr)}")
+        if not isinstance(seeds, (list, tuple)):
+            raise ValueError(f"seeds must be an array of integers, "
+                             f"got {json.dumps(seeds, default=repr)}")
+        # lists or tuples are stored as tuples, so equal configs hash alike, and report.json
+        # echoes them as the same arrays; every other value is validated, never coerced
+        object.__setattr__(self, "formats", tuple(tuple(pair) for pair in formats))
+        object.__setattr__(self, "seeds", tuple(seeds))
         for name, low in (("d_h", 1), ("d_model", 1), ("n_tokens", 0), ("n_outlier_channels", 0)):
             value = getattr(self, name)
             if not _is_int(value) or value < low:
@@ -145,11 +148,11 @@ class ExperimentConfig:
         if not self.formats:
             raise ValueError("formats must name at least one [format_q, format_k] pair")
         for pair in self.formats:
-            if len(pair) != 2 or not all(isinstance(name, str) for name in pair):
+            if not all(isinstance(name, str) for name in pair):
                 raise ValueError(f"a format entry must be a pair of names, got {pair!r}")
             for name in pair:
                 resolve_format(name)
-        _reject_repeats("formats", [tuple(pair) for pair in self.formats])
+        _reject_repeats("formats", self.formats)
 
     def rope_tables(self, d_h: int) -> RopeTables | None:
         """The rotary tables of a ``d_h``-wide head, ``None`` with rotary off.
@@ -175,26 +178,11 @@ class ExperimentConfig:
         try:
             with open(path) as fh:
                 doc = json.load(fh)
-            # JSON types first, so a string or an object is not read as a list
             if not isinstance(doc, dict):
                 raise ValueError(f"a config must be a JSON object, got {json.dumps(doc)}")
-            formats = doc.get("formats", [])
-            if not (isinstance(formats, list)
-                    and all(isinstance(pair, list) and len(pair) == 2 for pair in formats)):
-                raise ValueError(
-                    f"formats must be an array of [format_q, format_k] arrays, "
-                    f"got {json.dumps(formats)}"
-                )
-            if not isinstance(doc.get("seeds", []), list):
-                raise ValueError(f"seeds must be an array of integers, got {json.dumps(doc['seeds'])}")
-            known = {f.name for f in dataclasses.fields(cls)}
-            unknown = set(doc) - known
+            unknown = set(doc) - {f.name for f in dataclasses.fields(cls)}
             if unknown:
                 raise ValueError(f"unknown config keys: {sorted(unknown)}")
-            if "formats" in doc:
-                doc["formats"] = tuple(tuple(pair) for pair in doc["formats"])
-            if "seeds" in doc:
-                doc["seeds"] = tuple(doc["seeds"])
             return cls(**doc)
         except RecursionError:  # JSON nested deeper than the parser recurses
             raise InvalidConfig("config nests too deeply") from None
@@ -248,26 +236,15 @@ def run_cell(
         rows = []
         for sorted_flag, use_plan in ((False, None), (True, plan)):
             trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
-            row = {
-                "format_q": name_q,
-                "format_k": name_k,
-                "sorted": sorted_flag,
-                "seed": seed,
+            cache = trace.key_cache
+            report = error_metrics(trace.keys, cache)
+            rows.append({
+                "format_q": name_q, "format_k": name_k, "sorted": sorted_flag, "seed": seed,
                 "logits_max_abs_err": score_max_abs_err(trace),
-            }
-            if trace.key_cache is None:  # float64 passthrough: exact
-                row.update(
-                    mse=0.0, sqnr_db=math.inf, max_abs_err=0.0, bits_per_element=64.0,
-                    cache_bytes=cfg.n_tokens * weights.d_h * 8,
-                )
-            else:
-                report = error_metrics(trace.keys, trace.key_cache)
-                row.update(
-                    mse=report.mse, sqnr_db=report.sqnr_db, max_abs_err=report.max_abs_err,
-                    bits_per_element=float(report.bits_per_element),
-                    cache_bytes=trace.key_cache.packed_nbytes,
-                )
-            rows.append(row)
+                "mse": report.mse, "sqnr_db": report.sqnr_db, "max_abs_err": report.max_abs_err,
+                "bits_per_element": float(report.bits_per_element),
+                "cache_bytes": trace.keys.nbytes if cache is None else cache.packed_nbytes,
+            })
         cells.append(rows)
     return cells
 

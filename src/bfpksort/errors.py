@@ -6,7 +6,7 @@ class BfpKsortError(Exception):
 
 
 class InvalidValue(BfpKsortError, ValueError):
-    """Input contains NaN/Inf or otherwise unquantizable values."""
+    """Input holds NaN/Inf or an unquantizable value, or a parameter outside its domain."""
 
 
 class ExponentOverflow(BfpKsortError, OverflowError):

@@ -98,8 +98,9 @@ class Permutation:
 
     def __post_init__(self) -> None:
         idx = self.indices
-        if idx.ndim != 1 or not np.array_equal(np.sort(idx), np.arange(idx.size)):
-            raise ValueError("permutation must be a bijection on 0..n-1")
+        if not (isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
+                and np.array_equal(np.sort(idx), np.arange(idx.size))):
+            raise InvalidValue(f"permutation must be 1-D integers, a bijection on 0..n-1, got {idx!r}")
 
     def __len__(self) -> int:
         return int(self.indices.size)

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .bfp import BfpFormat, BfpTensor, bits_per_element, dequantize, quantize_tensor
+from .bfp import _is_finite_number, _is_int
 from .errors import InvalidValue, PlanMismatch, ShapeMismatch
 from .ksort import HeadWeights, PermutationPlan
 from .rope import RopeTables, rope_apply
@@ -62,11 +64,13 @@ class OutlierSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_outlier_channels < 0:
-            raise ValueError("n_outlier_channels must be >= 0")
-        if not 1.0 <= self.outlier_scale < math.inf:
+        for name in ("n_outlier_channels", "seed"):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= 0):
+                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
+        if not (_is_finite_number(self.outlier_scale) and self.outlier_scale >= 1):
             raise ValueError(f"outlier_scale must be finite and >= 1, got {self.outlier_scale!r}")
-        if not 0.0 < self.base_std < math.inf:
+        if not (_is_finite_number(self.base_std) and self.base_std > 0):
             raise ValueError(f"base_std must be finite and positive, got {self.base_std!r}")
 
 
@@ -273,12 +277,16 @@ class ErrorReport:
     bits_per_element: object  # fractions.Fraction
 
 
-def error_metrics(reference, quantized: BfpTensor) -> ErrorReport:
+def error_metrics(reference, quantized: BfpTensor | None) -> ErrorReport:
     """Reconstruction error of ``quantized`` against the float reference.
 
-    Padding never appears (decoding strips it).  All reductions are
-    permutation-invariant, see module docstring.
+    ``None`` is lossless float64 storage, the ``key_cache`` of a lossless
+    decode: exact, so MSE and max error 0.0, SQNR +inf and 64 bits per
+    element, whatever the reference.  Padding never appears (decoding strips
+    it).  All reductions are permutation-invariant, see module docstring.
     """
+    if quantized is None:
+        return ErrorReport(mse=0.0, sqnr_db=math.inf, max_abs_err=0.0, bits_per_element=Fraction(64))
     ref = np.asarray(reference, dtype=np.float64)
     deq = dequantize(quantized)
     if ref.shape != deq.shape:

@@ -566,6 +566,16 @@ def test_unpack_bad_axis_rejected():
 
 
 @pytest.mark.parametrize(
+    "shape", [(4.9,), (True, 0), (-1,)], ids=["fractional", "bool", "negative"]
+)
+def test_unpack_refuses_a_dim_that_is_not_a_count(shape):
+    fmt = BfpFormat(mantissa_bits=4, block_size=4)
+    with pytest.raises(ShapeMismatch, match="dims must be integers >= 0"):
+        unpack(b"", fmt, shape)
+    assert unpack(b"", fmt, (np.int64(0),)).logical_shape == (0,)  # numpy integers are counts
+
+
+@pytest.mark.parametrize(
     "shape, axis", [((3,), 5), ((3,), -1), ((), 0)], ids=["past_end", "negative", "zero_dim"]
 )
 def test_tensor_axis_outside_shape_rejected(shape, axis):
@@ -618,6 +628,18 @@ def test_format_names_round_trip():
         for block_size in range(1, 257):
             fmt = BfpFormat(mantissa_bits, block_size)
             assert format_from_name(fmt.name) == fmt
+
+
+@pytest.mark.parametrize(
+    "args",
+    [(4, True), (4, 32.0), (4.5, 32), (True, 32), (4, 32, 8.0), (4, 32, False), (4, 0), (17, 32)],
+    ids=["bool_block", "float_block", "float_mantissa", "bool_mantissa", "float_exponent",
+         "bool_exponent", "block_0", "mantissa_17"],
+)
+def test_format_fields_must_be_integers_in_range(args):
+    # refused when built, before a name like BFP12_True or a raw TypeError on first use
+    with pytest.raises(InvalidValue, match="must be an integer"):
+        BfpFormat(*args)
 
 
 def test_format_validation():

@@ -109,8 +109,13 @@ def test_deeply_nested_config_is_invalid(tmp_path, capsys, text):
     "doc, message",
     [("d_h", 'a config must be a JSON object, got "d_h"'),
      ({"formats": ["BF"]}, 'formats must be an array of [format_q, format_k] arrays, got ["BF"]'),
-     ({"seeds": "7"}, 'seeds must be an array of integers, got "7"')],
-    ids=["top_level", "formats", "seeds"],
+     ({"seeds": "7"}, 'seeds must be an array of integers, got "7"'),
+     ({"seeds": 5}, "seeds must be an array of integers, got 5"),
+     ({"formats": "BFP16_32"},
+      'formats must be an array of [format_q, format_k] arrays, got "BFP16_32"'),
+     ({"formats": {"a": "b"}},
+      'formats must be an array of [format_q, format_k] arrays, got {"a": "b"}')],
+    ids=["top_level", "formats", "seeds", "seeds_number", "formats_string", "formats_object"],
 )
 def test_config_type_error_names_the_key(tmp_path, doc, message):
     # checked on the JSON as written, before a string is iterated as a list
@@ -119,6 +124,10 @@ def test_config_type_error_names_the_key(tmp_path, doc, message):
     with pytest.raises(ValueError) as exc:
         ExperimentConfig.from_json_file(str(path))
     assert str(exc.value) == message
+    if isinstance(doc, dict):  # a config built in Python checks itself alike
+        with pytest.raises(ValueError) as exc:
+            ExperimentConfig(**doc)
+        assert str(exc.value) == message
 
 
 def test_config_validation():
@@ -139,6 +148,10 @@ def test_config_validation():
         ValueError, match=r'formats must not repeat: \["BFP16_8", "BFP12_8"\] appears 3 times'
     ):
         tiny_config(formats=(pair, ("FP-lossless", "FP-lossless"), pair, pair))
+    # arrays given as lists are stored as tuples: the config equals, and hashes like, the default
+    listed = ExperimentConfig(formats=[list(p) for p in DEFAULT_GRID], seeds=list(range(20)))
+    assert (listed.formats, listed.seeds) == (DEFAULT_GRID, tuple(range(20)))
+    assert listed == ExperimentConfig() and hash(listed) == hash(ExperimentConfig())
 
 
 # ---------------------------------------------------------------------------

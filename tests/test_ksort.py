@@ -30,7 +30,7 @@ from bfpksort import (
 )
 from bfpksort import ksort
 from bfpksort.bfp import BFP12_32, BFP12_64
-from bfpksort.errors import InvalidRopeTables, InvalidValue, ShapeMismatch
+from bfpksort.errors import BfpKsortError, InvalidRopeTables, InvalidValue, ShapeMismatch
 from bfpksort.ksort import _grouped_layout, cache_mse
 
 
@@ -115,6 +115,16 @@ def test_sortedness_on_random_input():
 def test_permutation_bijectivity_enforced():
     with pytest.raises(ValueError):
         Permutation(np.array([0, 0, 2]))
+
+
+@pytest.mark.parametrize(
+    "indices", [[0, 0, 2], [1.0, 0.0], [True, False]], ids=["repeat", "float", "bool"]
+)
+def test_permutation_refuses_an_array_that_is_not_integer_indices(indices):
+    # one package error for every bad array, not a later cast error or a silent bool
+    with pytest.raises(ValueError) as exc:
+        Permutation(np.array(indices))
+    assert isinstance(exc.value, BfpKsortError)
 
 
 def test_inverse_composes_to_identity():

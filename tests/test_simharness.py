@@ -6,6 +6,7 @@ import itertools
 import math
 import tracemalloc
 from dataclasses import replace
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -38,6 +39,7 @@ from bfpksort import (
 )
 from bfpksort.bfp import BFP12_64, BFP16_64, BFP16_128
 from bfpksort.errors import InvalidValue, PlanMismatch, ShapeMismatch
+from bfpksort.simharness import ErrorReport
 
 BFP12_4 = BfpFormat(mantissa_bits=4, block_size=4)
 
@@ -89,6 +91,20 @@ def test_outlier_spec_validation():
     for spec in (OutlierSpec(1, 1e308, base_std=10.0), OutlierSpec(0, 1.0, base_std=1e308)):
         with pytest.raises(ValueError, match="weights overflow float64"):
             gen_outlier_head(4, 8, spec)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("n_outlier_channels", 1.5), ("n_outlier_channels", True), ("seed", 1.5), ("seed", -1),
+     ("outlier_scale", 10**400), ("outlier_scale", True), ("base_std", True),
+     ("base_std", 10**400)],
+    ids=["fractional_channels", "bool_channels", "fractional_seed", "negative_seed",
+         "huge_scale", "bool_scale", "bool_std", "huge_std"],
+)
+def test_outlier_spec_rejects_a_field_of_the_wrong_type(field, value):
+    # refused when the spec is built, naming the field, not later by numpy or a float cast
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        OutlierSpec(**{"n_outlier_channels": 1, "outlier_scale": 2.0, field: value})
 
 
 def test_outlier_spec_rejects_non_finite_values():
@@ -756,6 +772,12 @@ def test_lossless_reconstruction_reports_infinite_sqnr():
     assert rep.mse == 0.0
     assert rep.max_abs_err == 0.0
     assert math.isinf(rep.sqnr_db)
+
+
+def test_lossless_storage_reports_exact_64_bit_storage():
+    # key_cache None, a lossless decode's float64 cache, is exact whatever the reference holds
+    for keys in (np.arange(12.0).reshape(3, 4), np.zeros((3, 4)), np.zeros((0, 4))):
+        assert error_metrics(keys, None) == ErrorReport(0.0, math.inf, 0.0, Fraction(64))
 
 
 def test_all_zero_reference_flags_degenerate():
