@@ -20,13 +20,12 @@ Everything here is a pure function over immutable inputs; no shared state.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .errors import CorruptBuffer, ExponentOverflow, InvalidValue, ShapeMismatch
+from .errors import CorruptBuffer, ExponentOverflow, InvalidValue, ShapeMismatch, _require_int
 
 __all__ = [
     "BfpFormat",
@@ -49,16 +48,6 @@ __all__ = [
 ]
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_finite_number(value) -> bool:
-    # compared, not converted, so an integer beyond float range is rejected, not overflowed
-    big = sys.float_info.max
-    return isinstance(value, (int, float)) and not isinstance(value, bool) and -big <= value <= big
-
-
 @dataclass(frozen=True)
 class BfpFormat:
     """Block format parameters: mantissa bits, block size, exponent bits."""
@@ -68,13 +57,10 @@ class BfpFormat:
     exponent_bits: int = 8
 
     def __post_init__(self) -> None:
+        _require_int("mantissa_bits", self.mantissa_bits, 2, 16)
+        _require_int("block_size", self.block_size, 1)
         # exponents are applied with float64 ldexp; cap the width so scales stay representable
-        for name, low, high, bounds in (("mantissa_bits", 2, 16, "in [2, 16]"),
-                                        ("block_size", 1, math.inf, ">= 1"),
-                                        ("exponent_bits", 2, 11, "in [2, 11]")):
-            value = getattr(self, name)
-            if not (_is_int(value) and low <= value <= high):
-                raise InvalidValue(f"{name} must be an integer {bounds}, got {value!r}")
+        _require_int("exponent_bits", self.exponent_bits, 2, 11)
 
     @property
     def mantissa_max(self) -> int:
@@ -117,15 +103,15 @@ def format_from_name(name: str) -> BfpFormat:
     """The format whose :attr:`BfpFormat.name` is ``name``, such as ``"BFP12_64"``.
 
     The exact inverse of :attr:`BfpFormat.name`: any other spelling (``"BFP12_064"``,
-    ``"bfp12_64"``, ``"BFP12_+64"``) raises :class:`ValueError`.
+    ``"bfp12_64"``, ``"BFP12_+64"``, or not a string) raises :class:`InvalidValue`.
     """
-    family, _, size = name.partition("_")
+    family, _, size = str(name).partition("_")  # a non-string fails the name comparison
     try:
         fmt = BfpFormat(mantissa_bits=_PRESET_MANTISSA_BITS[family], block_size=int(size))
     except (KeyError, ValueError):
         fmt = None
     if fmt is None or fmt.name != name:
-        raise ValueError(f"unknown format name {name!r}")
+        raise InvalidValue(f"unknown format name {name!r}")
     return fmt
 
 
@@ -163,6 +149,7 @@ class BfpTensor:
     mantissas: np.ndarray  # int32
 
     def __post_init__(self) -> None:
+        _check_dims(self.logical_shape)
         n = self.fmt.block_size
         if not 0 <= self.blocking_axis < len(self.logical_shape):
             raise ShapeMismatch(
@@ -197,6 +184,12 @@ class BfpTensor:
     @property
     def packed_nbytes(self) -> int:
         return self.num_blocks * self.fmt.bytes_per_block
+
+
+def _check_dims(shape) -> tuple[int, ...]:
+    if any(isinstance(d, bool) or not isinstance(d, (int, np.integer)) or d < 0 for d in shape):
+        raise ShapeMismatch(f"dims must be integers >= 0, got shape {tuple(shape)!r}")
+    return tuple(int(d) for d in shape)
 
 
 def _block_grid(shape: tuple[int, ...], axis: int, n: int) -> tuple[int, ...]:
@@ -348,10 +341,7 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
 
     Inverse of :func:`pack` given the same format, logical shape and axis.
     """
-    if not all(isinstance(d, (int, np.integer)) and not isinstance(d, bool) and d >= 0
-               for d in shape):
-        raise ShapeMismatch(f"dims must be integers >= 0, got shape {tuple(shape)!r}")
-    shape = tuple(int(d) for d in shape)
+    shape = _check_dims(shape)  # before the buffer is sized from it
     ndim = len(shape)
     if ndim == 0 or not -ndim <= blocking_axis < ndim:
         raise ShapeMismatch(f"axis {blocking_axis} out of range for shape {shape}")

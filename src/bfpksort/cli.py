@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bfp import BfpFormat, _is_finite_number, _is_int, format_from_name
+from .bfp import BfpFormat, format_from_name
 from .errors import (
     BfpKsortError,
     CorruptFile,
@@ -42,6 +42,7 @@ from .errors import (
     ShapeMismatch,
     UnsupportedVersion,
 )
+from .errors import _require_int, _require_real
 from .ksort import HeadWeights, plan_head
 from .rope import DEFAULT_BASE, LAYOUTS, RopeTables, default_rope_tables
 from .simharness import (
@@ -116,23 +117,16 @@ class ExperimentConfig:
         # echoes them as the same arrays; every other value is validated, never coerced
         object.__setattr__(self, "formats", tuple(tuple(pair) for pair in formats))
         object.__setattr__(self, "seeds", tuple(seeds))
-        for name, low in (("d_h", 1), ("d_model", 1), ("n_tokens", 0), ("n_outlier_channels", 0)):
-            value = getattr(self, name)
-            if not _is_int(value) or value < low:
-                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name, low in (("d_h", 1), ("d_model", 1), ("n_tokens", 0)):
+            _require_int(name, getattr(self, name), low)
+        OutlierSpec(self.n_outlier_channels, self.outlier_scale, self.base_std)  # checks all three
         if self.n_outlier_channels > self.d_h:
             raise ValueError(f"{self.n_outlier_channels} outlier channels > d_h={self.d_h}")
-        for name in ("outlier_scale", "base_std", "rope_base"):
-            value = getattr(self, name)
-            if not _is_finite_number(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
-        OutlierSpec(self.n_outlier_channels, self.outlier_scale, self.base_std)  # range checks
-        if self.rope_base <= 0:
-            raise ValueError(f"rope_base must be positive, got {self.rope_base!r}")
+        _require_real("rope_base", self.rope_base, 0, above=True)
         if not self.seeds:
             raise ValueError("seeds must be non-empty")
-        if not all(_is_int(s) and s >= 0 for s in self.seeds):
-            raise ValueError(f"seeds must be non-negative integers, got {list(self.seeds)!r}")
+        for seed in self.seeds:
+            _require_int("a seed", seed)
         _reject_repeats("seeds", self.seeds)
         if (self.wk_path is None) != (self.wq_path is None):
             raise ValueError("wk_path and wq_path must be given together")
@@ -275,12 +269,11 @@ def run(cfg: ExperimentConfig, out_dir: str = ".", workers: int = 1) -> tuple[st
     process unless ``workers > 1``, which runs them on a pool of
     ``min(workers, len(cfg.seeds))`` processes.  Rows are reported pair by
     pair, then seed by seed, in config order, whatever the completion order.
-    A ``workers`` below 1 raises :class:`ValueError`, and an imported head
-    that no cell could run raises :class:`InvalidConfig`, both before any
-    cell starts.
+    A ``workers`` that is not an integer >= 1 raises :class:`InvalidValue`,
+    and an imported head that no cell could run raises :class:`InvalidConfig`,
+    both before any cell starts.
     """
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"workers must be an integer >= 1, got {workers!r}")
+    _require_int("workers", workers, 1)
     imported = None
     if cfg.wk_path is not None:
         imported = _load_head(cfg.wk_path, cfg.wq_path)
@@ -363,10 +356,9 @@ FAILURES = {
 def _worker_count(text: str) -> int:
     try:
         value = int(text)
+        _require_int("workers", value, 1)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}") from None
     return value
 
 

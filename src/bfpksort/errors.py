@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one policy for scalar parameters."""
+
+import sys
 
 
 class BfpKsortError(Exception):
@@ -43,3 +45,19 @@ class CorruptFile(BfpKsortError, ValueError):
 
 class UnsupportedVersion(BfpKsortError, ValueError):
     """Tensor container was written by an unknown format revision."""
+
+
+def _require_int(name: str, value, low: int = 0, high: int | None = None) -> None:
+    """Raise :class:`InvalidValue` unless ``value`` is an int, not a bool, in ``[low, high]``."""
+    if not (isinstance(value, int) and not isinstance(value, bool)
+            and low <= value and (high is None or value <= high)):
+        bounds = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise InvalidValue(f"{name} must be an integer {bounds}, got {value!r}")
+
+
+def _require_real(name: str, value, low, *, above: bool = False) -> None:
+    """Raise :class:`InvalidValue` unless ``value`` is a finite int or float, not a bool, and
+    ``>= low`` (``> low`` with ``above``): compared, never converted, so ``10**400`` is refused."""
+    if not (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and value <= sys.float_info.max and (value > low if above else value >= low)):
+        raise InvalidValue(f"{name} must be finite and {'>' if above else '>='} {low}, got {value!r}")

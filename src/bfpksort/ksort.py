@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, dequantize, quantize_tensor
-from .errors import InvalidValue, ShapeMismatch
+from .errors import InvalidValue, ShapeMismatch, _require_int
 from .rope import RopeTables
 
 __all__ = [
@@ -107,6 +107,7 @@ class Permutation:
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
+        _require_int("n", n)
         return cls(np.arange(n, dtype=np.intp))
 
     def inverse(self) -> "Permutation":

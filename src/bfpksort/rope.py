@@ -19,12 +19,11 @@ the weight-sorting pass relies on.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRopeTables, ShapeMismatch
+from .errors import InvalidRopeTables, InvalidValue, ShapeMismatch, _require_int, _require_real
 
 __all__ = ["RopeTables", "default_rope_tables", "rope_apply"]
 
@@ -73,18 +72,18 @@ def default_rope_tables(
     ``interleaved`` pairs adjacent channels ``(0, 1), (2, 3), ...`` with the
     frequency vector ``[t1, t1, t2, t2, ...]``; ``half_split`` pairs channel
     ``j`` with ``j + d_h/2`` and repeats the frequencies as
-    ``[t1..t_{d_h/2}, t1..t_{d_h/2}]``.  A base so small that a frequency
-    overflows raises :class:`ValueError`.
+    ``[t1..t_{d_h/2}, t1..t_{d_h/2}]``.  An odd ``d_h``, a base <= 0, or one so
+    small that a frequency overflows raises :class:`InvalidValue`.
     """
-    if d_h < 2 or d_h % 2:
-        raise ValueError(f"d_h must be even and >= 2, got {d_h}")
-    if not (math.isfinite(base) and base > 0.0):
-        raise ValueError(f"base must be finite and positive, got {base}")
+    _require_int("d_h", d_h, 2)
+    if d_h % 2:
+        raise InvalidValue(f"d_h must be even and >= 2, got {d_h}")
+    _require_real("base", base, 0, above=True)
     half = d_h // 2
     with np.errstate(over="ignore"):
         freqs = float(base) ** (-2.0 * np.arange(half) / d_h)
     if not np.all(np.isfinite(freqs)):
-        raise ValueError(f"base {base} overflows the rotary frequencies at d_h={d_h}")
+        raise InvalidValue(f"base {base} overflows the rotary frequencies at d_h={d_h}")
     if layout == "interleaved":
         theta = np.repeat(freqs, 2)
         partner = np.arange(d_h, dtype=np.intp).reshape(half, 2)[:, ::-1].reshape(-1)
@@ -98,7 +97,7 @@ def default_rope_tables(
             [np.full(half, -1, dtype=np.int8), np.full(half, 1, dtype=np.int8)]
         )
     else:
-        raise ValueError(f"layout must be one of {LAYOUTS}, got {layout!r}")
+        raise InvalidValue(f"layout must be one of {LAYOUTS}, got {layout!r}")
     return RopeTables(theta=theta, partner=partner, sign=sign)
 
 
@@ -114,7 +113,7 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     gathered back to the columns, and the sign is folded into the sine:
     multiplying by +/-1 is exact, so ``(sign*x_p)*sin == x_p*(sign*sin)``,
     signed zeros included.  An angle that is not finite raises
-    :class:`ValueError`.
+    :class:`InvalidValue`.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
@@ -125,7 +124,7 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     with np.errstate(over="ignore", invalid="ignore"):
         angles = np.expand_dims(np.asarray(m, dtype=np.float64), -1) * bits.view(np.float64)
     if not np.isfinite(angles).all():
-        raise ValueError("a rotary angle m * theta is not finite")
+        raise InvalidValue("a rotary angle m * theta is not finite")
     out = x * np.take(np.cos(angles), column, axis=-1)
     sin = np.take(np.sin(angles, out=angles), column, axis=-1)
     del angles  # freed before the gather, so the peak holds only out, sin and t

@@ -36,8 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .bfp import BfpFormat, BfpTensor, bits_per_element, dequantize, quantize_tensor
-from .bfp import _is_finite_number, _is_int
-from .errors import InvalidValue, PlanMismatch, ShapeMismatch
+from .errors import InvalidValue, PlanMismatch, ShapeMismatch, _require_int, _require_real
 from .ksort import HeadWeights, PermutationPlan
 from .rope import RopeTables, rope_apply
 
@@ -64,14 +63,10 @@ class OutlierSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("n_outlier_channels", "seed"):
-            value = getattr(self, name)
-            if not (_is_int(value) and value >= 0):
-                raise ValueError(f"{name} must be an integer >= 0, got {value!r}")
-        if not (_is_finite_number(self.outlier_scale) and self.outlier_scale >= 1):
-            raise ValueError(f"outlier_scale must be finite and >= 1, got {self.outlier_scale!r}")
-        if not (_is_finite_number(self.base_std) and self.base_std > 0):
-            raise ValueError(f"base_std must be finite and positive, got {self.base_std!r}")
+        _require_int("n_outlier_channels", self.n_outlier_channels)
+        _require_int("seed", self.seed)
+        _require_real("outlier_scale", self.outlier_scale, 1)
+        _require_real("base_std", self.base_std, 0, above=True)
 
 
 def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:
@@ -79,10 +74,12 @@ def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:
 
     Consumes ``default_rng(spec.seed)`` in a fixed order (key matrix, outlier
     row choice, query matrix), so equal specs give bitwise-equal weights.
-    A spec whose weights overflow float64 raises :class:`ValueError`.
+    A spec whose weights overflow float64 raises :class:`InvalidValue`.
     """
+    _require_int("d_h", d_h)
+    _require_int("d_model", d_model)
     if spec.n_outlier_channels > d_h:
-        raise ValueError(f"{spec.n_outlier_channels} outlier channels > d_h={d_h}")
+        raise InvalidValue(f"{spec.n_outlier_channels} outlier channels > d_h={d_h}")
     rng = np.random.default_rng(spec.seed)
     w_k = rng.normal(0.0, spec.base_std, size=(d_h, d_model))
     rows = rng.choice(d_h, size=spec.n_outlier_channels, replace=False)
@@ -90,7 +87,7 @@ def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:
         w_k[rows] *= spec.outlier_scale
     w_q = rng.normal(0.0, spec.base_std, size=(d_h, d_model))
     if not (np.isfinite(w_k).all() and np.isfinite(w_q).all()):
-        raise ValueError(
+        raise InvalidValue(
             f"weights overflow float64 at base_std={spec.base_std}, "
             f"outlier_scale={spec.outlier_scale}"
         )
@@ -103,6 +100,9 @@ def gen_activations(n_tokens: int, d_model: int, seed: int = 0) -> np.ndarray:
     Drawn from a stream keyed by ``(seed, 1)`` so the weight matrices of
     :func:`gen_outlier_head` stay fixed when the token count changes.
     """
+    _require_int("n_tokens", n_tokens)
+    _require_int("d_model", d_model)
+    _require_int("seed", seed)
     rng = np.random.default_rng([seed, 1])
     return rng.normal(0.0, 1.0, size=(n_tokens, d_model))
 

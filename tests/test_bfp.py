@@ -632,13 +632,20 @@ def test_format_names_round_trip():
 
 @pytest.mark.parametrize(
     "args",
-    [(4, True), (4, 32.0), (4.5, 32), (True, 32), (4, 32, 8.0), (4, 32, False), (4, 0), (17, 32)],
+    [(4, True), (4, 32.0), (4.5, 32), (True, 32), (4, 32, 8.0), (4, 32, False), (4, 0), (17, 32),
+     (4, 2.5), (4, -1), (4, math.nan), (4, "8"), (10**400, 32), (4, 32, -1), (4, 32, math.nan),
+     (4, 32, 10**400), ("8", 32)],
     ids=["bool_block", "float_block", "float_mantissa", "bool_mantissa", "float_exponent",
-         "bool_exponent", "block_0", "mantissa_17"],
+         "bool_exponent", "block_0", "mantissa_17", "fractional_block", "negative_block",
+         "nan_block", "string_block", "huge_mantissa", "negative_exponent", "nan_exponent",
+         "huge_exponent", "string_mantissa"],
 )
 def test_format_fields_must_be_integers_in_range(args):
-    # refused when built, before a name like BFP12_True or a raw TypeError on first use
-    with pytest.raises(InvalidValue, match="must be an integer"):
+    # refused when built, before a name like BFP12_True or a raw TypeError on first use;
+    # the message names the first field out of range
+    fields = zip(("mantissa_bits", "block_size", "exponent_bits"), args, (4, 32, 8))
+    field = next(name for name, value, ok in fields if (type(value), value) != (int, ok))
+    with pytest.raises(InvalidValue, match=f"^{field} must be an integer"):
         BfpFormat(*args)
 
 

@@ -38,6 +38,7 @@ from bfpksort.cli import (
     run,
     run_cell,
 )
+from bfpksort.errors import InvalidValue
 from bfpksort.simharness import ErrorReport
 
 
@@ -152,6 +153,19 @@ def test_config_validation():
     listed = ExperimentConfig(formats=[list(p) for p in DEFAULT_GRID], seeds=list(range(20)))
     assert (listed.formats, listed.seeds) == (DEFAULT_GRID, tuple(range(20)))
     assert listed == ExperimentConfig() and hash(listed) == hash(ExperimentConfig())
+    # every size, scale, base and seed is refused alike, naming the field; the one value
+    # skipped per field is legal for its type (a huge count, a fractional real)
+    scalars = {"bool": True, "fraction": 2.5, "negative": -1, "nan": math.nan,
+               "huge": 10**400, "string": "8"}
+    for field, legal in (("d_h", "huge"), ("d_model", "huge"), ("n_tokens", "huge"),
+                         ("n_outlier_channels", "huge"), ("outlier_scale", "fraction"),
+                         ("base_std", "fraction"), ("rope_base", "fraction"), ("seeds", "huge")):
+        for kind, value in scalars.items():
+            if kind == legal:
+                continue
+            name, value = ("a seed", (value,)) if field == "seeds" else (field, value)
+            with pytest.raises(InvalidValue, match=f"^{name} must be"):
+                tiny_config(**{field: value})
 
 
 # ---------------------------------------------------------------------------

@@ -97,13 +97,17 @@ def test_outlier_spec_validation():
     "field, value",
     [("n_outlier_channels", 1.5), ("n_outlier_channels", True), ("seed", 1.5), ("seed", -1),
      ("outlier_scale", 10**400), ("outlier_scale", True), ("base_std", True),
-     ("base_std", 10**400)],
+     ("base_std", 10**400), ("n_outlier_channels", -1), ("n_outlier_channels", math.nan),
+     ("n_outlier_channels", "8"), ("seed", True), ("seed", math.nan), ("seed", "8"),
+     ("outlier_scale", -1), ("outlier_scale", "8"), ("base_std", -1), ("base_std", "8")],
     ids=["fractional_channels", "bool_channels", "fractional_seed", "negative_seed",
-         "huge_scale", "bool_scale", "bool_std", "huge_std"],
+         "huge_scale", "bool_scale", "bool_std", "huge_std", "negative_channels",
+         "nan_channels", "string_channels", "bool_seed", "nan_seed", "string_seed",
+         "negative_scale", "string_scale", "negative_std", "string_std"],
 )
 def test_outlier_spec_rejects_a_field_of_the_wrong_type(field, value):
     # refused when the spec is built, naming the field, not later by numpy or a float cast
-    with pytest.raises(ValueError, match=f"^{field} must be"):
+    with pytest.raises(InvalidValue, match=f"^{field} must be"):
         OutlierSpec(**{"n_outlier_channels": 1, "outlier_scale": 2.0, field: value})
 
 
