@@ -192,6 +192,15 @@ def _check_dims(shape) -> tuple[int, ...]:
     return tuple(int(d) for d in shape)
 
 
+def _axis(blocking_axis, shape: tuple[int, ...]) -> int:
+    """``blocking_axis`` as an index in ``[0, len(shape))``; negative values count from the end."""
+    if isinstance(blocking_axis, bool) or not isinstance(blocking_axis, (int, np.integer)):
+        raise ShapeMismatch(f"blocking_axis must be an integer, got {blocking_axis!r}")
+    if not -len(shape) <= blocking_axis < len(shape):
+        raise ShapeMismatch(f"axis {blocking_axis} out of range for shape {shape}")
+    return int(blocking_axis) % len(shape)
+
+
 def _block_grid(shape: tuple[int, ...], axis: int, n: int) -> tuple[int, ...]:
     """Exponent-array shape: the dims other than ``axis``, then ``ceil(shape[axis] / n)``."""
     return tuple(d for i, d in enumerate(shape) if i != axis) + (-(-shape[axis] // n),)
@@ -203,20 +212,22 @@ def _minimal_exponents(max_abs: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     For max_abs = f * 2**k (f in [0.5, 1)), e = k - (p-1) scales the maximum
     into [2**(p-2), 2**(p-1)); only rounding up to 2**(p-1) can overflow, in
     which case e is bumped by one.  Any smaller e puts the scaled maximum at
-    or above 2**(p-1), which always rounds outside the range.
+    or above 2**(p-1), which always rounds outside the range.  The exponents
+    stay the int32 that ``frexp`` returns: ``ldexp`` is several times slower
+    with int64 ones.
     """
-    _, k = np.frexp(max_abs)
-    e = k.astype(np.int64) - (fmt.mantissa_bits - 1)
-    overflow = np.rint(np.ldexp(max_abs, -e)) > fmt.mantissa_max
-    return e + overflow
+    _, e = np.frexp(max_abs)
+    e -= fmt.mantissa_bits - 1
+    scaled = np.ldexp(max_abs, -e)
+    e += np.rint(scaled, out=scaled) > fmt.mantissa_max
+    return e
 
 
 def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Encode ``values`` of shape (..., n) into (exponents, mantissas)."""
+    """Encode ``values`` of shape (..., n) into int32 (exponents, mantissas)."""
     max_abs = np.abs(values).max(axis=-1)
-    zero = max_abs == 0.0
     e = _minimal_exponents(max_abs, fmt)
-    e[zero] = fmt.exponent_min
+    e[max_abs == 0.0] = fmt.exponent_min
     if np.any(e > fmt.exponent_max):
         where = tuple(np.argwhere(e > fmt.exponent_max)[0].tolist())
         raise ExponentOverflow(
@@ -224,8 +235,8 @@ def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.n
             f"{e[where]}, above the {fmt.exponent_bits}-bit maximum {fmt.exponent_max}"
         )
     np.maximum(e, fmt.exponent_min, out=e)  # tiny blocks underflow toward zero mantissas
-    mant = np.rint(np.ldexp(values, -e[..., None]))
-    return e.astype(np.int32), mant.astype(np.int32)
+    mant = np.ldexp(values, -e[..., None])
+    return e, np.rint(mant, out=mant).astype(np.int32)
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -251,9 +262,7 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
     a ragged tail is zero-padded.  Blocks never span rows.
     """
     arr = np.asarray(x, dtype=np.float64)
-    if not -arr.ndim <= blocking_axis < arr.ndim:
-        raise ShapeMismatch(f"axis {blocking_axis} out of range for shape {arr.shape}")
-    axis = blocking_axis % arr.ndim
+    axis = _axis(blocking_axis, arr.shape)
     _check_finite(arr)
 
     n = fmt.block_size
@@ -274,7 +283,8 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
 
 def dequantize(t: BfpTensor) -> np.ndarray:
     """Decode to float64: element i of block k is ``2**e_k * M_{k,i}``."""
-    vals = np.ldexp(t.mantissas.astype(np.float64), t.exponents[..., None])
+    vals = t.mantissas.astype(np.float64)
+    np.ldexp(vals, t.exponents[..., None], out=vals)
     flat = vals.reshape(vals.shape[:-2] + (vals.shape[-2] * vals.shape[-1],))
     axis_len = t.logical_shape[t.blocking_axis]
     return np.moveaxis(flat[..., :axis_len], -1, t.blocking_axis)
@@ -305,47 +315,66 @@ def bfp_dot(a: BfpTensor, k: BfpTensor) -> float:
 # followed by n p-bit two's-complement mantissas, filled least significant
 # bit first; each block is padded up to a byte boundary and blocks are
 # concatenated.  Byte order within a block is little-endian.
+#
+# The kernels move whole classes of fields at once, not single fields.
+# Mantissa j starts at bit b + j*p.  With period = 8 / gcd(p, 8), period*p is
+# the least common multiple of p and 8, so the mantissas j = r, r + period,
+# r + 2*period, ... start at the same bit within their byte and one after
+# another at a fixed stride of period*p/8 bytes.  Each of those residue
+# classes is therefore a strided slice of the block's bytes, one per byte a
+# field spans (at most 3: p <= 16 plus a shift <= 7).  With the exponent as a
+# class of its own, a block has at most 1 + 8 classes, whatever its size.
 # ---------------------------------------------------------------------------
 
 
-def _fields(fmt: BfpFormat):
-    """Bit offset and width of each field of a block: the exponent, then mantissa 0..n-1."""
-    yield 0, fmt.exponent_bits
-    for j in range(fmt.block_size):
-        yield fmt.exponent_bits + j * fmt.mantissa_bits, fmt.mantissa_bits
+def _field_classes(fmt: BfpFormat):
+    """The fields of a block by class: ``(fields, offset, width, stride)``.
+
+    ``fields`` ranges over field numbers, 0 for the exponent and ``j + 1`` for
+    mantissa ``j``; the class's first field starts at bit ``offset`` and each
+    next one ``stride`` bytes later, all ``width`` bits wide.
+    """
+    b, p, n = fmt.exponent_bits, fmt.mantissa_bits, fmt.block_size
+    yield range(1), 0, b, 1
+    period = 8 // math.gcd(p, 8)
+    for r in range(min(period, n)):
+        yield range(1 + r, n + 1, period), b + r * p, p, period * p // 8
 
 
-def _byte_span(offset: int, width: int) -> range:
-    # a field covers at most 3 bytes: width <= 16 plus an in-byte shift <= 7
-    return range(offset >> 3, ((offset + width - 1) >> 3) + 1)
+def _class_slots(exps: np.ndarray, mants: np.ndarray, raw: np.ndarray, fmt: BfpFormat):
+    """For each field class of ``fmt``: the view of ``exps``/``mants`` that holds its fields,
+    their width and in-byte shift, and the view of ``raw`` for each byte they span; every
+    view has one row per block."""
+    for fields, offset, width, stride in _field_classes(fmt):
+        values = exps[:, None] if fields.start == 0 else mants[:, fields.start - 1 :: fields.step]
+        shift, first = offset & 7, offset >> 3
+        last = first + stride * (len(fields) - 1)
+        spans = [raw[:, first + k : last + k + 1 : stride] for k in range((shift + width + 7) >> 3)]
+        yield values, width, shift, spans
 
 
 def pack(t: BfpTensor) -> bytes:
     """Serialize the blocks of ``t`` to the packed wire layout."""
     fmt = t.fmt
-    if not t.num_blocks:  # no fields to write, however many a block has
-        return b""
-    exps = t.exponents.reshape(-1)
-    mants = t.mantissas.reshape(-1, fmt.block_size)
-    out = np.zeros((exps.size, fmt.bytes_per_block), dtype=np.uint8)
-    # one pass per field over all blocks at once; each pass ORs the field into its bytes
-    for col, (offset, width) in zip([exps, *mants.T], _fields(fmt)):
-        field = (col & ((1 << width) - 1)).astype(np.uint32) << (offset & 7)
-        for k, byte in enumerate(_byte_span(offset, width)):
-            out[:, byte] |= (field >> (8 * k)).astype(np.uint8)
+    out = np.zeros((t.num_blocks, fmt.bytes_per_block), dtype=np.uint8)
+    exps, mants = t.exponents.reshape(-1), t.mantissas.reshape(-1, fmt.block_size)
+    for values, width, shift, spans in _class_slots(exps, mants, out, fmt):
+        field = values & ((1 << width) - 1)
+        field <<= shift
+        for span in spans:  # OR the field's low byte in, then bring the next one down
+            np.bitwise_or(span, field, out=span, casting="unsafe")
+            field >>= 8
     return out.tobytes()
 
 
 def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTensor:
-    """Rebuild a :class:`BfpTensor` from its packed bytes.
+    """Rebuild a :class:`BfpTensor` from its packed bytes (any buffer, such as a
+    ``memoryview``).
 
     Inverse of :func:`pack` given the same format, logical shape and axis.
     """
     shape = _check_dims(shape)  # before the buffer is sized from it
-    ndim = len(shape)
-    if ndim == 0 or not -ndim <= blocking_axis < ndim:
-        raise ShapeMismatch(f"axis {blocking_axis} out of range for shape {shape}")
-    axis = blocking_axis % ndim
+    axis = _axis(blocking_axis, shape)
 
     n, nbytes = fmt.block_size, fmt.bytes_per_block
     grid = _block_grid(shape, axis, n)
@@ -358,13 +387,15 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, nbytes)
     exps = np.empty(count, dtype=np.int32)
     mants = np.empty((count, n), dtype=np.int32)
-    if count:  # with no blocks there are no fields to read, however many a block has
-        for col, (offset, width) in zip([exps, *mants.T], _fields(fmt)):
-            word = np.zeros(count, dtype=np.int32)
-            for k, byte in enumerate(_byte_span(offset, width)):
-                word |= raw[:, byte].astype(np.int32) << (8 * k)
-            field = (word >> (offset & 7)) & ((1 << width) - 1)
-            col[...] = field - ((field >> (width - 1)) << width)  # two's-complement sign extension
+    for values, width, shift, spans in _class_slots(exps, mants, raw, fmt):
+        field = spans[0].astype(np.int32)
+        for k, span in enumerate(spans[1:], 1):
+            field |= np.left_shift(span, 8 * k, dtype=np.int32)
+        field >>= shift
+        field &= (1 << width) - 1
+        sign = 1 << (width - 1)  # two's-complement sign extension: (v ^ s) - s
+        field ^= sign
+        np.subtract(field, sign, out=values)
 
     t = BfpTensor(
         fmt=fmt,

@@ -71,22 +71,24 @@ def save(path, tensor: Union[np.ndarray, BfpTensor]) -> None:
     """Write a float64/float32 array or a packed block tensor atomically."""
     if isinstance(tensor, BfpTensor):
         fmt = tensor.fmt
-        blob = _header_bytes(DTYPE_PACKED, tensor.logical_shape) + _u32(
+        header = _header_bytes(DTYPE_PACKED, tensor.logical_shape) + _u32(
             fmt.mantissa_bits, fmt.exponent_bits, fmt.block_size, tensor.blocking_axis
-        ) + pack(tensor)
+        )
+        payload = pack(tensor)
     else:
         arr = np.asarray(tensor)
         if arr.dtype not in _FLOAT_CODES:
             raise TypeError(f"only float32/float64 arrays are supported, got {arr.dtype}")
         code = _FLOAT_CODES[arr.dtype]
-        payload = np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes()
-        blob = _header_bytes(code, arr.shape) + payload
+        header = _header_bytes(code, arr.shape)
+        payload = np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code])  # written as a buffer
 
     directory = os.path.dirname(os.fspath(path)) or "."
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(header)  # two writes: the payload is never copied onto the header
+            fh.write(payload)
         os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
@@ -146,7 +148,8 @@ def load(path) -> Union[np.ndarray, BfpTensor]:
     if code == DTYPE_PACKED:
         try:  # unpack checks the blocking axis against the shape
             fmt = BfpFormat(info["mantissa_bits"], info["block_size"], info["exponent_bits"])
-            return unpack(data[r.pos :], fmt, shape, blocking_axis=info["blocking_axis"])
+            payload = memoryview(data)[r.pos :]  # a view: the payload is not copied
+            return unpack(payload, fmt, shape, blocking_axis=info["blocking_axis"])
         except (BfpKsortError, ValueError) as exc:
             raise CorruptFile(f"{path}: {exc}") from exc
 

@@ -22,15 +22,18 @@ from bfpksort import (
     BFP16_32,
     BfpFormat,
     BfpTensor,
+    OutlierSpec,
     bfp_dot,
     bits_per_element,
     dequantize,
+    gen_activations,
+    gen_outlier_head,
     pack,
     quantize_block,
     quantize_tensor,
     unpack,
 )
-from bfpksort.bfp import BFP12_64, BFP12_128, format_from_name
+from bfpksort.bfp import BFP12_64, BFP12_128, BFP16_128, _field_classes, format_from_name
 from bfpksort.errors import (
     CorruptBuffer,
     ExponentOverflow,
@@ -218,6 +221,42 @@ def test_tensor_matches_per_block_scalar_reference():
             b = t.block(row * 4 + blk)
             assert b.exponent == e_ref
             assert b.mantissas.tolist() == m_ref
+
+
+def _kcache_keys(seed: int) -> np.ndarray:
+    """The 4096 x 128 key cache of one synthetic outlier head, as the benchmark builds it."""
+    weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, 1.0, seed=seed))
+    return gen_activations(4096, 256, seed) @ weights.w_k.T
+
+
+@pytest.mark.parametrize("b", [2, 11])
+@pytest.mark.parametrize("p, n", [(4, 32), (8, 128)], ids=["p4n32", "p8n128"])
+def test_kcache_blocks_near_exponent_floor_and_ceiling_match_oracle(b, p, n):
+    # each block of a key cache is rescaled so that its peak sits a few binades above
+    # the bottom of the exponent range (or below it, where the exponent clamps), or
+    # just under the largest peak the format can hold (float64's, for 11 bits)
+    rng = np.random.default_rng(31 + b)
+    fmt = BfpFormat(p, n, b)
+    blocks = _kcache_keys(b).reshape(4096, 128 // n, n)
+    grid = blocks.shape[:2]
+    ceiling = min((fmt.mantissa_max + 0.5) * 2.0**fmt.exponent_max, np.finfo(np.float64).max)
+    low = 2.0 ** (fmt.exponent_min + p - 1 + rng.integers(-8, 2, size=grid))
+    peaks = np.where(
+        rng.random(grid) < 0.5,
+        low * rng.uniform(0.5, 1.0, size=grid),
+        ceiling * rng.uniform(2.0**-4, 1.0, size=grid),
+    )
+    x = (blocks / np.abs(blocks).max(axis=-1, keepdims=True) * peaks[..., None]).reshape(4096, 128)
+    t = quantize_tensor(x, fmt, blocking_axis=1)
+    assert t.exponents.dtype == t.mantissas.dtype == np.int32
+    assert t.exponents.min() == fmt.exponent_min
+    # float64's largest value, just under 2**1024, takes exponent 1026 - p
+    assert t.exponents.max() >= min(fmt.exponent_max, 1025 - p)
+    for row in range(0, 4096, 9):  # the oracle walks up to 2048 exponents per block
+        for blk in range(128 // n):
+            e_ref, m_ref = oracle_quantize_block(x[row, blk * n : (blk + 1) * n], fmt)
+            assert t.exponents[row, blk] == e_ref, (row, blk)
+            assert t.mantissas[row, blk].tolist() == m_ref, (row, blk)
 
 
 def test_blocking_along_axis0():
@@ -504,6 +543,39 @@ def test_unpack_matches_loop_oracle_on_random_bytes(p):
         _assert_unpack_matches_oracle(rng.bytes(len(buf)), fmt, shape, axis)
 
 
+@pytest.mark.parametrize("p", range(2, 17))
+def test_field_classes_tile_each_block(p):
+    # the kernels' classes place every field once, where the wire layout puts it,
+    # and number at most 9 at any block size: never one pass per field
+    for b, n in itertools.product((2, 8, 11), FUZZ_BLOCK_SIZES):
+        fmt = BfpFormat(p, n, b)
+        classes = list(_field_classes(fmt))
+        assert len(classes) <= 9, fmt
+        bits = {}
+        for fields, offset, width, stride in classes:
+            for i, field in enumerate(fields):
+                assert field not in bits, (fmt, field)
+                bits[field] = (offset + 8 * stride * i, width)
+        assert sorted(bits) == list(range(n + 1)), fmt
+        end = 0
+        for field in range(n + 1):
+            start, width = bits[field]
+            assert (start, width) == (end, b if field == 0 else p), (fmt, field)
+            end += width
+        assert end == fmt.bits_per_block, fmt
+
+
+@pytest.mark.parametrize("fmt", [BFP12_32, BFP16_128], ids=lambda f: f.name)
+def test_kcache_pack_and_unpack_match_loop_oracles(fmt):
+    keys = _kcache_keys(3)
+    t = quantize_tensor(keys, fmt, blocking_axis=1)
+    buf = pack(t)
+    assert buf == _pack_oracle(t)
+    got = _assert_unpack_matches_oracle(buf, fmt, keys.shape, 1)
+    assert np.array_equal(got.mantissas, t.mantissas)
+    assert np.array_equal(got.exponents, t.exponents)
+
+
 def test_block_sizes_bfp12_bfp16():
     assert BFP12_32.bytes_per_block == 17  # 8 + 32*4 = 136 bits
     assert BFP16_32.bytes_per_block == 33  # 8 + 32*8 = 264 bits
@@ -598,6 +670,32 @@ def test_tensor_arrays_of_wrong_shape_rejected():
 def test_quantize_axis_outside_shape_rejected():
     with pytest.raises(ShapeMismatch, match="axis 1 out of range"):
         quantize_tensor(np.zeros(3), BfpFormat(mantissa_bits=4, block_size=4), blocking_axis=1)
+
+
+_AXIS_CALLS = {  # a 4 x 4 tensor makes 4 blocks of 3 bytes along either axis
+    "quantize_tensor": lambda axis: quantize_tensor(np.ones((4, 4)), BfpFormat(4, 4), axis),
+    "unpack": lambda axis: unpack(bytes(12), BfpFormat(4, 4), (4, 4), axis),
+}
+
+
+@pytest.mark.parametrize("call", sorted(_AXIS_CALLS))
+@pytest.mark.parametrize("axis", [True, 1.0, 1.5, "1", None], ids=repr)
+def test_blocking_axis_must_be_an_integer(call, axis):
+    with pytest.raises(ShapeMismatch, match=r"blocking_axis must be an integer, got "):
+        _AXIS_CALLS[call](axis)
+
+
+@pytest.mark.parametrize("call", sorted(_AXIS_CALLS))
+def test_blocking_axis_may_be_a_numpy_integer(call):
+    t = _AXIS_CALLS[call](np.int64(-2))
+    assert t.blocking_axis == 0 and type(t.blocking_axis) is int
+
+
+@pytest.mark.parametrize("call", sorted(_AXIS_CALLS))
+@pytest.mark.parametrize("axis", [2, -3, np.int32(2)], ids=repr)
+def test_blocking_axis_out_of_range_names_the_shape(call, axis):
+    with pytest.raises(ShapeMismatch, match=rf"^axis {axis} out of range for shape \(4, 4\)$"):
+        _AXIS_CALLS[call](axis)
 
 
 # ---------------------------------------------------------------------------
