@@ -25,7 +25,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import CorruptBuffer, ExponentOverflow, InvalidValue, ShapeMismatch, _require_int
+from .errors import CorruptBuffer, ExponentOverflow, InvalidValue, ShapeMismatch
+from .errors import _require_int, _require_real_array
 
 __all__ = [
     "BfpFormat",
@@ -247,7 +248,7 @@ def _check_finite(values: np.ndarray) -> None:
 
 def quantize_block(values, fmt: BfpFormat) -> BfpBlock:
     """Cast up to ``n`` real values into one block; short input is zero-padded."""
-    v = np.asarray(values, dtype=np.float64)
+    v = _require_real_array("values", values)
     if v.ndim != 1 or v.size > fmt.block_size:
         raise ShapeMismatch(
             f"expected a vector of at most {fmt.block_size} values, got shape {v.shape}"
@@ -261,7 +262,7 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
     Each contiguous run of ``n`` elements along the axis becomes one block;
     a ragged tail is zero-padded.  Blocks never span rows.
     """
-    arr = np.asarray(x, dtype=np.float64)
+    arr = _require_real_array("x", x)
     axis = _axis(blocking_axis, arr.shape)
     _check_finite(arr)
 

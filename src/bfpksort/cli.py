@@ -39,7 +39,6 @@ from .errors import (
     CorruptFile,
     InvalidConfig,
     NotATensorFile,
-    ShapeMismatch,
     UnsupportedVersion,
 )
 from .errors import _require_int, _require_real
@@ -158,7 +157,10 @@ class ExperimentConfig:
         if not self.rope_enabled:
             return None
         tables = default_rope_tables(d_h, self.rope_base, self.rope_layout)
-        if not math.isfinite((self.n_tokens - 1) * float(tables.theta.max())):
+        # a token count beyond float range is compared as an int, never converted
+        if self.n_tokens > sys.float_info.max or not math.isfinite(
+            (self.n_tokens - 1) * float(tables.theta.max())
+        ):
             raise ValueError(
                 f"base {self.rope_base} overflows the rotary angles "
                 f"at d_h={d_h}, n_tokens={self.n_tokens}"
@@ -187,24 +189,17 @@ class ExperimentConfig:
 def _load_head(wk_path: str, wq_path: str) -> HeadWeights:
     """The head whose key/query projections two float tensor files hold.
 
-    Files that cannot form a head (packed blocks, matrices of two shapes or
-    with no rows or no columns, non-finite weights) raise
-    :class:`InvalidConfig`; unreadable or damaged files raise as
-    :func:`tensorio.load` does.
+    Files that cannot form a head (packed blocks, or matrices that
+    :class:`HeadWeights` refuses) raise :class:`InvalidConfig`; unreadable or
+    damaged files raise as :func:`tensorio.load` does.
     """
     wk, wq = tensorio.load(wk_path), tensorio.load(wq_path)
-    for path, w in ((wk_path, wk), (wq_path, wq)):
-        if not isinstance(w, np.ndarray):
-            raise InvalidConfig("weight files must hold float tensors, not packed blocks")
-        if not np.all(np.isfinite(w)):
-            raise InvalidConfig(f"{path}: weights must be finite")
+    if not (isinstance(wk, np.ndarray) and isinstance(wq, np.ndarray)):
+        raise InvalidConfig("weight files must hold float tensors, not packed blocks")
     try:
-        weights = HeadWeights(w_k=np.asarray(wk, np.float64), w_q=np.asarray(wq, np.float64))
-    except ShapeMismatch as exc:
+        return HeadWeights(w_k=wk, w_q=wq)
+    except BfpKsortError as exc:
         raise InvalidConfig(str(exc)) from None
-    if weights.d_h < 1 or weights.d_model < 1:  # the sizes a config must have
-        raise InvalidConfig(f"weight matrices need a row and a column, got shape {wk.shape}")
-    return weights
 
 
 def run_cell(

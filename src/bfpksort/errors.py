@@ -1,6 +1,9 @@
-"""Exception types shared across the package, and its one policy for scalar parameters."""
+"""Exception types shared across the package, and its one policy for scalar and array
+parameters."""
 
 import sys
+
+import numpy as np
 
 
 class BfpKsortError(Exception):
@@ -61,3 +64,18 @@ def _require_real(name: str, value, low, *, above: bool = False) -> None:
     if not (isinstance(value, (int, float)) and not isinstance(value, bool)
             and value <= sys.float_info.max and (value > low if above else value >= low)):
         raise InvalidValue(f"{name} must be finite and {'>' if above else '>='} {low}, got {value!r}")
+
+
+def _require_real_array(name: str, value) -> np.ndarray:
+    """``value`` read as an array of float64, not copied if it is one; :class:`InvalidValue`
+    unless its entries are bools, integers or floats: not complex, text, objects (such as
+    ``10**400``) or a ragged nest of sequences."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # numpy refuses a ragged nest
+        arr = None
+    if arr is None or arr.dtype.kind not in "biuf":
+        got = "a ragged sequence" if arr is None else f"dtype {arr.dtype}"
+        raise InvalidValue(f"{name} must be an array of real numbers, got {got}")
+    with np.errstate(over="ignore"):  # a longdouble beyond float64 becomes inf
+        return arr.astype(np.float64, copy=False)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, dequantize, quantize_tensor
-from .errors import InvalidValue, ShapeMismatch, _require_int
+from .errors import InvalidValue, ShapeMismatch, _require_int, _require_real_array
 from .rope import RopeTables
 
 __all__ = [
@@ -65,21 +65,27 @@ COST_SAMPLES = 1024
 
 @dataclass(frozen=True)
 class HeadWeights:
-    """Key/query projection matrices for one attention head.
+    """Key/query projection matrices for one attention head: rows are output
+    channels (``d_h``), columns model features (``d_model``).
 
-    Rows are output channels (length ``d_h``), columns model features
-    (``d_model``).
+    The one check of a head: two matrices of one shape with a row and a
+    column (else :class:`ShapeMismatch`), real and finite (else
+    :class:`InvalidValue`), held as float64, not copied if they are.
     """
 
     w_k: np.ndarray
     w_q: np.ndarray
 
     def __post_init__(self) -> None:
-        if self.w_k.ndim != 2 or self.w_k.shape != self.w_q.shape:
-            raise ShapeMismatch(
-                f"w_k and w_q must be matrices of identical shape, "
-                f"got {self.w_k.shape} and {self.w_q.shape}"
-            )
+        w_k, w_q = _require_real_array("w_k", self.w_k), _require_real_array("w_q", self.w_q)
+        if w_k.ndim != 2 or w_k.shape != w_q.shape or not w_k.size:
+            raise ShapeMismatch(f"w_k and w_q must be matrices of one shape with a row and a "
+                                f"column, got {w_k.shape} and {w_q.shape}")
+        for side, w in (("key", w_k), ("query", w_q)):
+            if not np.isfinite(w).all():
+                raise InvalidValue(f"{side}-projection weights must be finite")
+        object.__setattr__(self, "w_k", w_k)
+        object.__setattr__(self, "w_q", w_q)
 
     @property
     def d_h(self) -> int:
@@ -123,7 +129,7 @@ class Permutation:
 def _unit_row_norms(w) -> tuple[np.ndarray, int]:
     """Row norms of ``w / 2**e``, and ``e``, which puts the largest ``|w|`` in
     [0.5, 1): an exact scaling under which no finite ``w`` overflows."""
-    w = np.asarray(w, dtype=np.float64)
+    w = _require_real_array("w", w)
     if w.ndim != 2:
         raise ShapeMismatch(f"expected a matrix, got shape {w.shape}")
     _, e = np.frexp(np.abs(w).max(initial=0.0))
@@ -195,6 +201,7 @@ def cache_mse(keys: np.ndarray, perms: list[Permutation], fmt: BfpFormat) -> np.
     """Key-cache MSE at ``fmt`` of each channel layout in ``perms`` on the
     key sample ``keys`` (one key per row, ``d_h`` columns).  Every layout is
     scored on the same keys, so equal inputs give equal costs."""
+    keys = _require_real_array("keys", keys)
     if keys.ndim != 2 or not keys.size or not perms:
         raise ShapeMismatch(f"need (n, d_h) keys and layouts, got {keys.shape}, {len(perms)} layouts")
     if any(len(perm) != keys.shape[1] for perm in perms):
@@ -245,8 +252,7 @@ def plan_head(
     rope_tables: RopeTables | None = None,
     fmt: BfpFormat | None = None,
 ) -> PermutationPlan:
-    """Run the full sorting pass for one head; non-finite key weights raise
-    :class:`InvalidValue`.
+    """Run the full sorting pass for one head.
 
     The permutation is the stable ascending argsort of key-row norms.  When
     the key cache's block format ``fmt`` splits a key over several blocks, it
@@ -260,8 +266,6 @@ def plan_head(
             f"got d_h {weights.d_h}"
         )
     norms, _ = _unit_row_norms(weights.w_k)
-    if not np.isfinite(norms).all():
-        raise InvalidValue("key-projection weights must be finite")
     perm = Permutation(np.argsort(norms, kind="stable"))
     if fmt is not None and weights.d_h > fmt.block_size:
         z = np.random.default_rng(COST_MODEL_SEED).standard_normal((COST_SAMPLES, weights.d_h))

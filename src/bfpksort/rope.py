@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidRopeTables, InvalidValue, ShapeMismatch, _require_int, _require_real
+from .errors import InvalidRopeTables, InvalidValue, ShapeMismatch
+from .errors import _require_int, _require_real, _require_real_array
 
 __all__ = ["RopeTables", "default_rope_tables", "rope_apply"]
 
@@ -115,14 +116,14 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     signed zeros included.  An angle that is not finite raises
     :class:`InvalidValue`.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x, m = _require_real_array("x", x), _require_real_array("m", m)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
         raise ShapeMismatch(f"vector shape {x.shape} does not end in table length {tables.d_h}")
     # distinct frequencies by bit pattern, so that -0.0 and +0.0 stay apart
     theta = np.ascontiguousarray(tables.theta, dtype=np.float64)
     bits, column = np.unique(theta.view(np.int64), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
-        angles = np.expand_dims(np.asarray(m, dtype=np.float64), -1) * bits.view(np.float64)
+        angles = np.expand_dims(m, -1) * bits.view(np.float64)
     if not np.isfinite(angles).all():
         raise InvalidValue("a rotary angle m * theta is not finite")
     out = x * np.take(np.cos(angles), column, axis=-1)

@@ -36,7 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bfp import BfpFormat, BfpTensor, bits_per_element, dequantize, quantize_tensor
-from .errors import InvalidValue, PlanMismatch, ShapeMismatch, _require_int, _require_real
+from .errors import InvalidValue, PlanMismatch, ShapeMismatch
+from .errors import _require_int, _require_real, _require_real_array
 from .ksort import HeadWeights, PermutationPlan
 from .rope import RopeTables, rope_apply
 
@@ -76,8 +77,8 @@ def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:
     row choice, query matrix), so equal specs give bitwise-equal weights.
     A spec whose weights overflow float64 raises :class:`InvalidValue`.
     """
-    _require_int("d_h", d_h)
-    _require_int("d_model", d_model)
+    _require_int("d_h", d_h, 1)
+    _require_int("d_model", d_model, 1)
     if spec.n_outlier_channels > d_h:
         raise InvalidValue(f"{spec.n_outlier_channels} outlier channels > d_h={d_h}")
     rng = np.random.default_rng(spec.seed)
@@ -86,12 +87,13 @@ def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:
     with np.errstate(over="ignore"):
         w_k[rows] *= spec.outlier_scale
     w_q = rng.normal(0.0, spec.base_std, size=(d_h, d_model))
-    if not (np.isfinite(w_k).all() and np.isfinite(w_q).all()):
+    try:  # drawn float64 matrices: HeadWeights can refuse only a non-finite weight
+        return HeadWeights(w_k=w_k, w_q=w_q)
+    except InvalidValue:
         raise InvalidValue(
             f"weights overflow float64 at base_std={spec.base_std}, "
             f"outlier_scale={spec.outlier_scale}"
-        )
-    return HeadWeights(w_k=w_k, w_q=w_q)
+        ) from None
 
 
 def gen_activations(n_tokens: int, d_model: int, seed: int = 0) -> np.ndarray:
@@ -149,27 +151,26 @@ def _causal_gap(qa, ka, qb=None, kb=None) -> float:
     return float(gap)
 
 
-def _check_overflow(weights: HeadWeights, X, *results: np.ndarray | float) -> None:
-    """Raise :class:`InvalidValue` when finite activations and weights gave a
-    result (an array or a score) that is not finite: float64 overflowed in a
-    projection, a rotation or a score.  Non-finite activations pass through.
+def _check_overflow(X, *results: np.ndarray | float) -> None:
+    """Raise :class:`InvalidValue` when finite activations gave a result (an
+    array or a score) that is not finite: float64 overflowed in a projection,
+    a rotation or a score.  The weights are finite, as every
+    :class:`HeadWeights` is; non-finite activations pass through.
 
     :func:`_project` checks its keys and rotated queries, so no cast meets an
     overflow.  The final score check covers a key rotation or a score that
     overflows: every key is scored against the last query.
     """
-    if not all(np.isfinite(r).all() for r in results) and all(
-        np.isfinite(a).all() for a in (np.asarray(X, dtype=np.float64), weights.w_k, weights.w_q)
-    ):
+    if not all(np.isfinite(r).all() for r in results) and np.isfinite(X).all():
         raise InvalidValue("keys, queries or attention scores overflow float64")
 
 
 def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
     """Pre-rotation keys, rotated queries and the rotary tables of the head,
     with the rows gathered through ``plan`` when one is given.  A float64
-    overflow from finite activations and weights is named here, before any
+    overflow from finite activations is named here, before any
     cast (see :func:`_check_overflow`)."""
-    X = np.asarray(X, dtype=np.float64)
+    X = _require_real_array("X", X)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
     w_k, w_q, tables = weights.w_k, weights.w_q, rope_tables
@@ -184,7 +185,7 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
         keys = X @ w_k.T
         queries = _rotate(tables, X @ w_q.T)
-    _check_overflow(weights, X, keys, queries)
+    _check_overflow(X, keys, queries)
     return keys, queries, tables
 
 
@@ -228,7 +229,7 @@ def simulate_decode(
         dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1)) if fmt_q is not None else queries
     )
     score_err = _causal_gap(deq_queries, rotated[-1], queries, rotated[0])
-    _check_overflow(weights, X, score_err)
+    _check_overflow(X, score_err)
     return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 
 
@@ -252,7 +253,7 @@ def exactness_check(
     keys, p_keys = _rotate(tables, keys), _rotate(p_tables, p_keys)
     scale = _causal_gap(queries, keys)
     diff = _causal_gap(p_queries, p_keys, queries, keys)
-    _check_overflow(weights, X, scale, diff)
+    _check_overflow(X, scale, diff)
     return diff / scale if scale > 0.0 else diff
 
 
@@ -287,7 +288,7 @@ def error_metrics(reference, quantized: BfpTensor | None) -> ErrorReport:
     """
     if quantized is None:
         return ErrorReport(mse=0.0, sqnr_db=math.inf, max_abs_err=0.0, bits_per_element=Fraction(64))
-    ref = np.asarray(reference, dtype=np.float64)
+    ref = _require_real_array("reference", reference)
     deq = dequantize(quantized)
     if ref.shape != deq.shape:
         raise ShapeMismatch(f"reference {ref.shape} vs decoded {deq.shape}")

@@ -68,7 +68,8 @@ def _header_bytes(dtype_code: int, shape: tuple[int, ...]) -> bytes:
 
 
 def save(path, tensor: Union[np.ndarray, BfpTensor]) -> None:
-    """Write a float64/float32 array or a packed block tensor atomically."""
+    """Write a float64/float32 array (of either byte order, stored little-endian)
+    or a packed block tensor atomically."""
     if isinstance(tensor, BfpTensor):
         fmt = tensor.fmt
         header = _header_bytes(DTYPE_PACKED, tensor.logical_shape) + _u32(
@@ -77,9 +78,9 @@ def save(path, tensor: Union[np.ndarray, BfpTensor]) -> None:
         payload = pack(tensor)
     else:
         arr = np.asarray(tensor)
-        if arr.dtype not in _FLOAT_CODES:
+        code = _FLOAT_CODES.get(arr.dtype.newbyteorder("="))  # either byte order
+        if code is None:
             raise TypeError(f"only float32/float64 arrays are supported, got {arr.dtype}")
-        code = _FLOAT_CODES[arr.dtype]
         header = _header_bytes(code, arr.shape)
         payload = np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code])  # written as a buffer
 

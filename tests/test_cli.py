@@ -596,7 +596,8 @@ def test_cli_non_finite_weights_exit_2(tmp_path, capsys, bad, which):
     tensorio.save(tmp_path / f"{which}.bfpt", w)
     code = main(["plan", "--wk", wk, "--wq", wq, "--out", str(tmp_path / "plan.json")])
     assert code == 2
-    assert capsys.readouterr().err == f"error: {tmp_path / which}.bfpt: weights must be finite\n"
+    side = {"wk": "key", "wq": "query"}[which]
+    assert capsys.readouterr().err == f"error: {side}-projection weights must be finite\n"
     assert not (tmp_path / "plan.json").exists()
     config = _write_tiny_config(tmp_path, d_h=8, d_model=4, wk_path=wk, wq_path=wq)
     assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
@@ -639,6 +640,21 @@ def test_cli_run_imported_head_too_wide_for_its_base_is_invalid_config(tmp_path,
     assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: invalid config: imported d_h=64: base ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_cli_run_token_count_beyond_float_range_is_invalid_config(tmp_path, capsys):
+    # (n_tokens - 1) * theta cannot even be formed as a float: an angle overflow all the same
+    config = tmp_path / "cfg.json"
+    config.write_text('{"n_tokens": 1' + "0" * 400 + ', "seeds": [0]}')
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: invalid config: base 10000.0 overflows the rotary angles "
+        f"at d_h=128, n_tokens={10**400}\n"
+    )
+    assert not (tmp_path / "out").exists()
+    with pytest.raises(ValueError, match="^base 10000.0 overflows the rotary angles"):
+        ExperimentConfig(n_tokens=10**400)
 
 
 @pytest.mark.filterwarnings("error")

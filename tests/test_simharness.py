@@ -607,11 +607,11 @@ def _branching_decode_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, pl
             else queries
         )
     except InvalidValue:
-        simharness._check_overflow(weights, X, math.nan)
+        simharness._check_overflow(X, math.nan)
         raise
 
     score_err = simharness._causal_gap(deq_queries, keys_rot_deq, queries, keys_rot_ref)
-    simharness._check_overflow(weights, X, score_err)
+    simharness._check_overflow(X, score_err)
     return simharness.DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 
 
@@ -622,7 +622,7 @@ def _branching_exactness_oracle(weights, plan, X, rope_tables=None):
     keys, p_keys = rotate(tables, keys), rotate(p_tables, p_keys)
     scale = simharness._causal_gap(queries, keys)
     diff = simharness._causal_gap(p_queries, p_keys, queries, keys)
-    simharness._check_overflow(weights, X, scale, diff)
+    simharness._check_overflow(X, scale, diff)
     return diff / scale if scale > 0.0 else diff
 
 

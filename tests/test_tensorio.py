@@ -69,6 +69,17 @@ def test_random_matrix_round_trip_bitwise(tmp_path, dtype):
     assert np.array_equal(out.view(np.uint8), x.view(np.uint8))
 
 
+@pytest.mark.parametrize("dtype", ["f4", "f8"])
+def test_big_endian_array_saves_as_its_native_twin(tmp_path, dtype):
+    # the payload is little-endian whatever the input's byte order: the same file
+    x = np.random.default_rng(3).normal(size=(5, 7)).astype(dtype)
+    tensorio.save(tmp_path / "native.bfpt", x.astype("<" + dtype))
+    tensorio.save(tmp_path / "big.bfpt", x.astype(">" + dtype))
+    assert (tmp_path / "big.bfpt").read_bytes() == (tmp_path / "native.bfpt").read_bytes()
+    out = tensorio.load(tmp_path / "big.bfpt")
+    assert out.dtype == np.dtype("<" + dtype) and np.array_equal(out, x)
+
+
 def test_non_contiguous_input_saved_in_c_order(tmp_path):
     x = np.arange(24.0).reshape(4, 6)[:, ::2]
     path = tmp_path / "strided.bfpt"
