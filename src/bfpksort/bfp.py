@@ -132,7 +132,7 @@ class BfpBlock:
         return np.ldexp(self.mantissas.astype(np.float64), self.exponent)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BfpTensor:
     """A blocked tensor: per-block exponents and mantissas plus logical shape.
 

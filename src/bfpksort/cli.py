@@ -11,7 +11,8 @@ Subcommands:
 * ``inspect``  dump a tensor container header.
 
 A seed is the sweep's unit of work: its head, activations, rotary tables
-and sorting plan are built once and shared by every format pair.  Seeds run
+and sorting plan are built once, and its head is projected once per plan;
+every format pair shares them.  Seeds run
 serially unless ``--workers N`` asks for a process pool of N > 1.
 
 Reports are deterministic: the same config produces byte-identical files,
@@ -46,6 +47,7 @@ from .ksort import HeadWeights, plan_head
 from .rope import DEFAULT_BASE, LAYOUTS, RopeTables, default_rope_tables
 from .simharness import (
     OutlierSpec,
+    _project,
     error_metrics,
     gen_activations,
     gen_outlier_head,
@@ -208,8 +210,12 @@ def run_cell(
     """Evaluate one seed over every format pair of ``cfg``.
 
     The seed's head (``imported`` when given), activations, rotary tables
-    and sorting plan are built once and shared by all pairs.  Returns, per
-    format pair in config order, its unsorted and its sorted row.
+    and sorting plan are built once and shared by all pairs.  For the
+    unsorted plan, then the sorted one, the head is projected and rotated
+    once (:func:`bfpksort.simharness._project`) and every pair is scored on
+    that projection; the previous plan's projection is released before the
+    next is built.  Returns, per format pair in config order, its unsorted
+    and its sorted row.
     """
     weights = imported
     if weights is None:
@@ -219,12 +225,14 @@ def run_cell(
     tables = cfg.rope_tables(weights.d_h)
     plan = plan_head(weights, tables)
 
-    cells = []
-    for name_q, name_k in cfg.formats:
-        fmt_q, fmt_k = resolve_format(name_q), resolve_format(name_k)
-        rows = []
-        for sorted_flag, use_plan in ((False, None), (True, plan)):
-            trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
+    cells = [[] for _ in cfg.formats]
+    for sorted_flag, use_plan in ((False, None), (True, plan)):
+        projection = _project(weights, tables, X, use_plan)
+        for (name_q, name_k), rows in zip(cfg.formats, cells):
+            fmt_q, fmt_k = resolve_format(name_q), resolve_format(name_k)
+            trace = simulate_decode(
+                weights, tables, X, fmt_k, fmt_q, plan=use_plan, _projection=projection
+            )
             cache = trace.key_cache
             report = error_metrics(trace.keys, cache)
             rows.append({
@@ -234,7 +242,7 @@ def run_cell(
                 "bits_per_element": float(report.bits_per_element),
                 "cache_bytes": trace.keys.nbytes if cache is None else cache.packed_nbytes,
             })
-        cells.append(rows)
+        del projection, trace
     return cells
 
 

@@ -63,7 +63,7 @@ SEARCH_CHUNK = 8
 COST_SAMPLES = 1024
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HeadWeights:
     """Key/query projection matrices for one attention head: rows are output
     channels (``d_h``), columns model features (``d_model``).
@@ -96,7 +96,7 @@ class HeadWeights:
         return int(self.w_k.shape[1])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Permutation:
     """Channel reordering: ``indices[j]`` is the old channel at new slot ``j``."""
 
@@ -164,7 +164,7 @@ def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PermutationPlan:
     """Result of the sorting pass for one head: the channel permutation and
     the remapped rotary tables (when rotation is in use).

@@ -33,7 +33,7 @@ DEFAULT_BASE = 10000.0
 LAYOUTS = ("interleaved", "half_split")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RopeTables:
     """Frequency, partner-index and sine-sign tables for one head."""
 

@@ -14,7 +14,10 @@ against only its causal keys, so memory grows with T rather than T**2.
 Because cache blocks never span tokens (one key vector is one or more whole
 blocks), quantizing each key at its own decode step produces bit-for-bit the
 same cache as quantizing all keys at once, and the simulator exploits that
-by batching.
+by batching.  Only the casts and the rotation of the decoded keys depend on
+the storage formats: the projections and the rotation of the queries and
+reference keys are shared, so a sweep builds them once per plan
+(:func:`_project`) and scores every format pair on them.
 
 Error metrics accumulate squared terms in ascending sorted order, which
 makes the reported numbers invariant to channel permutations: two caches
@@ -109,7 +112,7 @@ def gen_activations(n_tokens: int, d_model: int, seed: int = 0) -> np.ndarray:
     return rng.normal(0.0, 1.0, size=(n_tokens, d_model))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DecodeTrace:
     """What one simulated decode produced: ``keys``, ``key_cache`` and ``score_err``.
 
@@ -165,11 +168,27 @@ def _check_overflow(X, *results: np.ndarray | float) -> None:
         raise InvalidValue("keys, queries or attention scores overflow float64")
 
 
-def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
-    """Pre-rotation keys, rotated queries and the rotary tables of the head,
-    with the rows gathered through ``plan`` when one is given.  A float64
-    overflow from finite activations is named here, before any
-    cast (see :func:`_check_overflow`)."""
+@dataclass(frozen=True, eq=False)
+class _Projection:
+    """What every format pair of one plan shares, built by :func:`_project`."""
+
+    source: tuple  # (weights, rope_tables, X, plan) as passed, matched by identity
+    keys: np.ndarray  # (T, d_h) pre-rotation keys, the cache reference
+    queries: np.ndarray  # (T, d_h) rotated queries
+    rotated_keys: np.ndarray  # (T, d_h) rotated reference keys
+    tables: RopeTables | None  # the tables the rotations used
+
+
+def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _Projection:
+    """The part of a decode that no storage format changes: pre-rotation
+    keys, rotated queries and rotated reference keys, with the rows gathered
+    through ``plan`` when one is given, and the tables that rotated them.
+
+    Queries and keys turn in one stacked rotation.  A float64 overflow from
+    finite activations is named here, before any cast (see
+    :func:`_check_overflow`).
+    """
+    source = (weights, rope_tables, X, plan)
     X = _require_real_array("X", X)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
@@ -184,9 +203,11 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan):
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
         keys = X @ w_k.T
-        queries = _rotate(tables, X @ w_q.T)
+        stacked = np.stack([X @ w_q.T, keys])
+        del w_k, w_q  # the gathered plan rows are not held through the rotation
+        queries, rotated_keys = _rotate(tables, stacked)
     _check_overflow(X, keys, queries)
-    return keys, queries, tables
+    return _Projection(source, keys, queries, rotated_keys, tables)
 
 
 def _rotate(tables: RopeTables | None, x: np.ndarray) -> np.ndarray:
@@ -204,6 +225,8 @@ def simulate_decode(
     fmt_k: BfpFormat | None = None,
     fmt_q: BfpFormat | None = None,
     plan: PermutationPlan | None = None,
+    *,
+    _projection: _Projection | None = None,
 ) -> DecodeTrace:
     """Run a T-step decode, quantizing keys at ``fmt_k`` and queries at ``fmt_q``.
 
@@ -213,22 +236,33 @@ def simulate_decode(
     the compile-time pass; ``rope_tables`` then names the original tables the
     plan was derived from.
 
+    The decode projects the head (:func:`_project`), casts the keys into the
+    cache, rotates the decoded keys (lossless keys are their own decode, so
+    they reuse the rotated reference), casts the queries and scores.  A sweep
+    scores every format pair of one plan on one projection by passing it as
+    the private ``_projection``; one built from any other ``weights``,
+    ``rope_tables``, ``X`` or ``plan`` object raises :class:`PlanMismatch`
+    before any cast.
+
     The score error is reduced one block of query rows at a time
     (:data:`SCORE_BLOCK_ELEMENTS`), so no T x T score map is ever built.
     """
-    keys, queries, tables = _project(weights, rope_tables, X, plan)
-    key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1) if fmt_k is not None else None
-    # one rotation gives the reference (rotated[0]) and the decoded keys
-    # (rotated[-1]).  Lossless keys are their own decode, so they go in once,
-    # not stacked with a copy; the decoded cache stays a temporary of np.stack,
-    # so it is freed before the rotation runs.
-    rotated = _rotate(
-        tables, keys[None] if key_cache is None else np.stack([keys, dequantize(key_cache)])
-    )
+    projection = _projection
+    if projection is None:
+        projection = _project(weights, rope_tables, X, plan)
+    elif not all(a is b for a, b in zip(projection.source, (weights, rope_tables, X, plan))):
+        raise PlanMismatch(
+            "projection was built for another head, rotary tables, activations or plan"
+        )
+    keys, queries, reference = projection.keys, projection.queries, projection.rotated_keys
+    key_cache, decoded = None, reference
+    if fmt_k is not None:
+        key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
+        decoded = _rotate(projection.tables, dequantize(key_cache))
     deq_queries = (
         dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1)) if fmt_q is not None else queries
     )
-    score_err = _causal_gap(deq_queries, rotated[-1], queries, rotated[0])
+    score_err = _causal_gap(deq_queries, decoded, queries, reference)
     _check_overflow(X, score_err)
     return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 
@@ -248,11 +282,10 @@ def exactness_check(
     (~1e-15); a plan whose rotary tables were remapped wrongly deviates at
     order 1.
     """
-    keys, queries, tables = _project(weights, rope_tables, X, None)
-    p_keys, p_queries, p_tables = _project(weights, rope_tables, X, plan)
-    keys, p_keys = _rotate(tables, keys), _rotate(p_tables, p_keys)
-    scale = _causal_gap(queries, keys)
-    diff = _causal_gap(p_queries, p_keys, queries, keys)
+    ref = _project(weights, rope_tables, X, None)
+    perm = _project(weights, rope_tables, X, plan)
+    scale = _causal_gap(ref.queries, ref.rotated_keys)
+    diff = _causal_gap(perm.queries, perm.rotated_keys, ref.queries, ref.rotated_keys)
     _check_overflow(X, scale, diff)
     return diff / scale if scale > 0.0 else diff
 

@@ -444,7 +444,7 @@ def test_sweep_builds_each_seed_once(tmp_path, monkeypatch):
     cfg = tiny_config(formats=ORACLE_FORMATS, seeds=(0, 1, 2))
     calls = collections.Counter()
     for name in ("gen_outlier_head", "gen_activations", "default_rope_tables", "plan_head",
-                 "simulate_decode"):
+                 "_project", "simulate_decode"):
         original = getattr(bfpksort.cli, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -459,6 +459,7 @@ def test_sweep_builds_each_seed_once(tmp_path, monkeypatch):
         "gen_activations": n_seeds,
         "default_rope_tables": n_seeds,
         "plan_head": n_seeds,
+        "_project": 2 * n_seeds,  # once per plan: every pair scores on that projection
         "simulate_decode": 2 * n_seeds * n_pairs,
     }
 

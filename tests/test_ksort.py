@@ -135,6 +135,24 @@ def test_inverse_composes_to_identity():
         assert Permutation.identity(17).indices.tolist() == list(range(17))
 
 
+def test_array_holders_compare_by_identity_and_hash():
+    # a generated __eq__ would compare the arrays and raise numpy's ambiguous-truth
+    # ValueError, and a generated __hash__ would hash them and raise TypeError
+    w = np.ones((4, 2))
+    makers = (
+        lambda: HeadWeights(w, w),
+        lambda: Permutation.identity(3),
+        lambda: PermutationPlan(Permutation.identity(4), default_rope_tables(4)),
+        lambda: default_rope_tables(4),
+        lambda: quantize_tensor(w, BFP12_32, 1),
+        lambda: simulate_decode(HeadWeights(w, w), None, np.ones((3, 2)), BFP12_32),
+    )
+    for make in makers:
+        a, b = make(), make()
+        assert a == a and a != b
+        assert len({a, b, a}) == 2
+
+
 # ---------------------------------------------------------------------------
 # Permutation.apply
 # ---------------------------------------------------------------------------

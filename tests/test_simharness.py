@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import tracemalloc
@@ -223,6 +224,53 @@ def test_activation_shape_checked():
     weights, tables, X = _small_setup()
     with pytest.raises(ShapeMismatch):
         simulate_decode(weights, tables, X[:, :-1])
+
+
+@pytest.mark.parametrize(
+    "name, other",
+    [("weights", lambda w, t, X, p: HeadWeights(w_k=w.w_k, w_q=w.w_q)),
+     ("weights", lambda w, t, X, p: _small_setup(seed=1)[0]),
+     ("rope_tables", lambda w, t, X, p: default_rope_tables(w.d_h)),
+     ("X", lambda w, t, X, p: X.copy()),
+     ("plan", lambda w, t, X, p: None),
+     ("plan", lambda w, t, X, p: plan_head(w, t))],
+    ids=["equal_head", "other_head", "equal_tables", "equal_activations", "no_plan", "equal_plan"],
+)
+def test_projection_for_other_inputs_is_refused_before_any_cast(monkeypatch, name, other):
+    # matched by identity: an equal copy of an input is another input
+    calls = []
+
+    def recording_cast(*args, **kwargs):
+        calls.append(args)
+        return quantize_tensor(*args, **kwargs)
+
+    monkeypatch.setattr(simharness, "quantize_tensor", recording_cast)
+    weights, tables, X = _small_setup()
+    args = {"weights": weights, "rope_tables": tables, "X": X, "plan": plan_head(weights, tables)}
+    projection = simharness._project(**args)
+    args[name] = other(*args.values())
+    with pytest.raises(PlanMismatch, match="projection was built for another"):
+        simulate_decode(**args, fmt_k=BFP12_4, fmt_q=BFP12_4, _projection=projection)
+    assert calls == []
+
+
+def test_a_decode_rotates_queries_and_keys_once_and_decoded_keys_once(monkeypatch):
+    # queries and reference keys turn in one stacked call, the decoded keys in
+    # a second; a lossless decode reuses the reference and makes no second call
+    rows = []
+
+    def counted(tables, x, m):
+        rows.append(x.size // x.shape[-1])
+        return rope_apply(tables, x, m)
+
+    monkeypatch.setattr(simharness, "rope_apply", counted)
+    weights, tables, X = _small_setup()
+    plan = plan_head(weights, tables)
+    simulate_decode(weights, tables, X, BFP12_4, BFP12_4, plan=plan)
+    assert rows == [2 * len(X), len(X)]
+    rows.clear()
+    simulate_decode(weights, tables, X, None, BFP12_4, plan=plan)
+    assert rows == [2 * len(X)]
 
 
 def test_cache_append_equals_batch_quantization():
@@ -645,12 +693,30 @@ def _outcome(fn, *args):
 _GRID_FORMATS = (None, BfpFormat(8, 8), BfpFormat(4, 8), BFP12_32, BFP16_128)
 
 
+def _shared_outcomes(weights, tables, X, use_plan):
+    """The outcome of every pair of ``_GRID_FORMATS`` scored on one shared
+    projection, as the sweep scores them: a refused projection fails every pair."""
+    pairs = list(itertools.product(_GRID_FORMATS, _GRID_FORMATS))
+    try:
+        projection = simharness._project(weights, tables, X, use_plan)
+    except BfpKsortError as exc:
+        return {pair: (type(exc), str(exc)) for pair in pairs}
+    shared = functools.partial(simulate_decode, _projection=projection)
+    return {
+        (fmt_k, fmt_q): _outcome(shared, weights, tables, X, fmt_k, fmt_q, use_plan)
+        for fmt_k, fmt_q in pairs
+    }
+
+
 def _assert_matches_branching_oracle(weights, tables, X, plan):
-    for use_plan, fmt_k, fmt_q in itertools.product((None, plan), _GRID_FORMATS, _GRID_FORMATS):
-        args = (weights, tables, X, fmt_k, fmt_q, use_plan)
-        assert _outcome(simulate_decode, *args) == _outcome(_branching_decode_oracle, *args), (
-            X.shape, use_plan is None, fmt_k, fmt_q,
-        )
+    for use_plan in (None, plan):
+        shared = _shared_outcomes(weights, tables, X, use_plan)
+        for fmt_k, fmt_q in itertools.product(_GRID_FORMATS, _GRID_FORMATS):
+            args = (weights, tables, X, fmt_k, fmt_q, use_plan)
+            want = _outcome(_branching_decode_oracle, *args)
+            context = (X.shape, use_plan is None, fmt_k, fmt_q)
+            assert _outcome(simulate_decode, *args) == want, context
+            assert shared[fmt_k, fmt_q] == want, context
     args = (weights, plan, X, tables)
     assert _outcome(exactness_check, *args) == _outcome(_branching_exactness_oracle, *args)
 
