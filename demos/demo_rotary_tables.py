@@ -5,7 +5,8 @@ angle.  Once channels move, three things must move with them: each
 channel's frequency, its sine sign, and, crucially, the *index* of its
 partner.  The first two are plain per-channel attributes; the partner table
 holds channel numbers, so its values have to be translated into the new
-numbering, not just shuffled.
+numbering, not just shuffled: a table shuffled as a plain array is refused
+when it is built, and the unremapped tables rotate the wrong pairs.
 
 Run: python demos/demo_rotary_tables.py
 """
@@ -19,6 +20,7 @@ from bfpksort import (
     remap_rope_tables,
     rope_apply,
 )
+from bfpksort.errors import InvalidRopeTables
 
 # --- two standard channel layouts -------------------------------------------
 
@@ -53,12 +55,12 @@ print()
 # --- what goes wrong without the index translation ---------------------------
 
 idx = perm.indices
-literal = RopeTables(inter.theta[idx], inter.partner[idx], inter.sign[idx])
-rhs_bad = rope_apply(literal, x[perm.indices], 7)
-print("with a naively shuffled partner table the results diverge:")
-print("  max abs difference:", float(np.abs(rhs_bad - lhs).max()))
 try:
-    literal.validate()
-    print("  (tables happened to stay valid for this permutation)")
-except Exception as exc:
-    print("  validate():", exc)
+    RopeTables(inter.theta[idx], inter.partner[idx], inter.sign[idx])
+    print("a naively shuffled partner table happened to stay valid for this permutation")
+except InvalidRopeTables as exc:
+    print("a naively shuffled partner table is refused when built:")
+    print("  InvalidRopeTables:", exc)
+rhs_bad = rope_apply(inter, x[perm.indices], 7)  # reorder, rotate with unremapped tables
+print("rotating the reordered channels with the unremapped tables diverges:")
+print("  max abs difference:", float(np.abs(rhs_bad - lhs).max()))

@@ -151,6 +151,11 @@ class BfpTensor:
 
     def __post_init__(self) -> None:
         _check_dims(self.logical_shape)
+        for name in ("exponents", "mantissas"):
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
+                raise InvalidValue(f"{name} must be an integer array, got "
+                                   f"{getattr(a, 'dtype', type(a).__name__)}")
         n = self.fmt.block_size
         if not 0 <= self.blocking_axis < len(self.logical_shape):
             raise ShapeMismatch(
@@ -355,10 +360,21 @@ def _class_slots(exps: np.ndarray, mants: np.ndarray, raw: np.ndarray, fmt: BfpF
 
 
 def pack(t: BfpTensor) -> bytes:
-    """Serialize the blocks of ``t`` to the packed wire layout."""
+    """Serialize the blocks of ``t`` to the packed wire layout.
+
+    An exponent or mantissa that its ``b``- or ``p``-bit two's-complement field
+    cannot hold raises :class:`InvalidValue`, never a truncated field.  The code
+    ``-2**(p-1)``, which the encoder never produces but :func:`unpack` can, fits.
+    """
     fmt = t.fmt
     out = np.zeros((t.num_blocks, fmt.bytes_per_block), dtype=np.uint8)
     exps, mants = t.exponents.reshape(-1), t.mantissas.reshape(-1, fmt.block_size)
+    for name, values, bits in (("exponent", exps, fmt.exponent_bits),
+                               ("mantissa", mants, fmt.mantissa_bits)):
+        low, high = -(1 << (bits - 1)), (1 << (bits - 1)) - 1
+        if values.size and (values.min() < low or values.max() > high):
+            raise InvalidValue(f"{name}s must fit {bits}-bit fields in [{low}, {high}], "
+                               f"got [{values.min()}, {values.max()}]")
     for values, width, shift, spans in _class_slots(exps, mants, out, fmt):
         field = values & ((1 << width) - 1)
         field <<= shift

@@ -153,13 +153,12 @@ def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
     their channels.  ``partner`` holds indices, so its entries are translated
     into the new numbering as well: ``partner'[j] = inv[partner[perm[j]]]``.
     """
-    tables.validate()
     if len(perm) != tables.d_h:
         raise ShapeMismatch(f"permutation length {len(perm)} != d_h {tables.d_h}")
     idx = perm.indices
     return RopeTables(
         theta=tables.theta[idx],
-        partner=perm.inverse().indices[tables.partner[idx]].astype(np.intp),
+        partner=perm.inverse().indices[tables.partner[idx]],
         sign=tables.sign[idx],
     )
 
@@ -177,6 +176,9 @@ class PermutationPlan:
     rope: RopeTables | None = None
 
     def __post_init__(self) -> None:
+        if not (isinstance(self.perm, Permutation) and isinstance(self.rope, (RopeTables, type(None)))):
+            raise InvalidValue(f"a plan holds a Permutation and RopeTables or None, got "
+                               f"{type(self.perm).__name__} and {type(self.rope).__name__}")
         if self.rope is not None and self.rope.d_h != len(self.perm):
             raise ShapeMismatch(
                 f"permutation length {len(self.perm)} != rotary table length {self.rope.d_h}"
@@ -260,17 +262,11 @@ def plan_head(
     the norm sort, the identity and the grouped layouts (see the module
     docstring).  Heads equal up to a power of two get bitwise-equal plans.
     """
-    if rope_tables is not None and (weights.d_h % 2 or rope_tables.d_h != weights.d_h):
-        raise ShapeMismatch(
-            f"rotary tables need an even head dimension of their width {rope_tables.d_h}, "
-            f"got d_h {weights.d_h}"
-        )
+    if rope_tables is not None and rope_tables.d_h != weights.d_h:
+        raise ShapeMismatch(f"rotary tables must fit the head: width {rope_tables.d_h}, got d_h {weights.d_h}")
     norms, _ = _unit_row_norms(weights.w_k)
     perm = Permutation(np.argsort(norms, kind="stable"))
     if fmt is not None and weights.d_h > fmt.block_size:
         z = np.random.default_rng(COST_MODEL_SEED).standard_normal((COST_SAMPLES, weights.d_h))
         perm = _cheapest_layout(perm, z * norms, fmt)
-    return PermutationPlan(
-        perm=perm,
-        rope=remap_rope_tables(rope_tables, perm) if rope_tables is not None else None,
-    )
+    return PermutationPlan(perm, None if rope_tables is None else remap_rope_tables(rope_tables, perm))

@@ -5,8 +5,8 @@ position-dependent angle.  Instead of hard-coding a channel layout, the
 transform is driven by three tables of length ``d_h``:
 
 * ``theta``   per-channel angular frequency (equal within a pair),
-* ``partner`` index of the channel paired with this one (an involution),
-* ``sign``    sign of the sine term (opposite within a pair).
+* ``partner`` index of its paired channel (an involution with no fixed point),
+* ``sign``    sign of the sine term (+/-1, opposite within a pair).
 
 Channel ``j`` of the rotated vector is
 ``x[j] * cos(m * theta[j]) + sign[j] * x[partner[j]] * sin(m * theta[j])``
@@ -14,7 +14,8 @@ for token position ``m``.  Two standard layouts are provided: the
 interleaved form pairing ``(0, 1), (2, 3), ...`` and the half-split form
 used by Llama-style checkpoints pairing ``(j, j + d_h/2)``.  Explicit tables
 make the transform well-defined under any channel permutation, which is what
-the weight-sorting pass relies on.
+the weight-sorting pass relies on.  :class:`RopeTables` checks every pairing
+invariant when it is built, so no rotation meets a table that breaks one.
 """
 
 from __future__ import annotations
@@ -35,34 +36,38 @@ LAYOUTS = ("interleaved", "half_split")
 
 @dataclass(frozen=True, eq=False)
 class RopeTables:
-    """Frequency, partner-index and sine-sign tables for one head."""
+    """Frequency, partner-index and sine-sign tables for one head, checked when
+    built (:class:`InvalidRopeTables`, or :class:`InvalidValue` for a ``theta``
+    of no real numbers) and held as float64, intp and int8 arrays."""
 
     theta: np.ndarray  # float64, length d_h
     partner: np.ndarray  # intp, length d_h
     sign: np.ndarray  # int8 of +/-1, length d_h
 
+    def __post_init__(self) -> None:
+        theta, partner, sign = _require_real_array("theta", self.theta), self.partner, self.sign
+        if not all(isinstance(a, np.ndarray) and a.dtype.kind in "iu" for a in (partner, sign)):
+            raise InvalidRopeTables(f"partner and sign must be integer arrays, got {partner!r}, {sign!r}")
+        d = len(theta) if theta.ndim == 1 else -1
+        if partner.shape != (d,) or sign.shape != (d,):
+            raise InvalidRopeTables(f"theta/partner/sign lengths disagree: shapes {theta.shape}, "
+                                    f"{partner.shape}, {sign.shape}, need one 1-D length")
+        if np.any(partner < 0) or np.any(partner >= d):
+            raise InvalidRopeTables("partner indices out of range")
+        partner, j = partner.astype(np.intp, copy=False), np.arange(d)
+        if np.any(partner == j) or not np.array_equal(partner[partner], j):
+            raise InvalidRopeTables("partner table must be an involution with no fixed point")
+        if not np.all(np.abs(sign) == 1) or np.any(sign[partner] == sign):
+            raise InvalidRopeTables("signs must be +/-1 and opposite within each pair")
+        if not np.isfinite(theta).all() or np.any(theta[partner] != theta):
+            raise InvalidRopeTables("frequencies must be finite and equal within each pair")
+        sign = sign.astype(np.int8, copy=False)
+        for name, a in (("theta", theta), ("partner", partner), ("sign", sign)):
+            object.__setattr__(self, name, a)
+
     @property
     def d_h(self) -> int:
         return int(self.theta.shape[0])
-
-    def validate(self) -> None:
-        """Raise :class:`InvalidRopeTables` unless the pairing invariants hold."""
-        d = self.d_h
-        if self.partner.shape != (d,) or self.sign.shape != (d,):
-            raise InvalidRopeTables("theta/partner/sign lengths disagree")
-        j = np.arange(d)
-        if np.any(self.partner < 0) or np.any(self.partner >= d):
-            raise InvalidRopeTables("partner indices out of range")
-        if np.any(self.partner == j):
-            raise InvalidRopeTables("a channel cannot pair with itself")
-        if not np.array_equal(self.partner[self.partner], j):
-            raise InvalidRopeTables("partner table is not an involution")
-        if not np.all(np.abs(self.sign) == 1):
-            raise InvalidRopeTables("signs must be +/-1")
-        if np.any(self.sign[self.partner] != -self.sign):
-            raise InvalidRopeTables("paired channels must carry opposite signs")
-        if np.any(self.theta[self.partner] != self.theta):
-            raise InvalidRopeTables("paired channels must share a frequency")
 
 
 def default_rope_tables(
@@ -120,8 +125,7 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
         raise ShapeMismatch(f"vector shape {x.shape} does not end in table length {tables.d_h}")
     # distinct frequencies by bit pattern, so that -0.0 and +0.0 stay apart
-    theta = np.ascontiguousarray(tables.theta, dtype=np.float64)
-    bits, column = np.unique(theta.view(np.int64), return_inverse=True)
+    bits, column = np.unique(tables.theta.view(np.int64), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
         angles = np.expand_dims(m, -1) * bits.view(np.float64)
     if not np.isfinite(angles).all():

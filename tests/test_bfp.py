@@ -33,6 +33,7 @@ from bfpksort import (
     quantize_tensor,
     unpack,
 )
+from bfpksort import tensorio
 from bfpksort.bfp import BFP12_64, BFP12_128, BFP16_128, _field_classes, format_from_name
 from bfpksort.errors import (
     CorruptBuffer,
@@ -665,6 +666,49 @@ def test_tensor_arrays_of_wrong_shape_rejected():
         BfpTensor(fmt, (2, 8), 1, good.exponents[:, :1], good.mantissas[:, :1])
     with pytest.raises(ShapeMismatch, match="mantissa array shape"):
         BfpTensor(fmt, (2, 8), 1, good.exponents, good.mantissas[..., :3])
+
+
+@pytest.mark.parametrize(
+    "field, value, got",
+    [("exponents", lambda a: a.astype(np.float64), "float64"),
+     ("exponents", lambda a: a.tolist(), "list"),
+     ("mantissas", lambda a: a.astype(np.float32), "float32"),
+     ("mantissas", lambda a: a != 0, "bool")],
+    ids=["float_exponents", "list_exponents", "float_mantissas", "bool_mantissas"],
+)
+def test_tensor_holds_only_integer_arrays(field, value, got):
+    # refused when built, never a raw TypeError in dequantize or pack, or an AttributeError
+    good = quantize_tensor(np.arange(8.0).reshape(2, 4), BfpFormat(4, 4), 1)
+    fields = {"exponents": good.exponents, "mantissas": good.mantissas}
+    fields[field] = value(fields[field])
+    with pytest.raises(InvalidValue, match=f"^{field} must be an integer array, got {got}$"):
+        BfpTensor(good.fmt, good.logical_shape, 1, **fields)
+
+
+def test_pack_refuses_a_field_its_bits_cannot_hold(tmp_path):
+    # BFP12_32 mantissas times 100 once packed without error and unpacked to others
+    t = quantize_tensor(gen_activations(16, 64, 4), BFP12_32, blocking_axis=1)
+    scaled = BfpTensor(t.fmt, t.logical_shape, 1, t.exponents, t.mantissas * 100)
+    with pytest.raises(InvalidValue, match=r"^mantissas must fit 4-bit fields in \[-8, 7\]"):
+        pack(scaled)
+    with pytest.raises(InvalidValue, match=r"^mantissas must fit"):
+        tensorio.save(tmp_path / "k.bfpt", scaled)
+    assert not list(tmp_path.iterdir())
+    high = BfpTensor(t.fmt, t.logical_shape, 1, np.full_like(t.exponents, 128), t.mantissas)
+    with pytest.raises(InvalidValue, match=r"^exponents must fit 8-bit fields in \[-128, 127\]"):
+        pack(high)
+
+
+@pytest.mark.parametrize("p", [2, 4, 8, 16])
+def test_pack_accepts_every_code_of_its_fields(p):
+    # both ends of each two's-complement field, -2**(p-1) (which unpack can give) included
+    fmt = BfpFormat(p, 4, 8)
+    top, mant = (1 << (p - 1)) - 1, 1 << (p - 1)
+    exps = np.array([fmt.exponent_min, fmt.exponent_max], np.int32)
+    mants = np.array([[-mant, top, 0, 1], [top, -mant, -1, 0]], np.int32)
+    t = BfpTensor(fmt, (8,), 0, exps, mants)
+    back = unpack(pack(t), fmt, (8,), 0)
+    assert np.array_equal(back.exponents, exps) and np.array_equal(back.mantissas, mants)
 
 
 def test_quantize_axis_outside_shape_rejected():

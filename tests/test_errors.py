@@ -8,7 +8,11 @@ not converted).  ``bfpksort.errors._require_int`` and ``_require_real`` hold
 that policy; ``BfpFormat``, ``OutlierSpec`` and ``ExperimentConfig`` are
 covered by their own modules' tests.  A legal array reads as bools, integers
 or floats; ``_require_real_array`` holds that rule and is the one float64 cast
-of an argument, and ``HeadWeights`` adds a head's shape and finiteness.
+of an argument (no ``np.asarray``, ``np.ascontiguousarray`` or ``np.array`` to
+``np.float64`` elsewhere), ``HeadWeights`` adds a head's shape and finiteness,
+and ``RopeTables`` reads its frequencies through it.  ``RopeTables``,
+``BfpTensor`` and ``PermutationPlan`` check their other fields when built; their
+own modules' tests cover that.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from bfpksort import (
     HeadWeights,
     OutlierSpec,
     Permutation,
+    RopeTables,
     default_rope_tables,
     error_metrics,
     exactness_check,
@@ -85,11 +90,16 @@ def test_library_raises_only_typed_errors():
     assert raw == RAW_RAISES
 
 
+#: The numpy calls that cast their first argument to a ``dtype`` given after it.
+CASTING_CALLS = ("np.asarray", "np.ascontiguousarray", "np.array")
+
+
 def _float64_casts(tree: ast.AST) -> list[str]:
-    """Each ``np.asarray(value, np.float64)`` or ``np.asarray(value, dtype=np.float64)``."""
+    """Each call of :data:`CASTING_CALLS` with ``np.float64`` as its second
+    argument or its ``dtype``, such as ``np.array(value, dtype=np.float64)``."""
     found = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and ast.unparse(node.func) == "np.asarray":
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in CASTING_CALLS:
             dtypes = node.args[1:] + [k.value for k in node.keywords if k.arg == "dtype"]
             if any(ast.unparse(d) == "np.float64" for d in dtypes):
                 found.append(ast.unparse(node))
@@ -99,7 +109,9 @@ def _float64_casts(tree: ast.AST) -> list[str]:
 def test_only_errors_casts_arguments_to_float64():
     # an argument is read through errors._require_real_array, which refuses complex,
     # text, object and ragged input; a bare cast would coerce or truncate it silently
-    assert _float64_casts(ast.parse("np.asarray(x, np.float64); np.asarray(x, dtype=np.float64)"))
+    written = [f"{call}(x, np.float64); {call}(x, dtype=np.float64)" for call in CASTING_CALLS]
+    assert all(len(_float64_casts(ast.parse(source))) == 2 for source in written)
+    assert not _float64_casts(ast.parse("np.ascontiguousarray(x, dtype=code); np.zeros(3, np.float64)"))
     names = [info.name for info in pkgutil.iter_modules(bfpksort.__path__)]
     assert {"bfp", "cli", "errors", "ksort", "rope", "simharness", "tensorio"} <= set(names)
     casts = {
@@ -154,6 +166,7 @@ def test_entry_point_refuses_an_illegal_scalar(tmp_path, monkeypatch, entry, kin
 _FMT = BfpFormat(4, 4)
 _HEAD = HeadWeights(w_k=np.ones((4, 8)), w_q=np.ones((4, 8)))
 _PLAN = plan_head(_HEAD)
+_TABLES = default_rope_tables(4)
 
 
 def _ragged(shape):
@@ -187,6 +200,7 @@ ARRAY_ENTRY_POINTS = {
     "cache_mse.keys": ("keys", (16, 4), lambda v: cache_mse(v, [Permutation.identity(4)], _FMT)),
     "HeadWeights.w_k": ("w_k", (4, 8), lambda v: HeadWeights(w_k=v, w_q=np.ones((4, 8)))),
     "HeadWeights.w_q": ("w_q", (4, 8), lambda v: HeadWeights(w_k=np.ones((4, 8)), w_q=v)),
+    "RopeTables.theta": ("theta", (4,), lambda v: RopeTables(v, _TABLES.partner, _TABLES.sign)),
 }
 
 

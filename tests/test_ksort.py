@@ -206,30 +206,33 @@ def test_random_remaps_preserve_invariants(layout):
     t = default_rope_tables(8, layout=layout)
     for _ in range(50):
         perm = Permutation(rng.permutation(8).astype(np.intp))
-        remap_rope_tables(t, perm).validate()
+        remap_rope_tables(t, perm)  # the remapped tables check their invariants when built
 
 
 def test_literal_array_permute_breaks_pairing():
     # translating partner values is what keeps the involution; a plain array
-    # permute of the partner table generally does not survive validation
+    # permute of the partner table generally cannot even be built.  Every pair
+    # has its own frequency, so the literal table is valid only where it equals
+    # the remapped one
     t = default_rope_tables(8)
     rng = np.random.default_rng(17)
     broken = 0
     for _ in range(20):
-        idx = rng.permutation(8).astype(np.intp)
-        literal = RopeTables(t.theta[idx], t.partner[idx], t.sign[idx])
-        try:
-            literal.validate()
-        except InvalidRopeTables:
-            broken += 1
+        perm = Permutation(rng.permutation(8).astype(np.intp))
+        idx = perm.indices
+        if np.array_equal(t.partner[idx], remap_rope_tables(t, perm).partner):
+            RopeTables(t.theta[idx], t.partner[idx], t.sign[idx])
+            continue
+        with pytest.raises(InvalidRopeTables):
+            RopeTables(t.theta[idx], t.partner[idx], t.sign[idx])
+        broken += 1
     assert broken > 0
 
 
 def test_invalid_input_tables_rejected():
     t = default_rope_tables(4)
-    bad = type(t)(theta=t.theta, partner=np.zeros(4, dtype=np.intp), sign=t.sign)
     with pytest.raises(InvalidRopeTables):
-        remap_rope_tables(bad, Permutation.identity(4))
+        type(t)(theta=t.theta, partner=np.zeros(4, dtype=np.intp), sign=t.sign)
 
 
 def test_remap_with_permutation_of_other_length_rejected():
@@ -360,6 +363,19 @@ def test_plan_json_rejects_mismatched_lengths():
     # a valid permutation, but of 6 channels, with tables for 8
     with pytest.raises(ShapeMismatch):
         PermutationPlan(Permutation.identity(6), rope=default_rope_tables(8))
+
+
+@pytest.mark.parametrize(
+    "perm, rope, got",
+    [(np.arange(4), None, "ndarray and NoneType"),
+     (Permutation.identity(4), "x", "Permutation and str"),
+     (Permutation.identity(4), default_rope_tables(4).theta, "Permutation and ndarray")],
+    ids=["array_perm", "string_rope", "array_rope"],
+)
+def test_plan_holds_a_permutation_and_tables(perm, rope, got):
+    # refused when built, so no decode meets a raw AttributeError from the plan
+    with pytest.raises(InvalidValue, match=f"RopeTables or None, got {got}$"):
+        PermutationPlan(perm, rope)
 
 
 # ---------------------------------------------------------------------------

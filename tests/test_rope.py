@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -24,7 +25,7 @@ from bfpksort import (
     remap_rope_tables,
     rope_apply,
 )
-from bfpksort.errors import InvalidRopeTables, ShapeMismatch
+from bfpksort.errors import BfpKsortError, InvalidRopeTables, ShapeMismatch
 
 
 def rope_apply_matrix(tables: RopeTables, x, m) -> np.ndarray:
@@ -85,7 +86,7 @@ def test_half_split_tables_d4():
 @pytest.mark.parametrize("layout", ["interleaved", "half_split"])
 @pytest.mark.parametrize("d_h", [2, 4, 8, 16, 32, 64, 128])
 def test_layouts_satisfy_invariants(layout, d_h):
-    default_rope_tables(d_h, layout=layout).validate()
+    default_rope_tables(d_h, layout=layout)  # a table checks its invariants when built
 
 
 def test_odd_or_tiny_dims_rejected():
@@ -104,26 +105,57 @@ def test_base_overflowing_a_frequency_rejected():
     assert np.all(np.isfinite(default_rope_tables(16, 5e-324).theta))
 
 
-def test_validate_catches_broken_tables():
+def test_construction_catches_broken_tables():
     good = default_rope_tables(4)
-    bad_sign = RopeTables(good.theta, good.partner, np.abs(good.sign))
     with pytest.raises(InvalidRopeTables):
-        bad_sign.validate()
-    bad_partner = RopeTables(good.theta, np.zeros(4, dtype=np.intp), good.sign)
+        RopeTables(good.theta, good.partner, np.abs(good.sign))
     with pytest.raises(InvalidRopeTables):
-        bad_partner.validate()
-    bad_theta = RopeTables(np.arange(4.0), good.partner, good.sign)
+        RopeTables(good.theta, np.zeros(4, dtype=np.intp), good.sign)
     with pytest.raises(InvalidRopeTables):
-        bad_theta.validate()
-    short_partner = RopeTables(good.theta, good.partner[:3], good.sign)
+        RopeTables(np.arange(4.0), good.partner, good.sign)
     with pytest.raises(InvalidRopeTables, match="lengths disagree"):
-        short_partner.validate()
-    partner_out_of_range = RopeTables(good.theta, np.array([1, 0, 3, 4], np.intp), good.sign)
+        RopeTables(good.theta, good.partner[:3], good.sign)
     with pytest.raises(InvalidRopeTables, match="out of range"):
-        partner_out_of_range.validate()
-    sign_not_unit = RopeTables(good.theta, good.partner, good.sign * 2)
+        RopeTables(good.theta, np.array([1, 0, 3, 4], np.intp), good.sign)
     with pytest.raises(InvalidRopeTables, match=r"\+/-1"):
-        sign_not_unit.validate()
+        RopeTables(good.theta, good.partner, good.sign * 2)
+
+
+_GOOD = default_rope_tables(4)
+
+#: Tables that break one rule each, built from the valid interleaved d_h = 4 tables,
+#: and the start of the refusal's message.
+HOSTILE_TABLES = {
+    "float_partner": ((_GOOD.theta, _GOOD.partner.astype(np.float64), _GOOD.sign),
+                      "partner and sign must be integer arrays"),
+    "lists": ((_GOOD.theta.tolist(), _GOOD.partner.tolist(), _GOOD.sign.tolist()),
+              "partner and sign must be integer arrays"),
+    "partner_out_of_range": ((_GOOD.theta, np.array([1, 0, 3, 4]), _GOOD.sign),
+                             "partner indices out of range"),
+    "self_paired": ((_GOOD.theta, np.arange(4), _GOOD.sign), "partner table must be an involution"),
+    "half_sign": ((_GOOD.theta, _GOOD.partner, _GOOD.sign * 0.5),
+                  "partner and sign must be integer arrays"),
+    "inf_theta": ((np.full(4, np.inf), _GOOD.partner, _GOOD.sign), "frequencies must be finite"),
+    "theta_2d": ((_GOOD.theta[:, None], _GOOD.partner, _GOOD.sign), "theta/partner/sign lengths"),
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_TABLES))
+def test_hostile_tables_refused_when_built(case):
+    # refused with a typed error (and no numpy warning, which fails any test here)
+    # before any rotation, plan or decode can use them
+    fields, message = HOSTILE_TABLES[case]
+    with pytest.raises(BfpKsortError, match=f"^{re.escape(message)}"):
+        RopeTables(*fields)
+
+
+def test_tables_held_as_float64_intp_and_int8():
+    good = default_rope_tables(8, layout="half_split")
+    t = RopeTables(good.theta.astype(np.float32), good.partner.astype(np.uint8), good.sign.astype(np.int64))
+    assert (t.theta.dtype, t.partner.dtype, t.sign.dtype) == (np.float64, np.intp, np.int8)
+    assert np.array_equal(t.partner, good.partner) and np.array_equal(t.sign, good.sign)
+    same = RopeTables(good.theta, good.partner, good.sign)  # arrays of those dtypes are not copied
+    assert same.theta is good.theta and same.partner is good.partner and same.sign is good.sign
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ from bfpksort import (
     simulate_decode,
 )
 from bfpksort.bfp import BFP12_64, BFP16_64, BFP16_128
-from bfpksort.errors import InvalidValue, PlanMismatch, ShapeMismatch
+from bfpksort.errors import InvalidRopeTables, InvalidValue, PlanMismatch, ShapeMismatch
 from bfpksort.simharness import ErrorReport
 
 BFP12_4 = BfpFormat(mantissa_bits=4, block_size=4)
@@ -479,10 +479,8 @@ def test_exactness_check_matches_dense_oracle(monkeypatch, rows, rope):
     weights, tables = _fuzz_head(len(rope) + 1, rope)
     plans = [plan_head(weights, tables)]
     if tables is not None:
-        # rotary tables permuted as plain arrays: deviations of order 1
-        idx = plans[0].perm.indices
-        shuffled = RopeTables(tables.theta[idx], tables.partner[idx], tables.sign[idx])
-        plans.append(replace(plans[0], rope=shuffled))
+        # valid tables left unremapped: rotation acts on the wrong pairs, deviations of order 1
+        plans.append(replace(plans[0], rope=tables))
     for t in _FUZZ_TOKENS:
         X = gen_activations(t, weights.d_model, t)
         _patch_rows(monkeypatch, rows, t)
@@ -548,9 +546,7 @@ def test_score_kernel_matches_streamed_oracle_bitwise(monkeypatch, rows, rope):
     plan = plan_head(weights, tables)
     plans = [plan]
     if tables is not None:
-        idx = plan.perm.indices
-        shuffled = RopeTables(tables.theta[idx], tables.partner[idx], tables.sign[idx])
-        plans.append(replace(plan, rope=shuffled))
+        plans.append(replace(plan, rope=tables))  # valid, but not remapped
     formats = ((None, None), (BfpFormat(4, 8), BfpFormat(8, 8)), (BfpFormat(4, 16), None))
     for t in (0, 1, 5, 33, 200):
         X = gen_activations(t, weights.d_model, t + 100)
@@ -820,15 +816,16 @@ def test_exactness_with_rope():
 
 
 def test_exactness_breaks_with_literal_table_permute():
-    # permuting the partner table as a plain array (no index translation)
-    # visibly breaks the score map
+    # a partner table permuted as a plain array (no index translation) cannot be
+    # built; the valid tables left unremapped visibly break the score map
     weights, tables, X = _small_setup()
     good = plan_head(weights, tables)
     idx = good.perm.indices
-    shuffled = RopeTables(tables.theta[idx], tables.partner[idx], tables.sign[idx])
-    literal = replace(good, rope=shuffled)
+    with pytest.raises(InvalidRopeTables):
+        RopeTables(tables.theta[idx], tables.partner[idx], tables.sign[idx])
+    unremapped = replace(good, rope=tables)
     assert exactness_check(weights, good, X, tables) <= 1e-12
-    assert exactness_check(weights, literal, X, tables) > 1e-3
+    assert exactness_check(weights, unremapped, X, tables) > 1e-3
 
 
 # ---------------------------------------------------------------------------
