@@ -66,6 +66,13 @@ def _require_real(name: str, value, low, *, above: bool = False) -> None:
         raise InvalidValue(f"{name} must be finite and {'>' if above else '>='} {low}, got {value!r}")
 
 
+def _require_instance(name: str, value, cls: type, *, optional: bool = False) -> None:
+    """Raise :class:`InvalidValue` unless ``value`` is a ``cls`` (or ``None`` with ``optional``)."""
+    if not (isinstance(value, cls) or (optional and value is None)):
+        wanted = f"a {cls.__name__} or None" if optional else f"a {cls.__name__}"
+        raise InvalidValue(f"{name} must be {wanted}, got {type(value).__name__}")
+
+
 def _require_real_array(name: str, value) -> np.ndarray:
     """``value`` read as an array of float64, not copied if it is one; :class:`InvalidValue`
     unless its entries are bools, integers or floats: not complex, text, objects (such as

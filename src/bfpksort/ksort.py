@@ -39,7 +39,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, dequantize, quantize_tensor
-from .errors import InvalidValue, ShapeMismatch, _require_int, _require_real_array
+from .errors import InvalidValue, ShapeMismatch, _require_instance, _require_int, _require_real_array
 from .rope import RopeTables
 
 __all__ = [
@@ -261,7 +261,10 @@ def plan_head(
     is the layout of lowest :func:`cache_mse` on the Gaussian model keys among
     the norm sort, the identity and the grouped layouts (see the module
     docstring).  Heads equal up to a power of two get bitwise-equal plans.
+    ``rope_tables`` that are not :class:`RopeTables` or ``None`` raise
+    :class:`InvalidValue`.
     """
+    _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
     if rope_tables is not None and rope_tables.d_h != weights.d_h:
         raise ShapeMismatch(f"rotary tables must fit the head: width {rope_tables.d_h}, got d_h {weights.d_h}")
     norms, _ = _unit_row_norms(weights.w_k)

@@ -20,6 +20,7 @@ invariant when it is built, so no rotation meets a table that breaks one.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,8 @@ LAYOUTS = ("interleaved", "half_split")
 class RopeTables:
     """Frequency, partner-index and sine-sign tables for one head, checked when
     built (:class:`InvalidRopeTables`, or :class:`InvalidValue` for a ``theta``
-    of no real numbers) and held as float64, intp and int8 arrays."""
+    of no real numbers) and held as read-only float64, intp and int8 arrays
+    (views of the caller's arrays when those have these dtypes)."""
 
     theta: np.ndarray  # float64, length d_h
     partner: np.ndarray  # intp, length d_h
@@ -63,6 +65,9 @@ class RopeTables:
             raise InvalidRopeTables("frequencies must be finite and equal within each pair")
         sign = sign.astype(np.int8, copy=False)
         for name, a in (("theta", theta), ("partner", partner), ("sign", sign)):
+            if a.flags.writeable:  # a checked table must not change under a rotation
+                a = a.view()
+                a.flags.writeable = False
             object.__setattr__(self, name, a)
 
     @property
@@ -107,6 +112,11 @@ def default_rope_tables(
     return RopeTables(theta=theta, partner=partner, sign=sign)
 
 
+#: Elements of the result :func:`rope_apply` rotates at a time, so that its
+#: temporaries stay the size of one block of rows: 2**16 elements (512 KiB).
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     """Rotate ``x`` to token position ``m``.
 
@@ -118,24 +128,35 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     evaluated once per distinct frequency (paired channels share one) and
     gathered back to the columns, and the sign is folded into the sine:
     multiplying by +/-1 is exact, so ``(sign*x_p)*sin == x_p*(sign*sin)``,
-    signed zeros included.  An angle that is not finite raises
-    :class:`InvalidValue`.
+    signed zeros included.  Every step is elementwise, so the result is
+    written one block of rows (the second-to-last axis of the result) at a
+    time, and the result is the only allocation the size of ``x``.  An angle
+    that is not finite raises :class:`InvalidValue`.
     """
     x, m = _require_real_array("x", x), _require_real_array("m", m)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
         raise ShapeMismatch(f"vector shape {x.shape} does not end in table length {tables.d_h}")
     # distinct frequencies by bit pattern, so that -0.0 and +0.0 stay apart
     bits, column = np.unique(tables.theta.view(np.int64), return_inverse=True)
-    with np.errstate(over="ignore", invalid="ignore"):
-        angles = np.expand_dims(m, -1) * bits.view(np.float64)
-    if not np.isfinite(angles).all():
-        raise InvalidValue("a rotary angle m * theta is not finite")
-    out = x * np.take(np.cos(angles), column, axis=-1)
-    sin = np.take(np.sin(angles, out=angles), column, axis=-1)
-    del angles  # freed before the gather, so the peak holds only out, sin and t
-    sin *= tables.sign.astype(np.float64)
-    x = np.broadcast_to(x, out.shape)  # a position array may add leading axes
-    t = np.take(x, tables.partner, axis=-1)
-    t *= sin
-    out += t
+    freqs, sign = bits.view(np.float64), tables.sign.astype(np.float64)
+    # a position array may add leading axes
+    out = np.empty(np.broadcast_shapes(x.shape[:-1], m.shape) + x.shape[-1:])
+    n_rows = out.shape[-2] if out.ndim > 1 else 1
+    step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(out.shape[:-2]) * out.shape[-1]))
+    # at least one pass, so that a non-finite scalar angle is refused even without rows
+    for r0 in range(0, max(1, n_rows), step):
+        rows = slice(r0, r0 + step)
+        x_rows = x[..., rows, :] if x.ndim > 1 and x.shape[-2] > 1 else x
+        m_rows = m[..., rows] if m.ndim > 0 and m.shape[-1] > 1 else m
+        out_rows = out[..., rows, :] if out.ndim > 1 else out
+        with np.errstate(over="ignore", invalid="ignore"):
+            angles = np.expand_dims(m_rows, -1) * freqs
+        if not np.isfinite(angles).all():
+            raise InvalidValue("a rotary angle m * theta is not finite")
+        np.multiply(x_rows, np.take(np.cos(angles), column, axis=-1), out=out_rows)
+        sin = np.take(np.sin(angles, out=angles), column, axis=-1)
+        sin *= sign
+        t = np.take(np.broadcast_to(x_rows, out_rows.shape), tables.partner, axis=-1)
+        t *= sin
+        out_rows += t
     return out

@@ -38,9 +38,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bfp import BfpFormat, BfpTensor, bits_per_element, dequantize, quantize_tensor
+from .bfp import BfpFormat, BfpTensor, _check_finite, bits_per_element, dequantize, quantize_tensor
 from .errors import InvalidValue, PlanMismatch, ShapeMismatch
-from .errors import _require_int, _require_real, _require_real_array
+from .errors import _require_instance, _require_int, _require_real, _require_real_array
 from .ksort import HeadWeights, PermutationPlan
 from .rope import RopeTables, rope_apply
 
@@ -127,16 +127,19 @@ class DecodeTrace:
 #: Elements of the score map reduced at a time by :func:`_causal_gap`, for both
 #: :func:`simulate_decode` and :func:`exactness_check`: query rows [i0, i1) are
 #: scored against the causal keys [:i1], budget // T rows per block.  Every
-#: T <= 1024 is one block; T = 4096 takes 256 rows (8 MiB of float64) per block.
-SCORE_BLOCK_ELEMENTS = 1 << 20
+#: T <= 724 is one block; T = 4096 takes 128 rows (4 MiB of float64) per block.
+SCORE_BLOCK_ELEMENTS = 1 << 19
 
 
-def _causal_gap(qa, ka, qb=None, kb=None) -> float:
+def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> float:
     """Largest causal ``|qa @ ka.T - qb @ kb.T|``, or ``|qa @ ka.T|`` without ``qb``.
 
     Reduced one block of query rows at a time (:data:`SCORE_BLOCK_ELEMENTS`),
-    so no T x T map is built.  NaN when a causal entry is NaN, inf or NaN
-    when a score overflows (see :func:`_check_overflow`), 0.0 for zero tokens.
+    so no T x T map is built.  With ``fmt_q``, each block's rows of ``qa``
+    are cast to it and decoded first: a BFP block never spans rows, so this
+    gives the bits of a whole-matrix cast.  NaN when a causal entry is NaN,
+    inf or NaN when a score overflows (see :func:`_check_overflow`), 0.0 for
+    zero tokens.
     """
     n_tokens = qa.shape[0]
     rows = max(1, SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
@@ -144,7 +147,10 @@ def _causal_gap(qa, ka, qb=None, kb=None) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_tokens, rows):
             i1 = min(n_tokens, i0 + rows)
-            scores = qa[i0:i1] @ ka[:i1].T
+            q = qa[i0:i1]
+            if fmt_q is not None:
+                q = dequantize(quantize_tensor(q, fmt_q, blocking_axis=1))
+            scores = q @ ka[:i1].T
             if qb is not None:
                 scores -= qb[i0:i1] @ kb[:i1].T
             np.abs(scores, out=scores)
@@ -189,6 +195,8 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
     :func:`_check_overflow`).
     """
     source = (weights, rope_tables, X, plan)
+    _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
+    _require_instance("plan", plan, PermutationPlan, optional=True)
     X = _require_real_array("X", X)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
@@ -238,14 +246,18 @@ def simulate_decode(
 
     The decode projects the head (:func:`_project`), casts the keys into the
     cache, rotates the decoded keys (lossless keys are their own decode, so
-    they reuse the rotated reference), casts the queries and scores.  A sweep
-    scores every format pair of one plan on one projection by passing it as
-    the private ``_projection``; one built from any other ``weights``,
-    ``rope_tables``, ``X`` or ``plan`` object raises :class:`PlanMismatch`
-    before any cast.
+    they reuse the rotated reference), then casts and scores the queries one
+    block of rows at a time (:func:`_causal_gap`).  ``rope_tables`` that are
+    not :class:`RopeTables` or ``None``, or a ``plan`` that is not a
+    :class:`PermutationPlan` or ``None``, raise :class:`InvalidValue` before
+    any projection.  A sweep scores every format pair of one plan on one
+    projection by passing it as the private ``_projection``; one built from
+    any other ``weights``, ``rope_tables``, ``X`` or ``plan`` object raises
+    :class:`PlanMismatch` before any cast.
 
     The score error is reduced one block of query rows at a time
-    (:data:`SCORE_BLOCK_ELEMENTS`), so no T x T score map is ever built.
+    (:data:`SCORE_BLOCK_ELEMENTS`), so neither a T x T score map nor a whole
+    matrix of decoded queries is ever built.
     """
     projection = _projection
     if projection is None:
@@ -259,10 +271,9 @@ def simulate_decode(
     if fmt_k is not None:
         key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
         decoded = _rotate(projection.tables, dequantize(key_cache))
-    deq_queries = (
-        dequantize(quantize_tensor(queries, fmt_q, blocking_axis=1)) if fmt_q is not None else queries
-    )
-    score_err = _causal_gap(deq_queries, decoded, queries, reference)
+    if fmt_q is not None:  # named by its row in the queries, not in a block of them
+        _check_finite(queries)
+    score_err = _causal_gap(queries, decoded, queries, reference, fmt_q)
     _check_overflow(X, score_err)
     return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 
@@ -280,8 +291,10 @@ def exactness_check(
     zero tokens).  Channel permutation leaves each score a reordering of the
     same summands, so a correct plan lands at accumulated rounding error
     (~1e-15); a plan whose rotary tables were remapped wrongly deviates at
-    order 1.
+    order 1.  A ``plan`` that is not a :class:`PermutationPlan` raises
+    :class:`InvalidValue` before any projection.
     """
+    _require_instance("plan", plan, PermutationPlan)
     ref = _project(weights, rope_tables, X, None)
     perm = _project(weights, rope_tables, X, plan)
     scale = _causal_gap(ref.queries, ref.rotated_keys)

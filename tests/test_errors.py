@@ -222,6 +222,46 @@ def test_entry_point_refuses_an_array_of_no_real_numbers(entry, kind):
     assert message.startswith(f"{name} must be an array of real numbers, got ")
 
 
+#: Each argument that must hold one of the library's checked objects: its name, what
+#: it must be, and a call with it.
+OBJECT_ENTRY_POINTS = {
+    "simulate_decode.rope_tables": (
+        "rope_tables", "a RopeTables or None", lambda v: simulate_decode(_HEAD, v, _X3)
+    ),
+    "simulate_decode.plan": (
+        "plan", "a PermutationPlan or None", lambda v: simulate_decode(_HEAD, None, _X3, plan=v)
+    ),
+    "exactness_check.rope_tables": (
+        "rope_tables", "a RopeTables or None", lambda v: exactness_check(_HEAD, _PLAN, _X3, v)
+    ),
+    "exactness_check.plan": ("plan", "a PermutationPlan", lambda v: exactness_check(_HEAD, v, _X3)),
+    "plan_head.rope_tables": ("rope_tables", "a RopeTables or None", lambda v: plan_head(_HEAD, v)),
+}
+
+_X3 = np.ones((3, 8))
+
+
+@pytest.mark.parametrize("value", ["x", _TABLES.theta, 4], ids=["str", "ndarray", "int"])
+@pytest.mark.parametrize("entry", list(OBJECT_ENTRY_POINTS))
+def test_entry_point_refuses_an_object_of_another_type(monkeypatch, entry, value):
+    # refused by name before any projection, not by an AttributeError inside one
+    def no_projection(*args, **kwargs):
+        raise AssertionError("projected before the refusal")
+
+    monkeypatch.setattr(simharness, "rope_apply", no_projection)
+    monkeypatch.setattr(simharness, "quantize_tensor", no_projection)
+    monkeypatch.setattr(ksort, "remap_rope_tables", no_projection)
+    name, wanted, call = OBJECT_ENTRY_POINTS[entry]
+    message = _refused(InvalidValue, call, value)
+    assert message == f"{name} must be {wanted}, got {type(value).__name__}"
+
+
+def test_exactness_check_needs_a_plan():
+    assert _refused(InvalidValue, exactness_check, _HEAD, None, _X3) == (
+        "plan must be a PermutationPlan, got NoneType"
+    )
+
+
 def _with(shape, index, value):
     w = np.ones(shape)
     w[index] = value

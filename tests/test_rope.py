@@ -3,7 +3,9 @@
 The dense-matrix path (`rope_apply_matrix`) is the oracle; the scalar
 expansion below is a second, loop-based reference sharing nothing with
 either vectorized path.  `_rope_apply_oracle` is the one-line formula the
-kernel replaced: the kernel must match it byte for byte.
+kernel replaced, and `_whole_array_rope_oracle` the whole-array kernel that
+rotated every row at once before the kernel worked one block of rows at a
+time: the kernel must match both byte for byte.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from bfpksort import (
     remap_rope_tables,
     rope_apply,
 )
-from bfpksort.errors import BfpKsortError, InvalidRopeTables, ShapeMismatch
+from bfpksort import rope
+from bfpksort.errors import BfpKsortError, InvalidRopeTables, InvalidValue, ShapeMismatch
 
 
 def rope_apply_matrix(tables: RopeTables, x, m) -> np.ndarray:
@@ -50,6 +53,24 @@ def _rope_apply_oracle(tables: RopeTables, x, m) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     angles = np.expand_dims(np.asarray(m, dtype=np.float64), -1) * tables.theta
     return x * np.cos(angles) + tables.sign * x[..., tables.partner] * np.sin(angles)
+
+
+def _whole_array_rope_oracle(tables: RopeTables, x, m) -> np.ndarray:
+    """The kernel as it was before it worked in blocks of rows: every angle,
+    the full gathered sine and the full partner copy at once."""
+    x, m = np.asarray(x, dtype=np.float64), np.asarray(m, dtype=np.float64)
+    bits, column = np.unique(tables.theta.view(np.int64), return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = np.expand_dims(m, -1) * bits.view(np.float64)
+    if not np.isfinite(angles).all():
+        raise InvalidValue("a rotary angle m * theta is not finite")
+    out = x * np.take(np.cos(angles), column, axis=-1)
+    sin = np.take(np.sin(angles, out=angles), column, axis=-1)
+    sin *= tables.sign.astype(np.float64)
+    t = np.take(np.broadcast_to(x, out.shape), tables.partner, axis=-1)
+    t *= sin
+    out += t
+    return out
 
 
 def scalar_rope(tables: RopeTables, x, m):
@@ -156,6 +177,21 @@ def test_tables_held_as_float64_intp_and_int8():
     assert np.array_equal(t.partner, good.partner) and np.array_equal(t.sign, good.sign)
     same = RopeTables(good.theta, good.partner, good.sign)  # arrays of those dtypes are not copied
     assert same.theta is good.theta and same.partner is good.partner and same.sign is good.sign
+
+
+@pytest.mark.parametrize("field", ["theta", "partner", "sign"])
+def test_tables_are_read_only(field):
+    # a checked table cannot be broken afterwards: writing to it raises numpy's read-only error
+    t = default_rope_tables(8)
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(t, field)[0] = 0
+    assert rope_apply(t, np.ones(8), 1).tobytes() == _rope_apply_oracle(t, np.ones(8), 1).tobytes()
+    # the caller's own arrays are viewed, not copied, and stay writable
+    good = default_rope_tables(8)
+    mine = {name: getattr(good, name).copy() for name in ("theta", "partner", "sign")}
+    held = getattr(RopeTables(**mine), field)
+    assert np.shares_memory(held, mine[field]) and not held.flags.writeable
+    assert mine[field].flags.writeable
 
 
 # ---------------------------------------------------------------------------
@@ -333,6 +369,76 @@ def test_kernel_keeps_signed_zero_frequencies_apart():
         sign=np.array([-1, 1, -1, 1], dtype=np.int8),
     )
     _assert_same_bytes(tables, np.array([1.0, -2.0, 3.0, -0.0]), 5)
+
+
+# ---------------------------------------------------------------------------
+# the row-blocked kernel against the whole-array kernel it replaced
+# ---------------------------------------------------------------------------
+
+
+def _all_tables(d_h: int) -> list:
+    """Interleaved, half-split and remapped (sorted plan) tables of width d_h,
+    and interleaved tables whose frequencies hold +0.0 and -0.0."""
+    weights = gen_outlier_head(d_h, 16, OutlierSpec(2, 20.0, seed=d_h))
+    plain = [default_rope_tables(d_h, layout=layout) for layout in ("interleaved", "half_split")]
+    zeros = np.resize([0.0, 0.0, -0.0, -0.0, 0.5, 0.5], d_h)
+    signed_zeros = RopeTables(zeros, plain[0].partner, plain[0].sign)
+    return plain + [plan_head(weights, t).rope for t in plain] + [signed_zeros]
+
+
+def _block_shapes():
+    """(x, m) pairs covering every broadcast the kernel blocks over."""
+    rng = np.random.default_rng(12)
+    d, t = 8, 23
+    x = _with_signed_zeros(rng.normal(size=(t, d)))
+    return {
+        "vector_scalar_m": (x[3], 3),
+        "rows_positions": (x, np.arange(t)),
+        "stacked_positions": (np.stack([x, -x]), np.arange(t)),
+        "one_row_broadcast": (x[:1], np.arange(t)),
+        "two_by_t_positions": (x, np.stack([np.arange(t), np.arange(t)[::-1]])),
+        "rows_scalar_m": (x, 7),
+        "zero_rows": (x[:0], np.arange(0)),
+        "zero_rows_scalar_m": (x[:0], 5),
+    }
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 5], ids=["default", "rows_1", "rows_5"])
+@pytest.mark.parametrize("case", list(_block_shapes()))
+def test_blocked_kernel_matches_whole_array_oracle_bitwise(monkeypatch, case, block_rows):
+    # 23 rows in blocks of 5 leave a ragged last block of 3
+    x, m = _block_shapes()[case]
+    if block_rows is not None:
+        row_elements = max(1, x.size // max(1, x.shape[-2])) if x.ndim > 1 else x.size
+        monkeypatch.setattr(rope, "_BLOCK_ELEMENTS", block_rows * row_elements)
+    for tables in _all_tables(8):
+        got, want = rope_apply(tables, x, m), _whole_array_rope_oracle(tables, x, m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), (case, block_rows)
+
+
+@pytest.mark.parametrize("stack", [1, 2])
+def test_blocked_kernel_matches_whole_array_oracle_at_default_budget(stack):
+    # 1300 rows of 128 channels: several default blocks and a ragged last one
+    rng = np.random.default_rng(13)
+    x = _with_signed_zeros(rng.normal(size=(stack, 1300, 128)))
+    assert x[0].size > rope._BLOCK_ELEMENTS and 1300 % (rope._BLOCK_ELEMENTS // (stack * 128))
+    for tables in _all_tables(128):
+        got = rope_apply(tables, x, np.arange(1300))
+        assert got.tobytes() == _whole_array_rope_oracle(tables, x, np.arange(1300)).tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+def test_non_finite_angle_in_a_late_block_raises(monkeypatch):
+    # the largest frequency is about 8.1e307: positions up to 2 are finite angles,
+    # and only row 9, in the last of five two-row blocks, overflows
+    tables = default_rope_tables(42, 5e-324)
+    monkeypatch.setattr(rope, "_BLOCK_ELEMENTS", 2 * 42)
+    x, m = np.ones((10, 42)), np.array([0, 1, 2] * 3 + [3])
+    for kernel in (_whole_array_rope_oracle, rope_apply):
+        with pytest.raises(InvalidValue, match="not finite"):
+            kernel(tables, x, m)
+    assert np.all(np.isfinite(rope_apply(tables, x[:9], m[:9])))
 
 
 @pytest.mark.filterwarnings("error")

@@ -5,6 +5,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
@@ -435,7 +436,7 @@ def _patch_rows(monkeypatch, rows, t):
 
 def _assert_oracle_value(got, want, rows, bound):
     if rows is None or got == want:
-        # at the default budget every T <= 1024 is one block: the same products
+        # at the default budget every T <= 724 is one block: the same products
         assert got == want
     else:
         # BLAS sums a product's dot products in an order that depends on the
@@ -582,6 +583,16 @@ def test_nan_activations_on_a_bfp_grid_are_non_finite_input():
     X[2, 3] = np.nan
     with pytest.raises(InvalidValue, match="non-finite input"):
         simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
+
+
+def test_non_finite_query_in_a_later_block_is_named_by_its_row(monkeypatch):
+    # lossless keys leave the query cast to meet the NaN; it names the row in the
+    # queries, as a whole-matrix cast does, not the row in its block of eight
+    weights, tables, X = _small_setup(n_tokens=64)
+    X[50, 3] = np.nan
+    _patch_rows(monkeypatch, 8, 64)
+    with pytest.raises(InvalidValue, match=re.escape("non-finite input at index (50, 0)")):
+        simulate_decode(weights, tables, X, None, BFP12_4)
 
 
 _BFP_PAIR = (BfpFormat(4, 8), BfpFormat(8, 8))
@@ -780,10 +791,10 @@ def test_zero_tokens_report_zero_error():
     assert exactness_check(weights, plan, X[:0], tables) == 0.0
 
 
-def test_long_decode_memory_grows_with_t_not_t_squared():
-    # one sorted T = 4096 decode as the long-context benchmark runs it; a single
-    # T x T float64 score map is 128 MiB, and the dense decode peaked at 522 MiB
-    t, tables = 4096, default_rope_tables(128)
+def _decode_peak_mib(t: int) -> float:
+    """The tracemalloc peak of one sorted decode as the long-context benchmark
+    runs it (at T = 4096 there), with its error metrics."""
+    tables = default_rope_tables(128)
     weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, seed=0))
     X = gen_activations(t, 256, 0)
     plan = plan_head(weights, tables)
@@ -792,10 +803,16 @@ def test_long_decode_memory_grows_with_t_not_t_squared():
         trace = simulate_decode(weights, tables, X, BFP12_32, BFP16_32, plan=plan)
         error_metrics(trace.keys, trace.key_cache)
         score_max_abs_err(trace)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1] / 2**20
     finally:
         tracemalloc.stop()
-    assert peak < 96 * 2**20, peak / 2**20
+
+
+def test_long_decode_memory_grows_with_t_not_t_squared():
+    # a single T x T float64 score map is 128 MiB at T = 4096, and the dense decode
+    # peaked at 522 MiB; four times the tokens may take less than twice the memory
+    peaks = {t: _decode_peak_mib(t) for t in (1024, 4096)}
+    assert peaks[1024] < 16 and peaks[4096] < 30, peaks
 
 
 # ---------------------------------------------------------------------------
