@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CorruptBuffer, ExponentOverflow, InvalidValue, ShapeMismatch
-from .errors import _require_int, _require_real_array
+from .errors import _read_only, _require_int, _require_real_array
 
 __all__ = [
     "BfpFormat",
@@ -126,7 +126,7 @@ class BfpBlock:
     """One encoded block: shared exponent plus integer mantissas."""
 
     exponent: int
-    mantissas: np.ndarray  # int32, length n
+    mantissas: np.ndarray  # int8 for p <= 8, else int16; length n
 
     def decode(self) -> np.ndarray:
         return np.ldexp(self.mantissas.astype(np.float64), self.exponent)
@@ -141,13 +141,20 @@ class BfpTensor:
     shape ``outer_shape + (nblocks, n)``.  The final block of each blocked row
     is zero-padded with :attr:`padding_count` elements, which decode to
     exactly 0 and are excluded from error metrics.
+
+    Any integer arrays of the right shapes make a tensor, held read-only (views
+    of the caller's arrays when those are writable); :func:`pack` packs them to
+    the same bytes whatever their dtype.  The codec makes int32 exponents and
+    mantissas in the narrowest signed type that holds ``p`` bits: int8 for
+    ``p <= 8`` (every BFP12 and BFP16 preset), int16 above.  Arithmetic on
+    mantissas must widen them first, as :func:`bfp_dot` does.
     """
 
     fmt: BfpFormat
     logical_shape: tuple[int, ...]
     blocking_axis: int
-    exponents: np.ndarray  # int32
-    mantissas: np.ndarray  # int32
+    exponents: np.ndarray  # int32 from the codec
+    mantissas: np.ndarray  # int8 for p <= 8, else int16, from the codec
 
     def __post_init__(self) -> None:
         _check_dims(self.logical_shape)
@@ -156,6 +163,7 @@ class BfpTensor:
             if not (isinstance(a, np.ndarray) and a.dtype.kind in "iu"):
                 raise InvalidValue(f"{name} must be an integer array, got "
                                    f"{getattr(a, 'dtype', type(a).__name__)}")
+            object.__setattr__(self, name, _read_only(a))
         n = self.fmt.block_size
         if not 0 <= self.blocking_axis < len(self.logical_shape):
             raise ShapeMismatch(
@@ -229,8 +237,14 @@ def _minimal_exponents(max_abs: np.ndarray, fmt: BfpFormat) -> np.ndarray:
     return e
 
 
+def _mantissa_dtype(fmt: BfpFormat) -> type:
+    """The narrowest signed integer type that holds a ``p``-bit mantissa."""
+    return np.int8 if fmt.mantissa_bits <= 8 else np.int16
+
+
 def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.ndarray]:
-    """Encode ``values`` of shape (..., n) into int32 (exponents, mantissas)."""
+    """Encode ``values`` of shape (..., n) into (exponents, mantissas): int32 exponents,
+    mantissas in :func:`_mantissa_dtype`."""
     max_abs = np.abs(values).max(axis=-1)
     e = _minimal_exponents(max_abs, fmt)
     e[max_abs == 0.0] = fmt.exponent_min
@@ -242,7 +256,7 @@ def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.n
         )
     np.maximum(e, fmt.exponent_min, out=e)  # tiny blocks underflow toward zero mantissas
     mant = np.ldexp(values, -e[..., None])
-    return e, np.rint(mant, out=mant).astype(np.int32)
+    return e, np.rint(mant, out=mant).astype(_mantissa_dtype(fmt))
 
 
 def _check_finite(values: np.ndarray) -> None:
@@ -376,7 +390,7 @@ def pack(t: BfpTensor) -> bytes:
             raise InvalidValue(f"{name}s must fit {bits}-bit fields in [{low}, {high}], "
                                f"got [{values.min()}, {values.max()}]")
     for values, width, shift, spans in _class_slots(exps, mants, out, fmt):
-        field = values & ((1 << width) - 1)
+        field = np.bitwise_and(values, (1 << width) - 1, dtype=np.int32)  # room for the shifts
         field <<= shift
         for span in spans:  # OR the field's low byte in, then bring the next one down
             np.bitwise_or(span, field, out=span, casting="unsafe")
@@ -388,7 +402,10 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
     """Rebuild a :class:`BfpTensor` from its packed bytes (any buffer, such as a
     ``memoryview``).
 
-    Inverse of :func:`pack` given the same format, logical shape and axis.
+    Inverse of :func:`pack` given the same format, logical shape and axis.  The
+    exponents come back as int32 and the mantissas in the narrowest signed type
+    that holds ``p`` bits (int8, or int16 above 8), as :func:`quantize_tensor`
+    makes them.
     """
     shape = _check_dims(shape)  # before the buffer is sized from it
     axis = _axis(blocking_axis, shape)
@@ -403,7 +420,7 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
 
     raw = np.frombuffer(buf, dtype=np.uint8).reshape(count, nbytes)
     exps = np.empty(count, dtype=np.int32)
-    mants = np.empty((count, n), dtype=np.int32)
+    mants = np.empty((count, n), dtype=_mantissa_dtype(fmt))
     for values, width, shift, spans in _class_slots(exps, mants, raw, fmt):
         field = spans[0].astype(np.int32)
         for k, span in enumerate(spans[1:], 1):

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and its one policy for scalar and array
-parameters."""
+parameters and for the arrays a checked value holds."""
 
 import sys
 
@@ -86,3 +86,13 @@ def _require_real_array(name: str, value) -> np.ndarray:
         raise InvalidValue(f"{name} must be an array of real numbers, got {got}")
     with np.errstate(over="ignore"):  # a longdouble beyond float64 becomes inf
         return arr.astype(np.float64, copy=False)
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself if it is read-only, else a read-only view of it: a checked value holds
+    its arrays this way, so it cannot be broken after its check, while the caller's own
+    array stays writable."""
+    if arr.flags.writeable:
+        arr = arr.view()
+        arr.flags.writeable = False
+    return arr

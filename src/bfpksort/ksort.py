@@ -39,7 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, dequantize, quantize_tensor
-from .errors import InvalidValue, ShapeMismatch, _require_instance, _require_int, _require_real_array
+from .errors import InvalidValue, ShapeMismatch, _read_only, _require_instance, _require_int
+from .errors import _require_real_array
 from .rope import RopeTables
 
 __all__ = [
@@ -70,7 +71,8 @@ class HeadWeights:
 
     The one check of a head: two matrices of one shape with a row and a
     column (else :class:`ShapeMismatch`), real and finite (else
-    :class:`InvalidValue`), held as float64, not copied if they are.
+    :class:`InvalidValue`), held as read-only float64 (views of the caller's
+    matrices when those are float64), so a head cannot break after its check.
     """
 
     w_k: np.ndarray
@@ -84,8 +86,8 @@ class HeadWeights:
         for side, w in (("key", w_k), ("query", w_q)):
             if not np.isfinite(w).all():
                 raise InvalidValue(f"{side}-projection weights must be finite")
-        object.__setattr__(self, "w_k", w_k)
-        object.__setattr__(self, "w_q", w_q)
+        object.__setattr__(self, "w_k", _read_only(w_k))
+        object.__setattr__(self, "w_q", _read_only(w_q))
 
     @property
     def d_h(self) -> int:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRopeTables, InvalidValue, ShapeMismatch
-from .errors import _require_int, _require_real, _require_real_array
+from .errors import _read_only, _require_int, _require_real, _require_real_array
 
 __all__ = ["RopeTables", "default_rope_tables", "rope_apply"]
 
@@ -65,10 +65,7 @@ class RopeTables:
             raise InvalidRopeTables("frequencies must be finite and equal within each pair")
         sign = sign.astype(np.int8, copy=False)
         for name, a in (("theta", theta), ("partner", partner), ("sign", sign)):
-            if a.flags.writeable:  # a checked table must not change under a rotation
-                a = a.view()
-                a.flags.writeable = False
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _read_only(a))  # must not change under a rotation
 
     @property
     def d_h(self) -> int:
@@ -130,8 +127,10 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     multiplying by +/-1 is exact, so ``(sign*x_p)*sin == x_p*(sign*sin)``,
     signed zeros included.  Every step is elementwise, so the result is
     written one block of rows (the second-to-last axis of the result) at a
-    time, and the result is the only allocation the size of ``x``.  An angle
-    that is not finite raises :class:`InvalidValue`.
+    time, and the result is the only allocation the size of ``x``.  Positions
+    that do not broadcast against the rows of ``x`` raise
+    :class:`ShapeMismatch` before any row is rotated; an angle that is not
+    finite raises :class:`InvalidValue`.
     """
     x, m = _require_real_array("x", x), _require_real_array("m", m)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
@@ -140,7 +139,12 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     bits, column = np.unique(tables.theta.view(np.int64), return_inverse=True)
     freqs, sign = bits.view(np.float64), tables.sign.astype(np.float64)
     # a position array may add leading axes
-    out = np.empty(np.broadcast_shapes(x.shape[:-1], m.shape) + x.shape[-1:])
+    try:
+        rows_shape = np.broadcast_shapes(x.shape[:-1], m.shape)
+    except ValueError:
+        raise ShapeMismatch(f"positions of shape {m.shape} do not broadcast against "
+                            f"vectors of shape {x.shape}") from None
+    out = np.empty(rows_shape + x.shape[-1:])
     n_rows = out.shape[-2] if out.ndim > 1 else 1
     step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(out.shape[:-2]) * out.shape[-1]))
     # at least one pass, so that a non-finite scalar angle is refused even without rows

@@ -249,7 +249,7 @@ def test_kcache_blocks_near_exponent_floor_and_ceiling_match_oracle(b, p, n):
     )
     x = (blocks / np.abs(blocks).max(axis=-1, keepdims=True) * peaks[..., None]).reshape(4096, 128)
     t = quantize_tensor(x, fmt, blocking_axis=1)
-    assert t.exponents.dtype == t.mantissas.dtype == np.int32
+    assert t.exponents.dtype == np.int32 and t.mantissas.dtype == np.int8
     assert t.exponents.min() == fmt.exponent_min
     # float64's largest value, just under 2**1024, takes exponent 1026 - p
     assert t.exponents.max() >= min(fmt.exponent_max, 1025 - p)
@@ -506,8 +506,14 @@ def _random_packed_buffer(rng, fmt: BfpFormat, shape, axis) -> bytes:
     return b"".join(w.to_bytes(nbytes, "little") for w in words)
 
 
+def _narrow(p: int) -> type:
+    """The signed integer type the codec holds ``p``-bit mantissas in."""
+    return np.int8 if p <= 8 else np.int16
+
+
 def _assert_unpack_matches_oracle(buf: bytes, fmt: BfpFormat, shape, axis):
-    """Unpack ``buf`` both ways; returns the tensor, or ``None`` when both reject it."""
+    """Unpack ``buf`` both ways; returns the tensor, or ``None`` when both reject it.
+    The oracle's arrays are int32; unpack's mantissas must be narrow, with equal values."""
     try:
         want = _unpack_oracle(buf, fmt, shape, axis)
     except CorruptBuffer:
@@ -515,8 +521,9 @@ def _assert_unpack_matches_oracle(buf: bytes, fmt: BfpFormat, shape, axis):
             unpack(buf, fmt, shape, axis)
         return None
     got = unpack(buf, fmt, shape, axis)
-    assert got.exponents.dtype == want.exponents.dtype
-    assert got.mantissas.dtype == want.mantissas.dtype
+    assert want.exponents.dtype == want.mantissas.dtype == np.int32
+    assert got.exponents.dtype == np.int32
+    assert got.mantissas.dtype == _narrow(fmt.mantissa_bits)
     assert np.array_equal(got.exponents, want.exponents)
     assert np.array_equal(got.mantissas, want.mantissas)
     assert got.padding_count == want.padding_count
@@ -685,10 +692,28 @@ def test_tensor_holds_only_integer_arrays(field, value, got):
         BfpTensor(good.fmt, good.logical_shape, 1, **fields)
 
 
+def test_tensor_is_read_only():
+    # a checked tensor cannot be broken afterwards: writing to it raises numpy's read-only error
+    t = quantize_tensor(gen_activations(4, 64, 0), BFP12_32, blocking_axis=1)
+    with pytest.raises(ValueError, match="read-only"):
+        t.mantissas[0, 0, 0] = 9
+    with pytest.raises(ValueError, match="read-only"):
+        t.exponents[0, 0] = 9
+    # the caller's own arrays are viewed, not copied, and stay writable;
+    # read-only ones are held as they are
+    exps, mants = t.exponents.copy(), t.mantissas.copy()
+    held = BfpTensor(t.fmt, t.logical_shape, 1, exps, t.mantissas)
+    assert np.shares_memory(held.exponents, exps) and not held.exponents.flags.writeable
+    assert exps.flags.writeable and held.mantissas is t.mantissas
+    assert not BfpTensor(t.fmt, t.logical_shape, 1, exps, mants).mantissas.flags.writeable
+    assert mants.flags.writeable
+
+
 def test_pack_refuses_a_field_its_bits_cannot_hold(tmp_path):
     # BFP12_32 mantissas times 100 once packed without error and unpacked to others
     t = quantize_tensor(gen_activations(16, 64, 4), BFP12_32, blocking_axis=1)
-    scaled = BfpTensor(t.fmt, t.logical_shape, 1, t.exponents, t.mantissas * 100)
+    # widened first: int8 mantissas times 100 would wrap, some of them back into range
+    scaled = BfpTensor(t.fmt, t.logical_shape, 1, t.exponents, t.mantissas.astype(np.int32) * 100)
     with pytest.raises(InvalidValue, match=r"^mantissas must fit 4-bit fields in \[-8, 7\]"):
         pack(scaled)
     with pytest.raises(InvalidValue, match=r"^mantissas must fit"):
@@ -709,6 +734,32 @@ def test_pack_accepts_every_code_of_its_fields(p):
     t = BfpTensor(fmt, (8,), 0, exps, mants)
     back = unpack(pack(t), fmt, (8,), 0)
     assert np.array_equal(back.exponents, exps) and np.array_equal(back.mantissas, mants)
+
+
+@pytest.mark.parametrize("p", range(2, 17))
+def test_codec_holds_mantissas_at_their_width(p):
+    # int8 up to 8 bits, int16 above, from every entry point that makes mantissas;
+    # a narrow tensor packs, decodes and dots bit for bit like its int32 copy
+    fmt = BfpFormat(p, 8, 8)
+    x = np.random.default_rng(300 + p).normal(size=(3, 40))
+    x *= 2.0 ** np.arange(-60, 60, 40)[:, None]
+    assert quantize_tensor(x, fmt, 1).mantissas.dtype == _narrow(p)
+    assert quantize_block(x[0, :5], fmt).mantissas.dtype == _narrow(p)
+    # the exponent ends make a float16 ldexp overflow; -2**(p-1) and +-mantissa_max
+    # fill the first and last blocks
+    top, low = fmt.mantissa_max, -(1 << (p - 1))
+    exps = np.array([fmt.exponent_max, 0, fmt.exponent_min, 3], np.int32)
+    mants = np.random.default_rng(p).integers(low, top + 1, size=(4, 8)).astype(np.int32)
+    mants[0] = [low, top, low, -top, low, low, top, 0]
+    mants[-1] = [top, low, -top, low, top, top, low, low]
+    wide = BfpTensor(fmt, (32,), 0, exps, mants)
+    narrow = unpack(pack(wide), fmt, (32,), 0)
+    assert narrow.exponents.dtype == np.int32 and narrow.mantissas.dtype == _narrow(p)
+    assert np.array_equal(narrow.mantissas, mants)
+    assert pack(narrow) == pack(wide) == _pack_oracle(wide)
+    decoded = dequantize(narrow)
+    assert np.isfinite(decoded).all() and decoded.tobytes() == dequantize(wide).tobytes()
+    assert bfp_dot(narrow, narrow) == bfp_dot(wide, wide)
 
 
 def test_quantize_axis_outside_shape_rejected():

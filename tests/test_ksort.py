@@ -329,6 +329,24 @@ def test_head_weights_shape_validation():
         HeadWeights(w_k=np.ones((4, 3)), w_q=np.ones((3, 4)))
 
 
+def test_head_weights_are_read_only():
+    # a checked head cannot be broken afterwards: writing to it raises numpy's read-only error
+    w = gen_outlier_head(8, 16, OutlierSpec(2, 20.0, seed=0))
+    with pytest.raises(ValueError, match="read-only"):
+        w.w_k[0, 0] = np.nan
+    with pytest.raises(ValueError, match="read-only"):
+        w.w_q[0, 0] = np.nan
+    assert np.isfinite(w.w_k).all() and np.isfinite(w.w_q).all()
+    # the caller's float64 matrices are viewed, not copied, and stay writable;
+    # read-only ones are held as they are
+    mine = np.ones((4, 6))
+    frozen = np.ones((4, 6))
+    frozen.flags.writeable = False
+    held = HeadWeights(w_k=mine, w_q=frozen)
+    assert np.shares_memory(held.w_k, mine) and not held.w_k.flags.writeable
+    assert mine.flags.writeable and held.w_q is frozen
+
+
 def _assert_document_holds(plan):
     """``plan.to_json()`` holds the plan's arrays bit for bit, and nothing else."""
     doc = json.loads(plan.to_json())

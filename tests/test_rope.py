@@ -291,6 +291,17 @@ def test_length_mismatch_rejected():
         rope_apply_matrix(t, np.ones(6), 0)
 
 
+def test_positions_that_do_not_broadcast_rejected():
+    # named with both shapes, and before any block runs: the non-finite angles of the
+    # second call are never reached
+    t = default_rope_tables(8)
+    with pytest.raises(ShapeMismatch, match=r"^positions of shape \(5,\) do not broadcast against "
+                                            r"vectors of shape \(3, 8\)$"):
+        rope_apply(t, np.ones((3, 8)), np.arange(5))
+    with pytest.raises(ShapeMismatch, match="do not broadcast"):
+        rope_apply(t, np.ones((2, 3, 8)), np.full((4, 1), np.inf))
+
+
 # ---------------------------------------------------------------------------
 # the kernel against the formula it replaced, byte for byte
 # ---------------------------------------------------------------------------

@@ -810,9 +810,11 @@ def _decode_peak_mib(t: int) -> float:
 
 def test_long_decode_memory_grows_with_t_not_t_squared():
     # a single T x T float64 score map is 128 MiB at T = 4096, and the dense decode
-    # peaked at 522 MiB; four times the tokens may take less than twice the memory
+    # peaked at 522 MiB; four times the tokens may take less than twice the memory.
+    # With 1-byte mantissas in the key cache the peaks are 12.65 and 24.70 MiB;
+    # int32 ones take 13.02 and 26.21
     peaks = {t: _decode_peak_mib(t) for t in (1024, 4096)}
-    assert peaks[1024] < 16 and peaks[4096] < 30, peaks
+    assert peaks[1024] < 13.5 and peaks[4096] < 25.5, peaks
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,14 @@ expected payload length), or a packed-format parameter.
 from __future__ import annotations
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bfpksort import BfpFormat, dequantize, quantize_tensor
+from bfpksort import BFP12_32, BfpFormat, OutlierSpec, dequantize, gen_activations
+from bfpksort import gen_outlier_head, quantize_tensor
+from bfpksort.bfp import BFP16_128
 from bfpksort.errors import (
     CorruptFile,
     NotATensorFile,
@@ -54,6 +57,31 @@ def test_empty_packed_tensor_with_huge_block_size_round_trips(tmp_path, deadline
         out = tensorio.load(path)
     assert path.read_bytes() == tensorio.MAGIC + struct.pack("<8I", 1, 2, 1, 0, 4, 8, 2**32 - 1, 0)
     assert (out.fmt, out.logical_shape, out.num_blocks) == (fmt, (0,), 0)
+
+
+def test_kcache_round_trip_memory(tmp_path):
+    # a 4096 x 128 key cache quantized, saved, loaded and decoded in BFP12_32 and
+    # BFP16_128, every result kept, as the kcache-io benchmark does: it peaks at
+    # 10.2 MiB with 1-byte mantissas; int32 ones take 16.2
+    weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, 1.0, seed=0))
+    keys = gen_activations(4096, 256, 0) @ weights.w_k.T
+    paths = [tmp_path / f"{fmt.name}.bfpt" for fmt in (BFP12_32, BFP16_128)]
+    tracemalloc.start()
+    try:
+        saved, loaded = [], []
+        for fmt, path in zip((BFP12_32, BFP16_128), paths):
+            saved.append(quantize_tensor(keys, fmt, blocking_axis=1))
+            tensorio.save(path, saved[-1])
+        for path in paths:
+            t = tensorio.load(path)
+            loaded.append((t, dequantize(t)))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak < 11, peak
+    for want, (got, values) in zip(saved, loaded):
+        assert np.array_equal(got.mantissas, want.mantissas)
+        assert np.array_equal(values, dequantize(want))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
