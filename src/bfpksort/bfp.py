@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CorruptBuffer, ExponentOverflow, InvalidValue, ShapeMismatch
-from .errors import _read_only, _require_int, _require_real_array
+from .errors import _Checked, _read_only, _require_int, _require_real_array
 
 __all__ = [
     "BfpFormat",
@@ -133,7 +133,7 @@ class BfpBlock:
 
 
 @dataclass(frozen=True, eq=False)
-class BfpTensor:
+class BfpTensor(_Checked):
     """A blocked tensor: per-block exponents and mantissas plus logical shape.
 
     Blocks run along ``blocking_axis``; internally that axis is moved last, so

@@ -1,6 +1,7 @@
 """Exception types shared across the package, and its one policy for scalar and array
 parameters and for the arrays a checked value holds."""
 
+import dataclasses
 import sys
 
 import numpy as np
@@ -96,3 +97,12 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
         arr = arr.view()
         arr.flags.writeable = False
     return arr
+
+
+class _Checked:
+    """Base of a frozen dataclass that checks its fields when built: a pickle round trip
+    rebuilds it through its constructor, so the copy passes the same check and holds
+    read-only arrays (restoring the fields alone would skip both)."""
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in dataclasses.fields(self))

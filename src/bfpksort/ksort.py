@@ -39,8 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bfp import BfpFormat, dequantize, quantize_tensor
-from .errors import InvalidValue, ShapeMismatch, _read_only, _require_instance, _require_int
-from .errors import _require_real_array
+from .errors import InvalidValue, ShapeMismatch
+from .errors import _Checked, _read_only, _require_instance, _require_int, _require_real_array
 from .rope import RopeTables
 
 __all__ = [
@@ -65,7 +65,7 @@ COST_SAMPLES = 1024
 
 
 @dataclass(frozen=True, eq=False)
-class HeadWeights:
+class HeadWeights(_Checked):
     """Key/query projection matrices for one attention head: rows are output
     channels (``d_h``), columns model features (``d_model``).
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRopeTables, InvalidValue, ShapeMismatch
-from .errors import _read_only, _require_int, _require_real, _require_real_array
+from .errors import _Checked, _read_only, _require_int, _require_real, _require_real_array
 
 __all__ = ["RopeTables", "default_rope_tables", "rope_apply"]
 
@@ -36,7 +36,7 @@ LAYOUTS = ("interleaved", "half_split")
 
 
 @dataclass(frozen=True, eq=False)
-class RopeTables:
+class RopeTables(_Checked):
     """Frequency, partner-index and sine-sign tables for one head, checked when
     built (:class:`InvalidRopeTables`, or :class:`InvalidValue` for a ``theta``
     of no real numbers) and held as read-only float64, intp and int8 arrays
@@ -114,8 +114,8 @@ def default_rope_tables(
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
-    """Rotate ``x`` to token position ``m``.
+def rope_apply(tables: RopeTables, x, m, out=None) -> np.ndarray:
+    """Rotate ``x`` to token position ``m``, into ``out`` when it is given.
 
     ``x`` may be a single vector or a stack ``(..., d_h)``; ``m`` is a scalar
     or an integer array broadcastable against the leading axes (one position
@@ -127,10 +127,17 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     multiplying by +/-1 is exact, so ``(sign*x_p)*sin == x_p*(sign*sin)``,
     signed zeros included.  Every step is elementwise, so the result is
     written one block of rows (the second-to-last axis of the result) at a
-    time, and the result is the only allocation the size of ``x``.  Positions
-    that do not broadcast against the rows of ``x`` raise
-    :class:`ShapeMismatch` before any row is rotated; an angle that is not
-    finite raises :class:`InvalidValue`.
+    time, and its temporaries are the size of one block.
+
+    ``out`` is a writeable float64 array of the result's shape; it may be
+    ``x`` itself, which rotates ``x`` in place with the same bits, since each
+    block gathers its partner channels before it writes a row.  An ``out``
+    that is not such an array raises :class:`InvalidValue` (one of another
+    shape :class:`ShapeMismatch`), as does one that overlaps ``x`` without
+    being ``x``, or overlaps ``m``.  Positions that do not broadcast against the rows of
+    ``x`` raise :class:`ShapeMismatch` before any row is rotated; an angle
+    that is not finite raises :class:`InvalidValue`, and an ``out`` may then
+    hold the rows of the blocks before it.
     """
     x, m = _require_real_array("x", x), _require_real_array("m", m)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
@@ -144,7 +151,8 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     except ValueError:
         raise ShapeMismatch(f"positions of shape {m.shape} do not broadcast against "
                             f"vectors of shape {x.shape}") from None
-    out = np.empty(rows_shape + x.shape[-1:])
+    shape = rows_shape + x.shape[-1:]
+    out = np.empty(shape) if out is None else _check_out(out, shape, x, m)
     n_rows = out.shape[-2] if out.ndim > 1 else 1
     step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(out.shape[:-2]) * out.shape[-1]))
     # at least one pass, so that a non-finite scalar angle is refused even without rows
@@ -157,10 +165,25 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
             angles = np.expand_dims(m_rows, -1) * freqs
         if not np.isfinite(angles).all():
             raise InvalidValue("a rotary angle m * theta is not finite")
+        # gather the partners before out_rows is written: out may be x
+        t = np.take(np.broadcast_to(x_rows, out_rows.shape), tables.partner, axis=-1)
         np.multiply(x_rows, np.take(np.cos(angles), column, axis=-1), out=out_rows)
         sin = np.take(np.sin(angles, out=angles), column, axis=-1)
         sin *= sign
-        t = np.take(np.broadcast_to(x_rows, out_rows.shape), tables.partner, axis=-1)
         t *= sin
         out_rows += t
+    return out
+
+
+def _check_out(out, shape: tuple, x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """``out`` if :func:`rope_apply` may write its result of ``shape`` there."""
+    got = (type(out).__name__ if not isinstance(out, np.ndarray)
+           else f"dtype {out.dtype}" if out.dtype != np.float64
+           else "a read-only array" if not out.flags.writeable else None)
+    if got is not None:
+        raise InvalidValue(f"out must be a writeable float64 array, got {got}")
+    if out.shape != shape:
+        raise ShapeMismatch(f"out has shape {out.shape}, the result has shape {shape}")
+    if (out is not x and np.shares_memory(out, x)) or np.shares_memory(out, m):
+        raise InvalidValue("out must be x itself or share no memory with x or m")
     return out

@@ -127,35 +127,51 @@ class DecodeTrace:
 #: Elements of the score map reduced at a time by :func:`_causal_gap`, for both
 #: :func:`simulate_decode` and :func:`exactness_check`: query rows [i0, i1) are
 #: scored against the causal keys [:i1], budget // T rows per block.  Every
-#: T <= 724 is one block; T = 4096 takes 128 rows (4 MiB of float64) per block.
-SCORE_BLOCK_ELEMENTS = 1 << 19
+#: T <= 512 is one block; T = 4096 takes 64 rows (2 MiB of float64) per block.
+SCORE_BLOCK_ELEMENTS = 1 << 18
+
+#: Least elements of the queries :func:`_causal_gap` casts at a time, a whole
+#: number of score blocks: 2**14 (128 KiB, 128 rows at T = 4096 and d_h = 128).
+_CAST_ELEMENTS = 1 << 14
 
 
 def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> float:
     """Largest causal ``|qa @ ka.T - qb @ kb.T|``, or ``|qa @ ka.T|`` without ``qb``.
 
     Reduced one block of query rows at a time (:data:`SCORE_BLOCK_ELEMENTS`),
-    so no T x T map is built.  With ``fmt_q``, each block's rows of ``qa``
-    are cast to it and decoded first: a BFP block never spans rows, so this
-    gives the bits of a whole-matrix cast.  NaN when a causal entry is NaN,
-    inf or NaN when a score overflows (see :func:`_check_overflow`), 0.0 for
-    zero tokens.
+    so no T x T map is built; every block's products are written into the
+    same one or two buffers, allocated once.  With ``fmt_q``, the rows of
+    ``qa`` are cast to it and decoded a few blocks at a time
+    (:data:`_CAST_ELEMENTS`): a BFP block never spans rows, so this gives
+    the bits of a whole-matrix cast.  NaN when a causal entry is NaN, inf or
+    NaN when a score overflows (see :func:`_check_overflow`), 0.0 for zero
+    tokens.
     """
     n_tokens = qa.shape[0]
     rows = max(1, SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
+    square = min(rows, n_tokens)  # the rows of the largest block
+    buffers = [np.empty(square * n_tokens) for _ in range(1 if qb is None else 2)]
+    causal = np.tri(square, dtype=bool)  # the causal part of a block's diagonal square
+    cast_rows, cast = rows * max(1, _CAST_ELEMENTS // (rows * qa.shape[1])), None
     gap = np.float64(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_tokens, rows):
             i1 = min(n_tokens, i0 + rows)
             q = qa[i0:i1]
             if fmt_q is not None:
-                q = dequantize(quantize_tensor(q, fmt_q, blocking_axis=1))
-            scores = q @ ka[:i1].T
+                if i0 % cast_rows == 0:
+                    cast = None  # not held while the next rows are cast
+                    cast = quantize_tensor(qa[i0:i0 + cast_rows], fmt_q, blocking_axis=1)
+                    cast = dequantize(cast)
+                q = cast[i0 % cast_rows:][: i1 - i0]
+            scores, *other = (b[: (i1 - i0) * i1].reshape(i1 - i0, i1) for b in buffers)
+            np.matmul(q, ka[:i1].T, out=scores)
             if qb is not None:
-                scores -= qb[i0:i1] @ kb[:i1].T
+                scores -= np.matmul(qb[i0:i1], kb[:i1].T, out=other[0])
             np.abs(scores, out=scores)
             # every key before i0 is causal for the whole block: mask only the diagonal
-            block_max = np.maximum(scores[:, :i0].max(initial=0.0), np.tril(scores[:, i0:]).max())
+            diagonal = scores[:, i0:].max(initial=0.0, where=causal[: i1 - i0, : i1 - i0])
+            block_max = np.maximum(scores[:, :i0].max(initial=0.0), diagonal)
             gap = np.maximum(gap, block_max)
     return float(gap)
 
@@ -190,9 +206,10 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
     keys, rotated queries and rotated reference keys, with the rows gathered
     through ``plan`` when one is given, and the tables that rotated them.
 
-    Queries and keys turn in one stacked rotation.  A float64 overflow from
-    finite activations is named here, before any cast (see
-    :func:`_check_overflow`).
+    The queries are projected straight into one ``(2, T, d_h)`` buffer, the
+    keys are copied beside them, and the buffer turns in place in one stacked
+    rotation.  A float64 overflow from finite activations is named here,
+    before any cast (see :func:`_check_overflow`).
     """
     source = (weights, rope_tables, X, plan)
     _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
@@ -211,7 +228,9 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
 
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
         keys = X @ w_k.T
-        stacked = np.stack([X @ w_q.T, keys])
+        stacked = np.empty((2,) + keys.shape)
+        np.matmul(X, w_q.T, out=stacked[0])
+        stacked[1] = keys
         del w_k, w_q  # the gathered plan rows are not held through the rotation
         queries, rotated_keys = _rotate(tables, stacked)
     _check_overflow(X, keys, queries)
@@ -219,11 +238,12 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
 
 
 def _rotate(tables: RopeTables | None, x: np.ndarray) -> np.ndarray:
-    """Rotate queries or cached keys ``(..., T, d_h)`` to their positions 0..T-1."""
+    """Rotate queries or cached keys ``(..., T, d_h)`` to their positions 0..T-1,
+    in place: ``x`` is a float64 array that the caller alone holds."""
     if tables is None:
         return x
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
-        return rope_apply(tables, x, np.arange(x.shape[-2]))
+        return rope_apply(tables, x, np.arange(x.shape[-2]), out=x)
 
 
 def simulate_decode(
@@ -245,15 +265,15 @@ def simulate_decode(
     plan was derived from.
 
     The decode projects the head (:func:`_project`), casts the keys into the
-    cache, rotates the decoded keys (lossless keys are their own decode, so
-    they reuse the rotated reference), then casts and scores the queries one
-    block of rows at a time (:func:`_causal_gap`).  ``rope_tables`` that are
-    not :class:`RopeTables` or ``None``, or a ``plan`` that is not a
-    :class:`PermutationPlan` or ``None``, raise :class:`InvalidValue` before
-    any projection.  A sweep scores every format pair of one plan on one
-    projection by passing it as the private ``_projection``; one built from
-    any other ``weights``, ``rope_tables``, ``X`` or ``plan`` object raises
-    :class:`PlanMismatch` before any cast.
+    cache, rotates the decoded keys in place (lossless keys are their own
+    decode, so they reuse the rotated reference), then casts and scores the
+    queries one block of rows at a time (:func:`_causal_gap`).
+    ``rope_tables`` that are not :class:`RopeTables` or ``None``, or a
+    ``plan`` that is not a :class:`PermutationPlan` or ``None``, raise
+    :class:`InvalidValue` before any projection.  A sweep scores every
+    format pair of one plan on one projection by passing it as the private
+    ``_projection``; one built from any other ``weights``, ``rope_tables``,
+    ``X`` or ``plan`` object raises :class:`PlanMismatch` before any cast.
 
     The score error is reduced one block of query rows at a time
     (:data:`SCORE_BLOCK_ELEMENTS`), so neither a T x T score map nor a whole

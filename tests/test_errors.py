@@ -12,7 +12,10 @@ of an argument (no ``np.asarray``, ``np.ascontiguousarray`` or ``np.array`` to
 ``np.float64`` elsewhere), ``HeadWeights`` adds a head's shape and finiteness,
 and ``RopeTables`` reads its frequencies through it.  ``RopeTables``,
 ``BfpTensor`` and ``PermutationPlan`` check their other fields when built; their
-own modules' tests cover that.
+own modules' tests cover that.  ``HeadWeights``, ``BfpTensor`` and ``RopeTables``
+pickle through their constructor, so an unpickled copy is checked too.  The one
+output argument, ``rope_apply``'s ``out``, must be a writeable float64 array of the
+result's shape that is ``x`` itself or shares no memory with ``x`` or ``m``.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import ast
 import importlib
 import inspect
 import math
+import pickle
 import pkgutil
 import warnings
 
@@ -50,7 +54,7 @@ from bfpksort import (
 from bfpksort import bfp, errors, ksort, rope, simharness, tensorio
 from bfpksort.cli import ExperimentConfig, run
 from bfpksort.ksort import cache_mse
-from bfpksort.errors import InvalidValue, ShapeMismatch
+from bfpksort.errors import InvalidRopeTables, InvalidValue, ShapeMismatch
 
 #: Library modules whose every ``raise`` names a class from :mod:`bfpksort.errors`.
 TYPED_MODULES = (bfp, rope, ksort, simharness, tensorio)
@@ -220,6 +224,97 @@ def test_entry_point_refuses_an_array_of_no_real_numbers(entry, kind):
     name, shape, call = ARRAY_ENTRY_POINTS[entry]
     message = _refused(InvalidValue, call, HOSTILE_ARRAYS[kind](shape))
     assert message.startswith(f"{name} must be an array of real numbers, got ")
+
+
+def _rows_of_four(x):
+    """The last three rows of the 4 x 8 array whose first three rows are ``x``."""
+    return x.base.reshape(4, 8)[1:]
+
+
+#: Each ``out`` that ``rope_apply`` refuses for ``x``, the first three rows of a 4 x 8
+#: array, at positions 0..2: a builder of it from ``x``, the error and its message.
+_NOT_OURS = "out must be x itself or share no memory with x or m"
+HOSTILE_OUTS = {
+    "list": (lambda x: x.tolist(), InvalidValue, "out must be a writeable float64 array, got list"),
+    "float32": (lambda x: np.empty(x.shape, np.float32), InvalidValue,
+                "out must be a writeable float64 array, got dtype float32"),
+    "read_only": (lambda x: np.broadcast_to(np.empty(8), x.shape), InvalidValue,
+                  "out must be a writeable float64 array, got a read-only array"),
+    "short": (lambda x: np.empty((2, 8)), ShapeMismatch,
+              "out has shape (2, 8), the result has shape (3, 8)"),
+    "overlaps_x": (_rows_of_four, InvalidValue, _NOT_OURS),
+    "view_of_x": (lambda x: x[...], InvalidValue, _NOT_OURS),
+    **{f"{kind}_array": (lambda x, make=make: make(x.shape), InvalidValue, None)
+       for kind, make in HOSTILE_ARRAYS.items()},
+}
+
+
+@pytest.mark.parametrize("case", list(HOSTILE_OUTS))
+def test_rope_apply_refuses_a_hostile_out_before_writing_a_row(case):
+    # a typed error, never numpy's ValueError, and x is left as it was
+    build, error, message = HOSTILE_OUTS[case]
+    x = np.arange(32.0).reshape(4, 8)[:3]
+    kept = x.copy()
+    got = _refused(error, rope_apply, default_rope_tables(8), x, np.arange(3), build(x))
+    if message is None:
+        assert got.startswith("out must be a writeable float64 array, got ")
+    else:
+        assert got == message
+    assert np.array_equal(x, kept)
+
+
+def test_rope_apply_refuses_an_out_that_holds_the_positions():
+    # positions read as float64 without a copy are still read while rows are written
+    buf = np.zeros((3, 8))
+    message = _refused(InvalidValue, rope_apply, default_rope_tables(8), np.ones((3, 8)),
+                       buf[:, 0], buf)
+    assert message == _NOT_OURS
+
+
+def _nan_at_first(w):
+    w = w.copy()
+    w[0, 0] = np.nan
+    return w
+
+
+#: Each value that checks itself when built: a valid one, a field of it, a value that
+#: breaks its check in that field, and the error the constructor raises for it.
+CHECKED_VALUES = {
+    "HeadWeights": (_HEAD, "w_k", _nan_at_first(_HEAD.w_k), InvalidValue),
+    "BfpTensor": (quantize_tensor(np.ones((2, 4)), _FMT), "blocking_axis", 2, ShapeMismatch),
+    "RopeTables": (_TABLES, "partner", np.arange(4), InvalidRopeTables),
+}
+
+
+@pytest.mark.parametrize("kind", list(CHECKED_VALUES))
+def test_pickle_round_trip_rebuilds_through_the_check(kind):
+    # unpickling runs the constructor, so the copy holds read-only arrays of the same bits
+    value = CHECKED_VALUES[kind][0]
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value) and copy is not value
+    arrays = {k: v for k, v in vars(copy).items() if isinstance(v, np.ndarray)}
+    assert arrays and all(not a.flags.writeable for a in arrays.values())
+    for name, a in arrays.items():
+        held = getattr(value, name)
+        assert a.dtype == held.dtype and a.tobytes() == held.tobytes()
+
+
+@pytest.mark.parametrize("kind", list(CHECKED_VALUES))
+def test_pickled_state_that_breaks_a_check_is_refused(kind):
+    # a value pickles as its constructor and fields; a pickle of those fields with one
+    # broken is refused on load by the constructor's check
+    value, name, hostile, error = CHECKED_VALUES[kind]
+    cls, fields = value.__reduce__()
+    assert cls is type(value) and len(fields) == len(vars(value))
+    index = list(vars(value)).index(name)
+    forged = fields[:index] + (hostile,) + fields[index + 1:]
+
+    class Forged:
+        def __reduce__(self):
+            return cls, forged
+
+    with pytest.raises(error):
+        pickle.loads(pickle.dumps(Forged()))
 
 
 #: Each argument that must hold one of the library's checked objects: its name, what

@@ -466,6 +466,63 @@ def test_non_finite_angle_raises_without_warning():
 
 
 # ---------------------------------------------------------------------------
+# rotation into ``out``, and in place
+# ---------------------------------------------------------------------------
+
+
+def _out_cases():
+    """(x, m) pairs whose result has the shape of ``x``, so ``x`` can be ``out``:
+    stacked input, broadcast positions and non-contiguous views."""
+    rng = np.random.default_rng(14)
+    d, t = 8, 23
+    x = _with_signed_zeros(rng.normal(size=(t, d)))
+    wide = _with_signed_zeros(rng.normal(size=(2, 2 * t, 2 * d)))
+    return {
+        "vector_scalar_m": (x[3], 3),
+        "rows_positions": (x, np.arange(t)),
+        "stacked_positions": (np.stack([x, -x]), np.arange(t)),
+        "stacked_per_row_positions": (
+            np.stack([x, x]), np.stack([np.arange(t), np.arange(t)[::-1]])
+        ),
+        "rows_scalar_m": (x, 7),
+        "strided_rows_and_channels": (wide[:, ::2, ::2], np.arange(t)),
+        "transposed_storage": (np.asfortranarray(x), np.arange(t)),
+        "zero_rows": (x[:0], np.arange(0)),
+    }
+
+
+@pytest.mark.parametrize("block_rows", [None, 1, 5], ids=["default", "rows_1", "rows_5"])
+@pytest.mark.parametrize("case", list(_out_cases()))
+def test_rotation_in_place_and_into_out_matches_a_new_result_bitwise(monkeypatch, case, block_rows):
+    # the partner gather of each block happens before its rows are written
+    x, m = _out_cases()[case]
+    if block_rows is not None:
+        row_elements = math.prod(x.shape[:-2]) * x.shape[-1]
+        monkeypatch.setattr(rope, "_BLOCK_ELEMENTS", block_rows * row_elements)
+    for tables in _all_tables(8):
+        want = _whole_array_rope_oracle(tables, x, m)
+        out = np.full_like(x, np.nan)
+        assert rope_apply(tables, x, m, out=out) is out
+        assert out.tobytes() == want.tobytes(), (case, block_rows)
+        own = x.copy(order="K")  # keeps a Fortran layout
+        assert rope_apply(tables, own, m, out=own) is own
+        assert own.tobytes() == want.tobytes(), (case, block_rows)
+
+
+def test_rotation_in_place_of_a_view_leaves_the_rest_of_its_base():
+    # a strided view turns in place; the elements between its rows and channels do not move
+    rng = np.random.default_rng(15)
+    base = rng.normal(size=(2, 40, 16))
+    view, kept = base[:, 1::2, ::2], base.copy()
+    want = rope_apply(default_rope_tables(8), view, np.arange(20))
+    rope_apply(default_rope_tables(8), view, np.arange(20), out=view)
+    assert view.tobytes() == want.tobytes()
+    mask = np.ones(base.shape, bool)
+    mask[:, 1::2, ::2] = False
+    assert np.array_equal(base[mask], kept[mask])
+
+
+# ---------------------------------------------------------------------------
 # commutation with channel permutation
 # ---------------------------------------------------------------------------
 
