@@ -22,7 +22,6 @@ from bfpksort import (
     gen_activations,
     gen_outlier_head,
     plan_head,
-    row_norms,
     score_max_abs_err,
     simulate_decode,
 )
@@ -33,7 +32,7 @@ D_H, D_MODEL, T = 128, 256, 64
 
 spec = OutlierSpec(n_outlier_channels=4, outlier_scale=20.0, seed=0)
 weights = gen_outlier_head(D_H, D_MODEL, spec)
-norms = row_norms(weights.w_k)
+norms = np.linalg.norm(weights.w_k, axis=1)
 print("row norms: median %.1f, top five:" % np.median(norms),
       np.round(np.sort(norms)[-5:], 1))
 

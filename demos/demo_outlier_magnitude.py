@@ -31,7 +31,6 @@ from bfpksort import (
     gen_activations,
     gen_outlier_head,
     plan_head,
-    row_norms,
 )
 from bfpksort.ksort import cache_mse
 
@@ -87,7 +86,7 @@ for block in (32, 64):
         for w, X in zip(heads[50.0], acts):
             keys = X[:t] @ w.w_k.T
             (base,) = cache_mse(keys, [Permutation.identity(D_H)], fmt)
-            cand = list(placements(row_norms(w.w_k), block))
+            cand = list(placements(np.linalg.norm(w.w_k, axis=1), block))
             chunks = (cand[i : i + 32] for i in range(0, len(cand), 32))
             low = min(cache_mse(keys, c, fmt).min() for c in chunks)
             best.append((base - low) / base)

@@ -37,7 +37,6 @@ from .ksort import (
     PermutationPlan,
     plan_head,
     remap_rope_tables,
-    row_norms,
 )
 from .rope import RopeTables, default_rope_tables, rope_apply
 from .simharness import (

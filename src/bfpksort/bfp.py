@@ -259,12 +259,6 @@ def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.n
     return e, np.rint(mant, out=mant).astype(_mantissa_dtype(fmt))
 
 
-def _check_finite(values: np.ndarray) -> None:
-    if not np.all(np.isfinite(values)):
-        bad = tuple(np.argwhere(~np.isfinite(values))[0].tolist())
-        raise InvalidValue(f"non-finite input at index {bad}")
-
-
 def quantize_block(values, fmt: BfpFormat) -> BfpBlock:
     """Cast up to ``n`` real values into one block; short input is zero-padded."""
     v = _require_real_array("values", values)
@@ -283,7 +277,6 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
     """
     arr = _require_real_array("x", x)
     axis = _axis(blocking_axis, arr.shape)
-    _check_finite(arr)
 
     n = fmt.block_size
     moved = np.moveaxis(arr, axis, -1)

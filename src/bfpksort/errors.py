@@ -74,10 +74,15 @@ def _require_instance(name: str, value, cls: type, *, optional: bool = False) ->
         raise InvalidValue(f"{name} must be {wanted}, got {type(value).__name__}")
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """No NaN or +/-inf in ``values``: its max and min keep a NaN, and build no bool array."""
+    return bool(-np.inf < values.min(initial=0.0) and values.max(initial=0.0) < np.inf)
+
+
 def _require_real_array(name: str, value) -> np.ndarray:
     """``value`` read as an array of float64, not copied if it is one; :class:`InvalidValue`
-    unless its entries are bools, integers or floats: not complex, text, objects (such as
-    ``10**400``) or a ragged nest of sequences."""
+    unless its entries are finite bools, integers or floats: not NaN, +/-inf, complex, text,
+    objects (such as ``10**400``) or a ragged nest of sequences."""
     try:
         arr = np.asarray(value)
     except ValueError:  # numpy refuses a ragged nest
@@ -86,7 +91,11 @@ def _require_real_array(name: str, value) -> np.ndarray:
         got = "a ragged sequence" if arr is None else f"dtype {arr.dtype}"
         raise InvalidValue(f"{name} must be an array of real numbers, got {got}")
     with np.errstate(over="ignore"):  # a longdouble beyond float64 becomes inf
-        return arr.astype(np.float64, copy=False)
+        arr = arr.astype(np.float64, copy=False)
+    if _all_finite(arr):
+        return arr
+    where = tuple(np.argwhere(~np.isfinite(arr))[0].tolist())  # plain ints; () for 0-d input
+    raise InvalidValue(f"{name} must be finite, got {arr[where]:g}" + (f" at index {where}" if where else ""))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:

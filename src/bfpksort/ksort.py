@@ -47,7 +47,6 @@ __all__ = [
     "HeadWeights",
     "Permutation",
     "PermutationPlan",
-    "row_norms",
     "remap_rope_tables",
     "cache_mse",
     "plan_head",
@@ -83,9 +82,6 @@ class HeadWeights(_Checked):
         if w_k.ndim != 2 or w_k.shape != w_q.shape or not w_k.size:
             raise ShapeMismatch(f"w_k and w_q must be matrices of one shape with a row and a "
                                 f"column, got {w_k.shape} and {w_q.shape}")
-        for side, w in (("key", w_k), ("query", w_q)):
-            if not np.isfinite(w).all():
-                raise InvalidValue(f"{side}-projection weights must be finite")
         object.__setattr__(self, "w_k", _read_only(w_k))
         object.__setattr__(self, "w_q", _read_only(w_q))
 
@@ -128,24 +124,12 @@ class Permutation:
         return np.take(x, self.indices, axis=axis)
 
 
-def _unit_row_norms(w) -> tuple[np.ndarray, int]:
-    """Row norms of ``w / 2**e``, and ``e``, which puts the largest ``|w|`` in
-    [0.5, 1): an exact scaling under which no finite ``w`` overflows."""
-    w = _require_real_array("w", w)
-    if w.ndim != 2:
-        raise ShapeMismatch(f"expected a matrix, got shape {w.shape}")
+def _unit_row_norms(w: np.ndarray) -> np.ndarray:
+    """Row norms of ``w / 2**e``, ``e`` putting the largest ``|w|`` in [0.5, 1):
+    an exact scaling under which no finite matrix ``w`` overflows."""
     _, e = np.frexp(np.abs(w).max(initial=0.0))
-    sq = np.ldexp(w, -e)
-    with np.errstate(over="ignore"):  # overflows only beside an inf or a NaN
-        sq *= sq
-    return np.sqrt(np.sum(sq, axis=1)), int(e)
-
-
-def row_norms(w) -> np.ndarray:
-    """Euclidean norm of each row, in double precision; inf beyond float range."""
-    norms, e = _unit_row_norms(w)
-    with np.errstate(over="ignore"):
-        return np.ldexp(norms, e)
+    unit = np.ldexp(w, -e)
+    return np.sqrt(np.sum(np.square(unit, out=unit), axis=1))
 
 
 def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
@@ -269,7 +253,7 @@ def plan_head(
     _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
     if rope_tables is not None and rope_tables.d_h != weights.d_h:
         raise ShapeMismatch(f"rotary tables must fit the head: width {rope_tables.d_h}, got d_h {weights.d_h}")
-    norms, _ = _unit_row_norms(weights.w_k)
+    norms = _unit_row_norms(weights.w_k)
     perm = Permutation(np.argsort(norms, kind="stable"))
     if fmt is not None and weights.d_h > fmt.block_size:
         z = np.random.default_rng(COST_MODEL_SEED).standard_normal((COST_SAMPLES, weights.d_h))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRopeTables, InvalidValue, ShapeMismatch
-from .errors import _Checked, _read_only, _require_int, _require_real, _require_real_array
+from .errors import _Checked, _all_finite, _read_only, _require_int, _require_real, _require_real_array
 
 __all__ = ["RopeTables", "default_rope_tables", "rope_apply"]
 
@@ -39,7 +39,7 @@ LAYOUTS = ("interleaved", "half_split")
 class RopeTables(_Checked):
     """Frequency, partner-index and sine-sign tables for one head, checked when
     built (:class:`InvalidRopeTables`, or :class:`InvalidValue` for a ``theta``
-    of no real numbers) and held as read-only float64, intp and int8 arrays
+    of no finite real numbers) and held as read-only float64, intp and int8 arrays
     (views of the caller's arrays when those have these dtypes)."""
 
     theta: np.ndarray  # float64, length d_h
@@ -61,8 +61,8 @@ class RopeTables(_Checked):
             raise InvalidRopeTables("partner table must be an involution with no fixed point")
         if not np.all(np.abs(sign) == 1) or np.any(sign[partner] == sign):
             raise InvalidRopeTables("signs must be +/-1 and opposite within each pair")
-        if not np.isfinite(theta).all() or np.any(theta[partner] != theta):
-            raise InvalidRopeTables("frequencies must be finite and equal within each pair")
+        if np.any(theta[partner] != theta):
+            raise InvalidRopeTables("frequencies must be equal within each pair")
         sign = sign.astype(np.int8, copy=False)
         for name, a in (("theta", theta), ("partner", partner), ("sign", sign)):
             object.__setattr__(self, name, _read_only(a))  # must not change under a rotation
@@ -90,7 +90,7 @@ def default_rope_tables(
     half = d_h // 2
     with np.errstate(over="ignore"):
         freqs = float(base) ** (-2.0 * np.arange(half) / d_h)
-    if not np.all(np.isfinite(freqs)):
+    if not _all_finite(freqs):
         raise InvalidValue(f"base {base} overflows the rotary frequencies at d_h={d_h}")
     if layout == "interleaved":
         theta = np.repeat(freqs, 2)
@@ -135,9 +135,10 @@ def rope_apply(tables: RopeTables, x, m, out=None) -> np.ndarray:
     that is not such an array raises :class:`InvalidValue` (one of another
     shape :class:`ShapeMismatch`), as does one that overlaps ``x`` without
     being ``x``, or overlaps ``m``.  Positions that do not broadcast against the rows of
-    ``x`` raise :class:`ShapeMismatch` before any row is rotated; an angle
-    that is not finite raises :class:`InvalidValue`, and an ``out`` may then
-    hold the rows of the blocks before it.
+    ``x`` raise :class:`ShapeMismatch`, and a NaN or inf in ``x`` or ``m``
+    :class:`InvalidValue`, before any row is rotated; an angle ``m * theta``
+    that overflows raises :class:`InvalidValue`, and an ``out`` may then hold
+    the rows of the blocks before it.
     """
     x, m = _require_real_array("x", x), _require_real_array("m", m)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
@@ -155,7 +156,7 @@ def rope_apply(tables: RopeTables, x, m, out=None) -> np.ndarray:
     out = np.empty(shape) if out is None else _check_out(out, shape, x, m)
     n_rows = out.shape[-2] if out.ndim > 1 else 1
     step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(out.shape[:-2]) * out.shape[-1]))
-    # at least one pass, so that a non-finite scalar angle is refused even without rows
+    # at least one pass, so that an overflowing scalar angle is refused even without rows
     for r0 in range(0, max(1, n_rows), step):
         rows = slice(r0, r0 + step)
         x_rows = x[..., rows, :] if x.ndim > 1 and x.shape[-2] > 1 else x
@@ -163,7 +164,7 @@ def rope_apply(tables: RopeTables, x, m, out=None) -> np.ndarray:
         out_rows = out[..., rows, :] if out.ndim > 1 else out
         with np.errstate(over="ignore", invalid="ignore"):
             angles = np.expand_dims(m_rows, -1) * freqs
-        if not np.isfinite(angles).all():
+        if not _all_finite(angles):
             raise InvalidValue("a rotary angle m * theta is not finite")
         # gather the partners before out_rows is written: out may be x
         t = np.take(np.broadcast_to(x_rows, out_rows.shape), tables.partner, axis=-1)

@@ -38,9 +38,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .bfp import BfpFormat, BfpTensor, _check_finite, bits_per_element, dequantize, quantize_tensor
+from .bfp import BfpFormat, BfpTensor, bits_per_element, dequantize, quantize_tensor
 from .errors import InvalidValue, PlanMismatch, ShapeMismatch
-from .errors import _require_instance, _require_int, _require_real, _require_real_array
+from .errors import _all_finite, _require_instance, _require_int, _require_real, _require_real_array
 from .ksort import HeadWeights, PermutationPlan
 from .rope import RopeTables, rope_apply
 
@@ -143,9 +143,9 @@ def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> flo
     same one or two buffers, allocated once.  With ``fmt_q``, the rows of
     ``qa`` are cast to it and decoded a few blocks at a time
     (:data:`_CAST_ELEMENTS`): a BFP block never spans rows, so this gives
-    the bits of a whole-matrix cast.  NaN when a causal entry is NaN, inf or
-    NaN when a score overflows (see :func:`_check_overflow`), 0.0 for zero
-    tokens.
+    the bits of a whole-matrix cast.  Inf or NaN when a score overflows
+    (an overflow makes inf - inf), kept by a NaN-propagating running maximum,
+    so that :func:`_check_overflow` sees it; 0.0 for zero tokens.
     """
     n_tokens = qa.shape[0]
     rows = max(1, SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
@@ -176,17 +176,17 @@ def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> flo
     return float(gap)
 
 
-def _check_overflow(X, *results: np.ndarray | float) -> None:
-    """Raise :class:`InvalidValue` when finite activations gave a result (an
-    array or a score) that is not finite: float64 overflowed in a projection,
-    a rotation or a score.  The weights are finite, as every
-    :class:`HeadWeights` is; non-finite activations pass through.
+def _check_overflow(*results: np.ndarray | float) -> None:
+    """Raise :class:`InvalidValue` when a result (an array or a score) is not
+    finite: weights and activations are finite, as every array argument is,
+    so float64 overflowed in a projection, a rotation or a score.
 
-    :func:`_project` checks its keys and rotated queries, so no cast meets an
-    overflow.  The final score check covers a key rotation or a score that
-    overflows: every key is scored against the last query.
+    :func:`_project` checks its projections before they turn and its rotated
+    queries after, so no rotation or cast meets an overflow; the final score
+    check covers a key rotation or a score that overflows, since every key
+    is scored against the last query.
     """
-    if not all(np.isfinite(r).all() for r in results) and np.isfinite(X).all():
+    if not all(_all_finite(np.asarray(r)) for r in results):
         raise InvalidValue("keys, queries or attention scores overflow float64")
 
 
@@ -208,8 +208,8 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
 
     The queries are projected straight into one ``(2, T, d_h)`` buffer, the
     keys are copied beside them, and the buffer turns in place in one stacked
-    rotation.  A float64 overflow from finite activations is named here,
-    before any cast (see :func:`_check_overflow`).
+    rotation.  A float64 overflow is named here, before any rotation or cast
+    (see :func:`_check_overflow`).
     """
     source = (weights, rope_tables, X, plan)
     _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
@@ -230,10 +230,11 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
         keys = X @ w_k.T
         stacked = np.empty((2,) + keys.shape)
         np.matmul(X, w_q.T, out=stacked[0])
-        stacked[1] = keys
-        del w_k, w_q  # the gathered plan rows are not held through the rotation
-        queries, rotated_keys = _rotate(tables, stacked)
-    _check_overflow(X, keys, queries)
+    stacked[1] = keys
+    del w_k, w_q  # the gathered plan rows are not held through the rotation
+    _check_overflow(stacked)
+    queries, rotated_keys = _rotate(tables, stacked)
+    _check_overflow(queries)
     return _Projection(source, keys, queries, rotated_keys, tables)
 
 
@@ -291,10 +292,8 @@ def simulate_decode(
     if fmt_k is not None:
         key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
         decoded = _rotate(projection.tables, dequantize(key_cache))
-    if fmt_q is not None:  # named by its row in the queries, not in a block of them
-        _check_finite(queries)
     score_err = _causal_gap(queries, decoded, queries, reference, fmt_q)
-    _check_overflow(X, score_err)
+    _check_overflow(score_err)
     return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 
 
@@ -319,7 +318,7 @@ def exactness_check(
     perm = _project(weights, rope_tables, X, plan)
     scale = _causal_gap(ref.queries, ref.rotated_keys)
     diff = _causal_gap(perm.queries, perm.rotated_keys, ref.queries, ref.rotated_keys)
-    _check_overflow(X, scale, diff)
+    _check_overflow(scale, diff)
     return diff / scale if scale > 0.0 else diff
 
 
@@ -345,11 +344,11 @@ class ErrorReport:
 
 
 def error_metrics(reference, quantized: BfpTensor | None) -> ErrorReport:
-    """Reconstruction error of ``quantized`` against the float reference.
+    """Reconstruction error of ``quantized`` against a finite float ``reference``.
 
     ``None`` is lossless float64 storage, the ``key_cache`` of a lossless
     decode: exact, so MSE and max error 0.0, SQNR +inf and 64 bits per
-    element, whatever the reference.  Padding never appears (decoding strips
+    element, without reading the reference.  Padding never appears (decoding strips
     it).  All reductions are permutation-invariant, see module docstring.
     """
     if quantized is None:
@@ -380,6 +379,6 @@ def error_metrics(reference, quantized: BfpTensor | None) -> ErrorReport:
 
 def score_max_abs_err(trace: DecodeTrace) -> float:
     """Largest attention-score deviation caused by quantization, over the
-    causal (lower-triangular) part of the score map; NaN if any such score
-    is NaN, 0.0 for zero tokens."""
+    causal (lower-triangular) part of the score map: finite, since a decode
+    whose scores overflow raises, and 0.0 for zero tokens."""
     return trace.score_err

@@ -141,7 +141,7 @@ def test_codec_errors_print_plain_indices():
     x[0, 1] = np.nan
     with pytest.raises(InvalidValue) as exc:
         quantize_tensor(x, BfpFormat(mantissa_bits=4, block_size=2), blocking_axis=1)
-    assert str(exc.value) == "non-finite input at index (0, 1)"
+    assert str(exc.value) == "x must be finite, got nan at index (0, 1)"
     x[0, 1], x[1, 3] = 0.0, 2.0**150
     with pytest.raises(ExponentOverflow) as exc:
         quantize_tensor(x, BfpFormat(mantissa_bits=4, block_size=2), blocking_axis=1)

@@ -597,8 +597,8 @@ def test_cli_non_finite_weights_exit_2(tmp_path, capsys, bad, which):
     tensorio.save(tmp_path / f"{which}.bfpt", w)
     code = main(["plan", "--wk", wk, "--wq", wq, "--out", str(tmp_path / "plan.json")])
     assert code == 2
-    side = {"wk": "key", "wq": "query"}[which]
-    assert capsys.readouterr().err == f"error: {side}-projection weights must be finite\n"
+    name = {"wk": "w_k", "wq": "w_q"}[which]
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {bad:g} at index (3, 1)\n"
     assert not (tmp_path / "plan.json").exists()
     config = _write_tiny_config(tmp_path, d_h=8, d_model=4, wk_path=wk, wq_path=wq)
     assert main(["run", "--config", config, "--out-dir", str(tmp_path / "out")]) == 2

@@ -38,7 +38,6 @@ PACKAGE_NAMES = {
     "dequantize", "pack", "quantize_block", "quantize_tensor", "unpack",
     "BfpKsortError",
     "HeadWeights", "Permutation", "PermutationPlan", "plan_head", "remap_rope_tables",
-    "row_norms",
     "RopeTables", "default_rope_tables", "rope_apply",
     "OutlierSpec", "error_metrics", "exactness_check", "gen_activations", "gen_outlier_head",
     "score_max_abs_err", "simulate_decode",

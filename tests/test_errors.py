@@ -7,10 +7,11 @@ or ``float``, never a ``bool``, finite when compared (``10**400`` is refused,
 not converted).  ``bfpksort.errors._require_int`` and ``_require_real`` hold
 that policy; ``BfpFormat``, ``OutlierSpec`` and ``ExperimentConfig`` are
 covered by their own modules' tests.  A legal array reads as bools, integers
-or floats; ``_require_real_array`` holds that rule and is the one float64 cast
-of an argument (no ``np.asarray``, ``np.ascontiguousarray`` or ``np.array`` to
-``np.float64`` elsewhere), ``HeadWeights`` adds a head's shape and finiteness,
-and ``RopeTables`` reads its frequencies through it.  ``RopeTables``,
+or floats with no NaN or +/-inf; ``_require_real_array`` holds that rule and is
+the one float64 cast of an argument (no ``np.asarray``, ``np.ascontiguousarray``
+or ``np.array`` to ``np.float64`` elsewhere) and the one finiteness test of an
+array (no ``np.isfinite`` outside ``errors``), ``HeadWeights`` adds a head's
+shape, and ``RopeTables`` reads its frequencies through it.  ``RopeTables``,
 ``BfpTensor`` and ``PermutationPlan`` check their other fields when built; their
 own modules' tests cover that.  ``HeadWeights``, ``BfpTensor`` and ``RopeTables``
 pickle through their constructor, so an unpickled copy is checked too.  The one
@@ -48,7 +49,6 @@ from bfpksort import (
     quantize_block,
     quantize_tensor,
     rope_apply,
-    row_norms,
     simulate_decode,
 )
 from bfpksort import bfp, errors, ksort, rope, simharness, tensorio
@@ -125,6 +125,30 @@ def test_only_errors_casts_arguments_to_float64():
     assert {name: found for name, found in casts.items() if found} == {}
 
 
+def _finiteness_tests(tree: ast.AST, scope: str = "<module>") -> set[str]:
+    """The innermost enclosing function of each ``np.isfinite`` in ``tree``."""
+    found = set()
+    for node in ast.iter_child_nodes(tree):
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "np.isfinite":
+            found.add(scope)
+        inner = node.name if isinstance(node, (ast.FunctionDef, ast.ClassDef)) else scope
+        found |= _finiteness_tests(node, inner)
+    return found
+
+
+def test_only_errors_decides_whether_an_array_is_finite():
+    # one test of finiteness, errors._all_finite, used by the array rule, the overflow
+    # check of a decode and the rotary frequencies and angles; a copy elsewhere could
+    # disagree with it, or build a bool array the size of its input
+    assert _finiteness_tests(ast.parse("def f(x):\n    return np.isfinite(x).all()")) == {"f"}
+    found = {
+        info.name: _finiteness_tests(ast.parse(inspect.getsource(importlib.import_module(f"bfpksort.{info.name}"))))
+        for info in pkgutil.iter_modules(bfpksort.__path__)
+    }
+    assert found.pop("errors") == {"_require_real_array"}  # where it names the first bad index
+    assert {name: scopes for name, scopes in found.items() if scopes} == {}
+
+
 _SPEC = OutlierSpec(1, 2.0)
 _EMPTY = np.zeros(1, np.int32)
 
@@ -180,14 +204,19 @@ def _ragged(shape):
     return rows
 
 
-#: Arrays that are not arrays of real numbers, built at a given shape.
+#: Arrays that are not arrays of real numbers, built at a given shape: of another
+#: kind of entry, or of floats that are not finite (:data:`NON_FINITE`).
 HOSTILE_ARRAYS = {
     "complex": lambda shape: np.full(shape, 1.0 + 1.0j),
     "text": lambda shape: np.full(shape, "1.0"),
     "object": lambda shape: np.full(shape, 1.0, dtype=object),
     "ragged": _ragged,
     "huge": lambda shape: np.full(shape, 10**400, dtype=object).tolist(),
+    "nan": lambda shape: np.full(shape, np.nan),
+    "inf": lambda shape: np.full(shape, np.inf),
+    "-inf": lambda shape: np.full(shape, -np.inf),
 }
+NON_FINITE = ("nan", "inf", "-inf")
 
 #: Each array argument of the library: its name, the shape it takes, and a call with it.
 ARRAY_ENTRY_POINTS = {
@@ -200,7 +229,6 @@ ARRAY_ENTRY_POINTS = {
     ),
     "simulate_decode.X": ("X", (3, 8), lambda v: simulate_decode(_HEAD, None, v)),
     "exactness_check.X": ("X", (3, 8), lambda v: exactness_check(_HEAD, _PLAN, v)),
-    "row_norms.w": ("w", (4, 8), row_norms),
     "cache_mse.keys": ("keys", (16, 4), lambda v: cache_mse(v, [Permutation.identity(4)], _FMT)),
     "HeadWeights.w_k": ("w_k", (4, 8), lambda v: HeadWeights(w_k=v, w_q=np.ones((4, 8)))),
     "HeadWeights.w_q": ("w_q", (4, 8), lambda v: HeadWeights(w_k=np.ones((4, 8)), w_q=v)),
@@ -220,10 +248,15 @@ def _refused(error, call, *args):
 @pytest.mark.parametrize("kind", list(HOSTILE_ARRAYS))
 @pytest.mark.parametrize("entry", list(ARRAY_ENTRY_POINTS))
 def test_entry_point_refuses_an_array_of_no_real_numbers(entry, kind):
-    # refused by name before any cast: no truncated imaginary part, parsed text or raw numpy error
+    # refused by name before any cast: no truncated imaginary part, parsed text or raw
+    # numpy error; a NaN or an infinity, which no shared-exponent block can hold, is
+    # named with its first index before any projection, rotation or cast
     name, shape, call = ARRAY_ENTRY_POINTS[entry]
     message = _refused(InvalidValue, call, HOSTILE_ARRAYS[kind](shape))
-    assert message.startswith(f"{name} must be an array of real numbers, got ")
+    if kind in NON_FINITE:
+        assert message == f"{name} must be finite, got {kind} at index {(0,) * len(shape)}"
+    else:
+        assert message.startswith(f"{name} must be an array of real numbers, got ")
 
 
 def _rows_of_four(x):
@@ -245,7 +278,7 @@ HOSTILE_OUTS = {
     "overlaps_x": (_rows_of_four, InvalidValue, _NOT_OURS),
     "view_of_x": (lambda x: x[...], InvalidValue, _NOT_OURS),
     **{f"{kind}_array": (lambda x, make=make: make(x.shape), InvalidValue, None)
-       for kind, make in HOSTILE_ARRAYS.items()},
+       for kind, make in HOSTILE_ARRAYS.items() if kind not in NON_FINITE},
 }
 
 
@@ -365,8 +398,10 @@ def _with(shape, index, value):
 
 @pytest.mark.parametrize(
     "w_k, w_q, error, start",
-    [(np.ones((4, 8)), _with((4, 8), (1, 2), np.nan), InvalidValue, "query-projection"),
-     (_with((4, 8), (3, 0), np.inf), np.ones((4, 8)), InvalidValue, "key-projection"),
+    [(np.ones((4, 8)), _with((4, 8), (1, 2), np.nan), InvalidValue,
+      "w_q must be finite, got nan at index (1, 2)"),
+     (_with((4, 8), (3, 0), np.inf), np.ones((4, 8)), InvalidValue,
+      "w_k must be finite, got inf at index (3, 0)"),
      (np.ones((0, 8)), np.ones((0, 8)), ShapeMismatch, "w_k and w_q"),
      (np.ones((4, 0)), np.ones((4, 0)), ShapeMismatch, "w_k and w_q")],
     ids=["nan_in_w_q", "inf_in_w_k", "no_rows", "no_columns"],
@@ -387,7 +422,7 @@ def test_nan_weights_cannot_reach_a_decode(check):
     # a NaN head once decoded losslessly to a NaN error and gave a NaN exactness, unrefused
     w_q = _with((4, 8), (2, 5), np.nan)
     message = _refused(InvalidValue, lambda: check(HeadWeights(w_k=np.ones((4, 8)), w_q=w_q)))
-    assert message == "query-projection weights must be finite"
+    assert message == "w_q must be finite, got nan at index (2, 5)"
 
 
 @pytest.mark.parametrize("d_h, d_model, name", [(0, 8, "d_h"), (8, 0, "d_model")])

@@ -25,7 +25,6 @@ from bfpksort import (
     quantize_tensor,
     remap_rope_tables,
     rope_apply,
-    row_norms,
     simulate_decode,
 )
 from bfpksort import ksort
@@ -45,45 +44,49 @@ def naive_row_norms(w):
     return out
 
 
+def _scaled_back(w):
+    """``ksort._unit_row_norms(w)`` times the power of two it divides out of ``w``."""
+    return np.ldexp(ksort._unit_row_norms(w), np.frexp(np.abs(w).max())[1])
+
+
 # ---------------------------------------------------------------------------
-# row_norms
+# row norms in units of a power of two, as plan_head ranks channels
 # ---------------------------------------------------------------------------
 
 
 def test_identity_rows():
-    assert row_norms(np.eye(2)).tolist() == [1.0, 1.0]
+    # the largest weight, 1.0, is 0.5 * 2**1: norms in units of 2
+    assert ksort._unit_row_norms(np.eye(2)).tolist() == [0.5, 0.5]
 
 
 def test_three_four_five():
-    assert row_norms(np.array([[3.0, 4.0], [0.0, 0.0]])).tolist() == [5.0, 0.0]
+    assert ksort._unit_row_norms(np.array([[3.0, 4.0], [0.0, 0.0]])).tolist() == [0.625, 0.0]
 
 
 def test_matches_naive_reference():
     rng = np.random.default_rng(11)
     w = rng.normal(size=(8, 16))
-    got = row_norms(w)
+    got = _scaled_back(w)
     ref = naive_row_norms(w)
     assert np.allclose(got, ref, rtol=1e-12, atol=0.0)
 
 
 def test_row_norms_keep_their_bits_on_outlier_heads():
-    # the power-of-two scaling is exact: ordinary heads get the unscaled norms
+    # the power-of-two scaling is exact: scaled back, ordinary heads get the plain norms
     for seed in range(20):
         for scale in (1.0, 5.0, 20.0, 50.0, 100.0):
             w = gen_outlier_head(128, 256, OutlierSpec(4, scale, seed=seed)).w_k
-            assert np.array_equal(row_norms(w), np.sqrt(np.sum(w * w, axis=1)))
+            assert np.array_equal(_scaled_back(w), np.sqrt(np.sum(w * w, axis=1)))
 
 
 def test_row_norms_of_huge_finite_weights():
-    # squares of 1e200 overflow, the scaled squares do not; no warning either way
-    assert row_norms(np.full((2, 4), 1e200)).tolist() == [2e200, 2e200]
-    assert row_norms(np.full((1, 4), 1e307)).tolist() == [2e307]
-    assert row_norms(np.full((1, 4), 1e308)).tolist() == [math.inf]
-
-
-def test_row_norms_rejects_vectors():
-    with pytest.raises(ShapeMismatch):
-        row_norms(np.ones(4))
+    # squares of 1e200 overflow, the scaled squares do not; no warning either way,
+    # and a head whose plain norms overflow has the units of its 2**-1000 copy
+    assert _scaled_back(np.full((2, 4), 1e200)).tolist() == [2e200, 2e200]
+    assert _scaled_back(np.full((1, 4), 1e307)).tolist() == [2e307]
+    units = ksort._unit_row_norms(np.full((1, 4), 1e308))
+    assert units.tolist() == ksort._unit_row_norms(np.full((1, 4), 2.0**-1000 * 1e308)).tolist()
+    assert 1.0 <= units[0] < 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +276,7 @@ def test_norms_sorted_after_plan():
     rng = np.random.default_rng(18)
     weights = _random_head(rng, d_h=16, d_model=8)
     plan = plan_head(weights)
-    assert np.all(np.diff(row_norms(plan.perm.apply(weights.w_k))) >= 0)
+    assert np.all(np.diff(np.linalg.norm(plan.perm.apply(weights.w_k), axis=1)) >= 0)
 
 
 def test_product_preservation():
@@ -406,17 +409,18 @@ BFP12_BLOCK32 = BfpFormat(mantissa_bits=4, block_size=32)
 def _model_keys(weights):
     """The Gaussian model keys ``plan_head(..., fmt=)`` draws once per plan."""
     rng = np.random.default_rng(ksort.COST_MODEL_SEED)
-    return rng.standard_normal((ksort.COST_SAMPLES, weights.d_h)) * row_norms(weights.w_k)
+    norms = np.linalg.norm(weights.w_k, axis=1)
+    return rng.standard_normal((ksort.COST_SAMPLES, weights.d_h)) * norms
 
 
 def _norm_sort(weights):
     """The plain plan: key channels by ascending row norm, ties in index order."""
-    return Permutation(np.argsort(row_norms(weights.w_k), kind="stable"))
+    return Permutation(np.argsort(np.linalg.norm(weights.w_k, axis=1), kind="stable"))
 
 
 def _outlier_blocks(weights, plan, block):
     """Block index of each of the four largest-norm channels after the plan."""
-    top = np.argsort(row_norms(weights.w_k))[-4:]
+    top = np.argsort(np.linalg.norm(weights.w_k, axis=1))[-4:]
     return np.sort(plan.perm.inverse().indices[top] // block).tolist()
 
 
@@ -507,7 +511,7 @@ def test_format_plan_whose_raw_model_keys_would_overflow_float64_plans():
     w_k = rng.normal(size=(128, 16))
     w_k[3] *= 3e307
     weights = HeadWeights(w_k=w_k, w_q=rng.normal(size=(128, 16)))
-    assert np.isfinite(row_norms(w_k)).all()
+    assert all(math.isfinite(math.hypot(*row)) for row in w_k)
     assert plan_head(weights, fmt=BFP12_BLOCK32).perm.indices[-1] == 3
     assert plan_head(weights).perm.indices[-1] == 3
 
@@ -551,8 +555,8 @@ def test_non_finite_key_weights_rejected_with_or_without_fmt(bad, fmt):
     weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, seed=1))
     w_k = weights.w_k.copy()
     w_k[5, 7] = bad
-    w_k[6, 0] = 1e300  # its square overflows beside the non-finite entry, with no warning
-    with pytest.raises(InvalidValue, match="key-projection weights must be finite"):
+    w_k[6, 0] = 1e300  # refused before any norm is squared, so with no warning
+    with pytest.raises(InvalidValue, match=f"^w_k must be finite, got {bad} at index \\(5, 7\\)$"):
         plan_head(HeadWeights(w_k=w_k, w_q=weights.w_q), fmt=fmt)
 
 
@@ -624,7 +628,7 @@ def test_grouped_layout_fills_block_j_with_group_j_and_the_lightest_channels(blo
 
 def _oracle_expected_cache_mse(weights, perms, fmt, samples=ksort.COST_SAMPLES):
     z = np.random.default_rng(ksort.COST_MODEL_SEED).standard_normal((samples, weights.d_h))
-    keys = z * row_norms(weights.w_k)
+    keys = z * np.linalg.norm(weights.w_k, axis=1)
     stacked = np.concatenate([keys[:, perm.indices] for perm in perms])
     err = dequantize(quantize_tensor(stacked, fmt, blocking_axis=1)) - stacked
     return np.square(err).reshape(len(perms), -1).mean(axis=1)
@@ -632,7 +636,7 @@ def _oracle_expected_cache_mse(weights, perms, fmt, samples=ksort.COST_SAMPLES):
 
 def _oracle_cheapest_layout(weights, fmt):
     n, d = fmt.block_size, weights.d_h
-    asc = np.argsort(row_norms(weights.w_k), kind="stable")
+    asc = np.argsort(np.linalg.norm(weights.w_k, axis=1), kind="stable")
     if d <= n:
         return Permutation(asc)
     shortlist = []

@@ -156,7 +156,7 @@ HOSTILE_TABLES = {
     "self_paired": ((_GOOD.theta, np.arange(4), _GOOD.sign), "partner table must be an involution"),
     "half_sign": ((_GOOD.theta, _GOOD.partner, _GOOD.sign * 0.5),
                   "partner and sign must be integer arrays"),
-    "inf_theta": ((np.full(4, np.inf), _GOOD.partner, _GOOD.sign), "frequencies must be finite"),
+    "inf_theta": ((np.full(4, np.inf), _GOOD.partner, _GOOD.sign), "theta must be finite, got inf"),
     "theta_2d": ((_GOOD.theta[:, None], _GOOD.partner, _GOOD.sign), "theta/partner/sign lengths"),
 }
 
@@ -292,14 +292,14 @@ def test_length_mismatch_rejected():
 
 
 def test_positions_that_do_not_broadcast_rejected():
-    # named with both shapes, and before any block runs: the non-finite angles of the
-    # second call are never reached
+    # named with both shapes, and before any block runs: the overflowing angles of the
+    # second call (1e308 times frequencies up to 1e225) are never reached
     t = default_rope_tables(8)
     with pytest.raises(ShapeMismatch, match=r"^positions of shape \(5,\) do not broadcast against "
                                             r"vectors of shape \(3, 8\)$"):
         rope_apply(t, np.ones((3, 8)), np.arange(5))
     with pytest.raises(ShapeMismatch, match="do not broadcast"):
-        rope_apply(t, np.ones((2, 3, 8)), np.full((4, 1), np.inf))
+        rope_apply(default_rope_tables(8, 1e-300), np.ones((2, 3, 8)), np.full((4, 1), 1e308))
 
 
 # ---------------------------------------------------------------------------
@@ -461,6 +461,9 @@ def test_non_finite_angle_raises_without_warning():
     with pytest.raises(ValueError, match="not finite"):
         rope_apply(tables, x, np.arange(6))
     with pytest.raises(ValueError, match="not finite"):
+        rope_apply(default_rope_tables(8, 1e-300), x[0, :8], 1e308)
+    # an infinite position is refused by name, as every non-finite array argument is
+    with pytest.raises(InvalidValue, match=r"^m must be finite, got inf$"):
         rope_apply(default_rope_tables(8), x[0, :8], math.inf)
     assert np.all(np.isfinite(rope_apply(tables, x[:1], np.arange(1))))
 

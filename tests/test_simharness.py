@@ -33,7 +33,6 @@ from bfpksort import (
     quantize_block,
     quantize_tensor,
     remap_rope_tables,
-    row_norms,
     rope_apply,
     score_max_abs_err,
     simharness,
@@ -41,6 +40,7 @@ from bfpksort import (
 )
 from bfpksort.bfp import BFP12_64, BFP16_64, BFP16_128
 from bfpksort.errors import InvalidRopeTables, InvalidValue, PlanMismatch, ShapeMismatch
+from bfpksort.errors import _require_real_array
 from bfpksort.simharness import ErrorReport
 
 BFP12_4 = BfpFormat(mantissa_bits=4, block_size=4)
@@ -63,14 +63,14 @@ def test_generator_is_deterministic():
 def test_no_outliers_means_no_heavy_tail():
     spec = OutlierSpec(n_outlier_channels=0, outlier_scale=100.0, seed=1)
     head = gen_outlier_head(128, 256, spec)
-    norms = row_norms(head.w_k)
+    norms = np.linalg.norm(head.w_k, axis=1)
     assert norms.max() / norms.min() < 2.0
 
 
 def test_outlier_rows_dominate_norm_histogram():
     spec = OutlierSpec(n_outlier_channels=4, outlier_scale=100.0, seed=2)
     head = gen_outlier_head(128, 256, spec)
-    norms = row_norms(head.w_k)
+    norms = np.linalg.norm(head.w_k, axis=1)
     median = float(np.median(norms))
     big = norms / median > 50.0
     assert big.sum() == 4
@@ -563,37 +563,41 @@ def test_score_kernel_matches_streamed_oracle_bitwise(monkeypatch, rows, rope):
             got = exactness_check(weights, p, X, tables)
             assert got.hex() == _streamed_exactness_oracle(weights, p, X, tables).hex(), t
         if t:
+            # a NaN activation is refused by name before any projection, on any grid
             X[t // 2, 1] = np.nan
-            got = simulate_decode(weights, tables, X, plan=plan).score_err
-            want = _streamed_score_err_oracle(weights, tables, X, plan=plan)
-            assert math.isnan(got) and math.isnan(want), t
+            message = f"X must be finite, got nan at index ({t // 2}, 1)"
+            with pytest.raises(InvalidValue, match=f"^{re.escape(message)}$"):
+                simulate_decode(weights, tables, X, plan=plan)
 
 
 def test_nan_in_a_later_block_makes_score_error_nan(monkeypatch):
-    # a running max built on Python's max() would drop it: max(0.0, nan) is 0.0
-    weights, tables, X = _small_setup(n_tokens=64)
-    X[50, 3] = np.nan
+    # a decode's operands are finite, but a score that overflows makes inf - inf in
+    # the kernel; a running max built on Python's max() would drop the NaN of that
+    # later block, since max(0.0, nan) is 0.0, and the overflow would go unnamed
+    q, k = np.random.default_rng(3).normal(size=(2, 64, 8))
+    q[50] *= 1e300  # row 50 against the 1e300 keys overflows; every other score is finite
+    k[:8] *= 1e300
     _patch_rows(monkeypatch, 8, 64)
-    scores_ref, scores = _dense_decode_oracle(weights, tables, X)[2:]
-    assert math.isnan(_score_err_oracle(scores_ref, scores))
-    assert math.isnan(score_max_abs_err(simulate_decode(weights, tables, X)))
+    assert math.isnan(simharness._causal_gap(q, k, q, k))
+    q[50] = 0.0
+    assert simharness._causal_gap(q, k, q, k) == 0.0
 
 
 def test_nan_activations_on_a_bfp_grid_are_non_finite_input():
-    # not an overflow: the guard names only what finite activations and weights made
+    # not an overflow: refused by name before any projection, as on a lossless grid
     weights, tables, X = _small_setup()
     X[2, 3] = np.nan
-    with pytest.raises(InvalidValue, match="non-finite input"):
+    with pytest.raises(InvalidValue, match=re.escape("X must be finite, got nan at index (2, 3)")):
         simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
 
 
 def test_non_finite_query_in_a_later_block_is_named_by_its_row(monkeypatch):
-    # lossless keys leave the query cast to meet the NaN; it names the row in the
-    # queries, as a whole-matrix cast does, not the row in its block of eight
+    # the activation that would make a non-finite query is named by its row in X,
+    # before the query cast, whose blocks of eight rows would otherwise meet it
     weights, tables, X = _small_setup(n_tokens=64)
     X[50, 3] = np.nan
     _patch_rows(monkeypatch, 8, 64)
-    with pytest.raises(InvalidValue, match=re.escape("non-finite input at index (50, 0)")):
+    with pytest.raises(InvalidValue, match=re.escape("X must be finite, got nan at index (50, 3)")):
         simulate_decode(weights, tables, X, None, BFP12_4)
 
 
@@ -621,13 +625,15 @@ def test_finite_head_overflowing_float64_raises(w_k, w_q, fmts):
 
 # ---------------------------------------------------------------------------
 # branching oracle: simulate_decode and exactness_check as they were before
-# _project named a float64 overflow, with a lossless branch and a cast that
-# re-raised its non-finite input as an overflow, kept to pin the straight path
+# _project named a float64 overflow, with a lossless branch and a rotation or
+# cast that re-raised its non-finite input as an overflow, kept to pin the
+# straight path; activations are read by the array rule, so they are finite
 # ---------------------------------------------------------------------------
 
 
 def _unchecked_project_oracle(weights, rope_tables, X, plan):
-    X = np.asarray(X, dtype=np.float64)
+    """Pre-rotation keys and queries, and the tables that turn them."""
+    X = _require_real_array("X", X)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
     w_k, w_q, tables = weights.w_k, weights.w_q, rope_tables
@@ -640,11 +646,7 @@ def _unchecked_project_oracle(weights, rope_tables, X, plan):
         w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
 
     with np.errstate(over="ignore", invalid="ignore"):
-        keys = X @ w_k.T
-        queries = X @ w_q.T
-        if tables is not None:
-            queries = rope_apply(tables, queries, np.arange(X.shape[0]))
-    return keys, queries, tables
+        return X @ w_k.T, X @ w_q.T, tables
 
 
 def _rotated_oracle(tables, x):
@@ -659,6 +661,7 @@ def _rotated_oracle(tables, x):
 def _branching_decode_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, plan=None):
     keys, queries, tables = _unchecked_project_oracle(weights, rope_tables, X, plan)
     try:
+        queries = _rotated_oracle(tables, queries)
         if fmt_k is not None:
             key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
             keys_rot_ref, keys_rot_deq = _rotated_oracle(
@@ -673,21 +676,26 @@ def _branching_decode_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, pl
             else queries
         )
     except InvalidValue:
-        simharness._check_overflow(X, math.nan)
+        simharness._check_overflow(math.nan)
         raise
 
     score_err = simharness._causal_gap(deq_queries, keys_rot_deq, queries, keys_rot_ref)
-    simharness._check_overflow(X, score_err)
+    simharness._check_overflow(score_err)
     return simharness.DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)
 
 
 def _branching_exactness_oracle(weights, plan, X, rope_tables=None):
     keys, queries, tables = _unchecked_project_oracle(weights, rope_tables, X, None)
     p_keys, p_queries, p_tables = _unchecked_project_oracle(weights, rope_tables, X, plan)
-    keys, p_keys = _rotated_oracle(tables, keys), _rotated_oracle(p_tables, p_keys)
+    try:
+        keys, queries = _rotated_oracle(tables, keys), _rotated_oracle(tables, queries)
+        p_keys, p_queries = _rotated_oracle(p_tables, p_keys), _rotated_oracle(p_tables, p_queries)
+    except InvalidValue:
+        simharness._check_overflow(math.nan)
+        raise
     scale = simharness._causal_gap(queries, keys)
     diff = simharness._causal_gap(p_queries, p_keys, queries, keys)
-    simharness._check_overflow(X, scale, diff)
+    simharness._check_overflow(scale, diff)
     return diff / scale if scale > 0.0 else diff
 
 
@@ -765,9 +773,9 @@ _X_HOSTILE = gen_activations(6, 8, 0)
     [(1.0, 1.0, _with(_X_HOSTILE, (2, 3), np.nan)), (1.0, 1.0, _with(_X_HOSTILE, (4, 0), -np.inf)),
      (5e307, 1.0, _X_HOSTILE), (1e308, 1.0, _X_HOSTILE), (1.0, 5e307, _X_HOSTILE),
      (1.0, 1e308, _X_HOSTILE), (1e160, 1e160, _X_HOSTILE), (3e307, 1.0, _X_HOSTILE),
-     (1e60, 1e60, _X_HOSTILE)],
+     (1.0, 3e307, _X_HOSTILE), (1e60, 1e60, _X_HOSTILE)],
     ids=["nan_activations", "inf_activations", "keys_5e307", "keys_1e308", "queries_5e307",
-         "queries_1e308", "scores_1e160", "rotation_3e307", "exponent_1e60"],
+         "queries_1e308", "scores_1e160", "rotation_3e307", "query_rotation_3e307", "exponent_1e60"],
 )
 @pytest.mark.parametrize("rope", [True, False], ids=["rope", "no_rope"])
 def test_hostile_heads_fail_like_the_branching_oracle(w_k, w_q, X, rope):
