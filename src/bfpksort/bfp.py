@@ -26,7 +26,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CorruptBuffer, ExponentOverflow, InvalidValue, ShapeMismatch
-from .errors import _Checked, _read_only, _require_int, _require_real_array
+from .errors import _Checked, _read_only, _require_instance, _require_int, _require_real_array
 
 __all__ = [
     "BfpFormat",
@@ -118,6 +118,7 @@ def format_from_name(name: str) -> BfpFormat:
 
 def bits_per_element(fmt: BfpFormat) -> Fraction:
     """Exact storage cost per element: ``p + b/n``."""
+    _require_instance("fmt", fmt, BfpFormat)
     return Fraction(fmt.mantissa_bits) + Fraction(fmt.exponent_bits, fmt.block_size)
 
 
@@ -157,6 +158,7 @@ class BfpTensor(_Checked):
     mantissas: np.ndarray  # int8 for p <= 8, else int16, from the codec
 
     def __post_init__(self) -> None:
+        _require_instance("fmt", self.fmt, BfpFormat)
         _check_dims(self.logical_shape)
         for name in ("exponents", "mantissas"):
             a = getattr(self, name)
@@ -261,6 +263,7 @@ def _encode_blocks(values: np.ndarray, fmt: BfpFormat) -> tuple[np.ndarray, np.n
 
 def quantize_block(values, fmt: BfpFormat) -> BfpBlock:
     """Cast up to ``n`` real values into one block; short input is zero-padded."""
+    _require_instance("fmt", fmt, BfpFormat)
     v = _require_real_array("values", values)
     if v.ndim != 1 or v.size > fmt.block_size:
         raise ShapeMismatch(
@@ -275,6 +278,7 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
     Each contiguous run of ``n`` elements along the axis becomes one block;
     a ragged tail is zero-padded.  Blocks never span rows.
     """
+    _require_instance("fmt", fmt, BfpFormat)
     arr = _require_real_array("x", x)
     axis = _axis(blocking_axis, arr.shape)
 
@@ -400,6 +404,7 @@ def unpack(buf: bytes, fmt: BfpFormat, shape, blocking_axis: int = -1) -> BfpTen
     that holds ``p`` bits (int8, or int16 above 8), as :func:`quantize_tensor`
     makes them.
     """
+    _require_instance("fmt", fmt, BfpFormat)
     shape = _check_dims(shape)  # before the buffer is sized from it
     axis = _axis(blocking_axis, shape)
 

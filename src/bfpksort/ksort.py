@@ -95,8 +95,10 @@ class HeadWeights(_Checked):
 
 
 @dataclass(frozen=True, eq=False)
-class Permutation:
-    """Channel reordering: ``indices[j]`` is the old channel at new slot ``j``."""
+class Permutation(_Checked):
+    """Channel reordering: ``indices[j]`` is the old channel at new slot ``j``,
+    checked to be a bijection when built and held read-only (a view of the
+    caller's array when that is writable), so it cannot break after its check."""
 
     indices: np.ndarray  # intp
 
@@ -105,6 +107,7 @@ class Permutation:
         if not (isinstance(idx, np.ndarray) and idx.ndim == 1 and idx.dtype.kind in "iu"
                 and np.array_equal(np.sort(idx), np.arange(idx.size))):
             raise InvalidValue(f"permutation must be 1-D integers, a bijection on 0..n-1, got {idx!r}")
+        object.__setattr__(self, "indices", _read_only(idx))
 
     def __len__(self) -> int:
         return int(self.indices.size)
@@ -119,9 +122,9 @@ class Permutation:
         inv[self.indices] = np.arange(self.indices.size, dtype=np.intp)
         return Permutation(inv)
 
-    def apply(self, x: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Gather ``x`` along ``axis``: output slot j takes input slot indices[j]."""
-        return np.take(x, self.indices, axis=axis)
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Gather the rows of ``x``: output row j takes input row indices[j]."""
+        return np.take(x, self.indices, axis=0)
 
 
 def _unit_row_norms(w: np.ndarray) -> np.ndarray:
@@ -150,7 +153,7 @@ def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
 
 
 @dataclass(frozen=True, eq=False)
-class PermutationPlan:
+class PermutationPlan(_Checked):
     """Result of the sorting pass for one head: the channel permutation and
     the remapped rotary tables (when rotation is in use).
 
@@ -189,6 +192,7 @@ def cache_mse(keys: np.ndarray, perms: list[Permutation], fmt: BfpFormat) -> np.
     """Key-cache MSE at ``fmt`` of each channel layout in ``perms`` on the
     key sample ``keys`` (one key per row, ``d_h`` columns).  Every layout is
     scored on the same keys, so equal inputs give equal costs."""
+    _require_instance("fmt", fmt, BfpFormat)
     keys = _require_real_array("keys", keys)
     if keys.ndim != 2 or not keys.size or not perms:
         raise ShapeMismatch(f"need (n, d_h) keys and layouts, got {keys.shape}, {len(perms)} layouts")
@@ -247,10 +251,11 @@ def plan_head(
     is the layout of lowest :func:`cache_mse` on the Gaussian model keys among
     the norm sort, the identity and the grouped layouts (see the module
     docstring).  Heads equal up to a power of two get bitwise-equal plans.
-    ``rope_tables`` that are not :class:`RopeTables` or ``None`` raise
-    :class:`InvalidValue`.
+    ``rope_tables`` that are not :class:`RopeTables` or ``None``, or a ``fmt``
+    that is not a :class:`BfpFormat` or ``None``, raise :class:`InvalidValue`.
     """
     _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
+    _require_instance("fmt", fmt, BfpFormat, optional=True)
     if rope_tables is not None and rope_tables.d_h != weights.d_h:
         raise ShapeMismatch(f"rotary tables must fit the head: width {rope_tables.d_h}, got d_h {weights.d_h}")
     norms = _unit_row_norms(weights.w_k)

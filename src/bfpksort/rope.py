@@ -20,7 +20,6 @@ invariant when it is built, so no rotation meets a table that breaks one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -109,13 +108,8 @@ def default_rope_tables(
     return RopeTables(theta=theta, partner=partner, sign=sign)
 
 
-#: Elements of the result :func:`rope_apply` rotates at a time, so that its
-#: temporaries stay the size of one block of rows: 2**16 elements (512 KiB).
-_BLOCK_ELEMENTS = 1 << 16
-
-
-def rope_apply(tables: RopeTables, x, m, out=None) -> np.ndarray:
-    """Rotate ``x`` to token position ``m``, into ``out`` when it is given.
+def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
+    """Rotate ``x`` to token position ``m``, into a new array.
 
     ``x`` may be a single vector or a stack ``(..., d_h)``; ``m`` is a scalar
     or an integer array broadcastable against the leading axes (one position
@@ -125,66 +119,30 @@ def rope_apply(tables: RopeTables, x, m, out=None) -> np.ndarray:
     evaluated once per distinct frequency (paired channels share one) and
     gathered back to the columns, and the sign is folded into the sine:
     multiplying by +/-1 is exact, so ``(sign*x_p)*sin == x_p*(sign*sin)``,
-    signed zeros included.  Every step is elementwise, so the result is
-    written one block of rows (the second-to-last axis of the result) at a
-    time, and its temporaries are the size of one block.
+    signed zeros included.
 
-    ``out`` is a writeable float64 array of the result's shape; it may be
-    ``x`` itself, which rotates ``x`` in place with the same bits, since each
-    block gathers its partner channels before it writes a row.  An ``out``
-    that is not such an array raises :class:`InvalidValue` (one of another
-    shape :class:`ShapeMismatch`), as does one that overlaps ``x`` without
-    being ``x``, or overlaps ``m``.  Positions that do not broadcast against the rows of
-    ``x`` raise :class:`ShapeMismatch`, and a NaN or inf in ``x`` or ``m``
-    :class:`InvalidValue`, before any row is rotated; an angle ``m * theta``
-    that overflows raises :class:`InvalidValue`, and an ``out`` may then hold
-    the rows of the blocks before it.
+    Positions that do not broadcast against the rows of ``x`` raise
+    :class:`ShapeMismatch`, and a NaN or inf in ``x`` or ``m``, or an angle
+    ``m * theta`` that overflows, :class:`InvalidValue`.
     """
     x, m = _require_real_array("x", x), _require_real_array("m", m)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
         raise ShapeMismatch(f"vector shape {x.shape} does not end in table length {tables.d_h}")
-    # distinct frequencies by bit pattern, so that -0.0 and +0.0 stay apart
-    bits, column = np.unique(tables.theta.view(np.int64), return_inverse=True)
-    freqs, sign = bits.view(np.float64), tables.sign.astype(np.float64)
-    # a position array may add leading axes
-    try:
-        rows_shape = np.broadcast_shapes(x.shape[:-1], m.shape)
+    try:  # a position array may add leading axes
+        shape = np.broadcast_shapes(x.shape[:-1], m.shape) + x.shape[-1:]
     except ValueError:
         raise ShapeMismatch(f"positions of shape {m.shape} do not broadcast against "
                             f"vectors of shape {x.shape}") from None
-    shape = rows_shape + x.shape[-1:]
-    out = np.empty(shape) if out is None else _check_out(out, shape, x, m)
-    n_rows = out.shape[-2] if out.ndim > 1 else 1
-    step = max(1, _BLOCK_ELEMENTS // max(1, math.prod(out.shape[:-2]) * out.shape[-1]))
-    # at least one pass, so that an overflowing scalar angle is refused even without rows
-    for r0 in range(0, max(1, n_rows), step):
-        rows = slice(r0, r0 + step)
-        x_rows = x[..., rows, :] if x.ndim > 1 and x.shape[-2] > 1 else x
-        m_rows = m[..., rows] if m.ndim > 0 and m.shape[-1] > 1 else m
-        out_rows = out[..., rows, :] if out.ndim > 1 else out
-        with np.errstate(over="ignore", invalid="ignore"):
-            angles = np.expand_dims(m_rows, -1) * freqs
-        if not _all_finite(angles):
-            raise InvalidValue("a rotary angle m * theta is not finite")
-        # gather the partners before out_rows is written: out may be x
-        t = np.take(np.broadcast_to(x_rows, out_rows.shape), tables.partner, axis=-1)
-        np.multiply(x_rows, np.take(np.cos(angles), column, axis=-1), out=out_rows)
-        sin = np.take(np.sin(angles, out=angles), column, axis=-1)
-        sin *= sign
-        t *= sin
-        out_rows += t
-    return out
-
-
-def _check_out(out, shape: tuple, x: np.ndarray, m: np.ndarray) -> np.ndarray:
-    """``out`` if :func:`rope_apply` may write its result of ``shape`` there."""
-    got = (type(out).__name__ if not isinstance(out, np.ndarray)
-           else f"dtype {out.dtype}" if out.dtype != np.float64
-           else "a read-only array" if not out.flags.writeable else None)
-    if got is not None:
-        raise InvalidValue(f"out must be a writeable float64 array, got {got}")
-    if out.shape != shape:
-        raise ShapeMismatch(f"out has shape {out.shape}, the result has shape {shape}")
-    if (out is not x and np.shares_memory(out, x)) or np.shares_memory(out, m):
-        raise InvalidValue("out must be x itself or share no memory with x or m")
+    # distinct frequencies by bit pattern, so that -0.0 and +0.0 stay apart
+    bits, column = np.unique(tables.theta.view(np.int64), return_inverse=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        angles = np.expand_dims(m, -1) * bits.view(np.float64)
+    if not _all_finite(angles):
+        raise InvalidValue("a rotary angle m * theta is not finite")
+    out = x * np.take(np.cos(angles), column, axis=-1)
+    sin = np.take(np.sin(angles, out=angles), column, axis=-1)
+    sin *= tables.sign.astype(np.float64)
+    t = np.take(np.broadcast_to(x, shape), tables.partner, axis=-1)
+    t *= sin
+    out += t
     return out

@@ -238,13 +238,23 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
     return _Projection(source, keys, queries, rotated_keys, tables)
 
 
+#: Elements :func:`_rotate` turns at a time, so that the temporaries of
+#: :func:`rope_apply` stay the size of one block of rows: 2**16 (512 KiB).
+_ROTATE_ELEMENTS = 1 << 16
+
+
 def _rotate(tables: RopeTables | None, x: np.ndarray) -> np.ndarray:
     """Rotate queries or cached keys ``(..., T, d_h)`` to their positions 0..T-1,
-    in place: ``x`` is a float64 array that the caller alone holds."""
+    in place and one block of rows (:data:`_ROTATE_ELEMENTS`) at a time: ``x``
+    is a float64 array that the caller alone holds."""
     if tables is None:
         return x
+    step = max(1, _ROTATE_ELEMENTS // max(1, math.prod(x.shape[:-2]) * x.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
-        return rope_apply(tables, x, np.arange(x.shape[-2]), out=x)
+        for r0 in range(0, x.shape[-2], step):
+            block = x[..., r0:r0 + step, :]
+            block[...] = rope_apply(tables, block, r0 + np.arange(block.shape[-2]))
+    return x
 
 
 def simulate_decode(
@@ -269,8 +279,9 @@ def simulate_decode(
     cache, rotates the decoded keys in place (lossless keys are their own
     decode, so they reuse the rotated reference), then casts and scores the
     queries one block of rows at a time (:func:`_causal_gap`).
-    ``rope_tables`` that are not :class:`RopeTables` or ``None``, or a
-    ``plan`` that is not a :class:`PermutationPlan` or ``None``, raise
+    ``rope_tables`` that are not :class:`RopeTables` or ``None``, a ``plan``
+    that is not a :class:`PermutationPlan` or ``None``, or a ``fmt_k`` or
+    ``fmt_q`` that is not a :class:`BfpFormat` or ``None``, raise
     :class:`InvalidValue` before any projection.  A sweep scores every
     format pair of one plan on one projection by passing it as the private
     ``_projection``; one built from any other ``weights``, ``rope_tables``,
@@ -280,6 +291,8 @@ def simulate_decode(
     (:data:`SCORE_BLOCK_ELEMENTS`), so neither a T x T score map nor a whole
     matrix of decoded queries is ever built.
     """
+    _require_instance("fmt_k", fmt_k, BfpFormat, optional=True)
+    _require_instance("fmt_q", fmt_q, BfpFormat, optional=True)
     projection = _projection
     if projection is None:
         projection = _project(weights, rope_tables, X, plan)

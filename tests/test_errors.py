@@ -12,11 +12,11 @@ the one float64 cast of an argument (no ``np.asarray``, ``np.ascontiguousarray``
 or ``np.array`` to ``np.float64`` elsewhere) and the one finiteness test of an
 array (no ``np.isfinite`` outside ``errors``), ``HeadWeights`` adds a head's
 shape, and ``RopeTables`` reads its frequencies through it.  ``RopeTables``,
-``BfpTensor`` and ``PermutationPlan`` check their other fields when built; their
-own modules' tests cover that.  ``HeadWeights``, ``BfpTensor`` and ``RopeTables``
-pickle through their constructor, so an unpickled copy is checked too.  The one
-output argument, ``rope_apply``'s ``out``, must be a writeable float64 array of the
-result's shape that is ``x`` itself or shares no memory with ``x`` or ``m``.
+``BfpTensor``, ``Permutation`` and ``PermutationPlan`` check their other fields when
+built; their own modules' tests cover that.  ``HeadWeights``, ``BfpTensor``,
+``RopeTables`` and ``Permutation`` pickle through their constructor, so an unpickled
+copy is checked too.  An argument that must hold one of the library's objects, such
+as a format ``fmt``, is refused by type with ``errors._require_instance``.
 """
 
 from __future__ import annotations
@@ -259,51 +259,6 @@ def test_entry_point_refuses_an_array_of_no_real_numbers(entry, kind):
         assert message.startswith(f"{name} must be an array of real numbers, got ")
 
 
-def _rows_of_four(x):
-    """The last three rows of the 4 x 8 array whose first three rows are ``x``."""
-    return x.base.reshape(4, 8)[1:]
-
-
-#: Each ``out`` that ``rope_apply`` refuses for ``x``, the first three rows of a 4 x 8
-#: array, at positions 0..2: a builder of it from ``x``, the error and its message.
-_NOT_OURS = "out must be x itself or share no memory with x or m"
-HOSTILE_OUTS = {
-    "list": (lambda x: x.tolist(), InvalidValue, "out must be a writeable float64 array, got list"),
-    "float32": (lambda x: np.empty(x.shape, np.float32), InvalidValue,
-                "out must be a writeable float64 array, got dtype float32"),
-    "read_only": (lambda x: np.broadcast_to(np.empty(8), x.shape), InvalidValue,
-                  "out must be a writeable float64 array, got a read-only array"),
-    "short": (lambda x: np.empty((2, 8)), ShapeMismatch,
-              "out has shape (2, 8), the result has shape (3, 8)"),
-    "overlaps_x": (_rows_of_four, InvalidValue, _NOT_OURS),
-    "view_of_x": (lambda x: x[...], InvalidValue, _NOT_OURS),
-    **{f"{kind}_array": (lambda x, make=make: make(x.shape), InvalidValue, None)
-       for kind, make in HOSTILE_ARRAYS.items() if kind not in NON_FINITE},
-}
-
-
-@pytest.mark.parametrize("case", list(HOSTILE_OUTS))
-def test_rope_apply_refuses_a_hostile_out_before_writing_a_row(case):
-    # a typed error, never numpy's ValueError, and x is left as it was
-    build, error, message = HOSTILE_OUTS[case]
-    x = np.arange(32.0).reshape(4, 8)[:3]
-    kept = x.copy()
-    got = _refused(error, rope_apply, default_rope_tables(8), x, np.arange(3), build(x))
-    if message is None:
-        assert got.startswith("out must be a writeable float64 array, got ")
-    else:
-        assert got == message
-    assert np.array_equal(x, kept)
-
-
-def test_rope_apply_refuses_an_out_that_holds_the_positions():
-    # positions read as float64 without a copy are still read while rows are written
-    buf = np.zeros((3, 8))
-    message = _refused(InvalidValue, rope_apply, default_rope_tables(8), np.ones((3, 8)),
-                       buf[:, 0], buf)
-    assert message == _NOT_OURS
-
-
 def _nan_at_first(w):
     w = w.copy()
     w[0, 0] = np.nan
@@ -316,6 +271,7 @@ CHECKED_VALUES = {
     "HeadWeights": (_HEAD, "w_k", _nan_at_first(_HEAD.w_k), InvalidValue),
     "BfpTensor": (quantize_tensor(np.ones((2, 4)), _FMT), "blocking_axis", 2, ShapeMismatch),
     "RopeTables": (_TABLES, "partner", np.arange(4), InvalidRopeTables),
+    "Permutation": (Permutation(np.array([1, 0, 2])), "indices", np.array([0, 0, 1]), InvalidValue),
 }
 
 
@@ -364,6 +320,23 @@ OBJECT_ENTRY_POINTS = {
     ),
     "exactness_check.plan": ("plan", "a PermutationPlan", lambda v: exactness_check(_HEAD, v, _X3)),
     "plan_head.rope_tables": ("rope_tables", "a RopeTables or None", lambda v: plan_head(_HEAD, v)),
+    "plan_head.fmt": ("fmt", "a BfpFormat or None", lambda v: plan_head(_HEAD, None, v)),
+    "simulate_decode.fmt_k": (
+        "fmt_k", "a BfpFormat or None", lambda v: simulate_decode(_HEAD, None, _X3, fmt_k=v)
+    ),
+    "simulate_decode.fmt_q": (
+        "fmt_q", "a BfpFormat or None", lambda v: simulate_decode(_HEAD, None, _X3, fmt_q=v)
+    ),
+    "quantize_tensor.fmt": ("fmt", "a BfpFormat", lambda v: quantize_tensor(np.ones((2, 4)), v)),
+    "quantize_block.fmt": ("fmt", "a BfpFormat", lambda v: quantize_block(np.ones(4), v)),
+    "unpack.fmt": ("fmt", "a BfpFormat", lambda v: bfp.unpack(bytes(6), v, (2, 4))),
+    "bits_per_element.fmt": ("fmt", "a BfpFormat", lambda v: bfp.bits_per_element(v)),
+    "BfpTensor.fmt": ("fmt", "a BfpFormat", lambda v: BfpTensor(
+        v, (2, 4), 1, np.zeros((2, 1), np.int32), np.zeros((2, 1, 4), np.int8)
+    )),
+    "cache_mse.fmt": (
+        "fmt", "a BfpFormat", lambda v: cache_mse(np.ones((16, 4)), [Permutation.identity(4)], v)
+    ),
 }
 
 _X3 = np.ones((3, 8))
@@ -372,16 +345,42 @@ _X3 = np.ones((3, 8))
 @pytest.mark.parametrize("value", ["x", _TABLES.theta, 4], ids=["str", "ndarray", "int"])
 @pytest.mark.parametrize("entry", list(OBJECT_ENTRY_POINTS))
 def test_entry_point_refuses_an_object_of_another_type(monkeypatch, entry, value):
-    # refused by name before any projection, not by an AttributeError inside one
+    # refused by name before any projection or cast, not by an AttributeError inside one
     def no_projection(*args, **kwargs):
-        raise AssertionError("projected before the refusal")
+        raise AssertionError("projected or cast before the refusal")
 
     monkeypatch.setattr(simharness, "rope_apply", no_projection)
     monkeypatch.setattr(simharness, "quantize_tensor", no_projection)
     monkeypatch.setattr(ksort, "remap_rope_tables", no_projection)
+    monkeypatch.setattr(ksort, "quantize_tensor", no_projection)
+    monkeypatch.setattr(bfp, "_encode_blocks", no_projection)
     name, wanted, call = OBJECT_ENTRY_POINTS[entry]
     message = _refused(InvalidValue, call, value)
     assert message == f"{name} must be {wanted}, got {type(value).__name__}"
+
+
+#: The parameter names that take a block format.
+FORMAT_PARAMETERS = ("fmt", "fmt_k", "fmt_q")
+
+
+def _format_parameters() -> set[str]:
+    """``<callable>.<parameter>`` for each parameter of :data:`FORMAT_PARAMETERS` that a
+    public function or class of ``bfp``, ``ksort`` or ``simharness`` takes."""
+    found = set()
+    for module in (bfp, ksort, simharness):
+        for name, obj in vars(module).items():
+            if name.startswith("_") or not callable(obj) or obj.__module__ != module.__name__:
+                continue
+            found |= {f"{name}.{p}" for p in inspect.signature(obj).parameters
+                      if p in FORMAT_PARAMETERS}
+    return found
+
+
+def test_every_format_parameter_is_refused_by_type():
+    # a new entry point that takes a format needs a row above, so its check cannot be skipped
+    found = _format_parameters()
+    assert {"quantize_tensor.fmt", "BfpTensor.fmt", "simulate_decode.fmt_q"} <= found
+    assert found - set(OBJECT_ENTRY_POINTS) == set()
 
 
 def test_exactness_check_needs_a_plan():

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -173,6 +174,21 @@ def test_two_row_swap():
     assert out.tolist() == [[3.0, 4.0], [1.0, 2.0]]
 
 
+def test_permutation_is_read_only():
+    # a checked permutation cannot become a non-bijection afterwards, in a plan or
+    # through a pickle; the caller's own array stays writable
+    plan = plan_head(gen_outlier_head(8, 16, OutlierSpec(2, 20.0, seed=0)))
+    with pytest.raises(ValueError, match="read-only"):
+        plan.perm.indices[0] = plan.perm.indices[1]
+    copy = pickle.loads(pickle.dumps(plan))
+    assert type(copy) is PermutationPlan and not copy.perm.indices.flags.writeable
+    assert copy.perm.indices.tobytes() == plan.perm.indices.tobytes()
+    mine = np.array([1, 0, 2])
+    held = Permutation(mine)
+    assert np.shares_memory(held.indices, mine) and not held.indices.flags.writeable
+    assert mine.flags.writeable
+
+
 def test_permute_then_inverse_restores_bitwise():
     rng = np.random.default_rng(15)
     w = rng.normal(size=(9, 5))
@@ -307,7 +323,7 @@ def _assert_rows_follow_plan(weights, tables, plan):
     X = np.random.default_rng(29).normal(size=(5, weights.d_model))
     unsorted = simulate_decode(weights, tables, X)
     sorted_ = simulate_decode(weights, tables, X, plan=plan)
-    assert np.array_equal(sorted_.keys, plan.perm.apply(unsorted.keys, axis=1))
+    assert np.array_equal(sorted_.keys, unsorted.keys[:, plan.perm.indices])
 
 
 def test_rope_commutes_through_plan():

@@ -3,9 +3,10 @@
 The dense-matrix path (`rope_apply_matrix`) is the oracle; the scalar
 expansion below is a second, loop-based reference sharing nothing with
 either vectorized path.  `_rope_apply_oracle` is the one-line formula the
-kernel replaced, and `_whole_array_rope_oracle` the whole-array kernel that
-rotated every row at once before the kernel worked one block of rows at a
-time: the kernel must match both byte for byte.
+kernel replaced, and the kernel must match it byte for byte.
+`_whole_array_rope_oracle` is a fixed copy of the whole-array kernel: the
+kernel, and the decode's in-place rotation `simharness._rotate`, which turns
+one block of rows at a time, must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from bfpksort import (
     remap_rope_tables,
     rope_apply,
 )
-from bfpksort import rope
+from bfpksort import simharness
 from bfpksort.errors import BfpKsortError, InvalidRopeTables, InvalidValue, ShapeMismatch
 
 
@@ -56,8 +57,8 @@ def _rope_apply_oracle(tables: RopeTables, x, m) -> np.ndarray:
 
 
 def _whole_array_rope_oracle(tables: RopeTables, x, m) -> np.ndarray:
-    """The kernel as it was before it worked in blocks of rows: every angle,
-    the full gathered sine and the full partner copy at once."""
+    """The whole-array kernel: every angle, the full gathered sine and the
+    full partner copy at once."""
     x, m = np.asarray(x, dtype=np.float64), np.asarray(m, dtype=np.float64)
     bits, column = np.unique(tables.theta.view(np.int64), return_inverse=True)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -383,7 +384,7 @@ def test_kernel_keeps_signed_zero_frequencies_apart():
 
 
 # ---------------------------------------------------------------------------
-# the row-blocked kernel against the whole-array kernel it replaced
+# the decode's row-blocked, in-place rotation against the whole-array kernel
 # ---------------------------------------------------------------------------
 
 
@@ -397,59 +398,90 @@ def _all_tables(d_h: int) -> list:
     return plain + [plan_head(weights, t).rope for t in plain] + [signed_zeros]
 
 
-def _block_shapes():
-    """(x, m) pairs covering every broadcast the kernel blocks over."""
+def _broadcast_cases():
+    """(x, m) pairs covering every broadcast of positions against rows."""
     rng = np.random.default_rng(12)
     d, t = 8, 23
     x = _with_signed_zeros(rng.normal(size=(t, d)))
     return {
         "vector_scalar_m": (x[3], 3),
-        "rows_positions": (x, np.arange(t)),
-        "stacked_positions": (np.stack([x, -x]), np.arange(t)),
         "one_row_broadcast": (x[:1], np.arange(t)),
         "two_by_t_positions": (x, np.stack([np.arange(t), np.arange(t)[::-1]])),
         "rows_scalar_m": (x, 7),
-        "zero_rows": (x[:0], np.arange(0)),
+        "stacked_per_row_positions": (np.stack([x, x]), np.stack([np.arange(t), np.arange(t)[::-1]])),
         "zero_rows_scalar_m": (x[:0], 5),
+    }
+
+
+@pytest.mark.parametrize("case", list(_broadcast_cases()))
+def test_kernel_matches_whole_array_oracle_on_every_broadcast(case):
+    x, m = _broadcast_cases()[case]
+    for tables in _all_tables(8):
+        got, want = rope_apply(tables, x, m), _whole_array_rope_oracle(tables, x, m)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes(), case
+
+
+def _block_shapes():
+    """Buffers ``(..., T, d_h)`` that the decode turns to positions 0..T-1: rows,
+    stacked rows, no rows and non-contiguous views."""
+    rng = np.random.default_rng(12)
+    d, t = 8, 23
+    x = _with_signed_zeros(rng.normal(size=(t, d)))
+    wide = _with_signed_zeros(rng.normal(size=(2, 2 * t, 2 * d)))
+    return {
+        "rows_positions": x,
+        "stacked_positions": np.stack([x, -x]),
+        "zero_rows": x[:0],
+        "stacked_zero_rows": np.stack([x, x])[:, :0],
+        "strided_rows_and_channels": wide[:, ::2, ::2],
+        "transposed_storage": np.asfortranarray(x),
     }
 
 
 @pytest.mark.parametrize("block_rows", [None, 1, 5], ids=["default", "rows_1", "rows_5"])
 @pytest.mark.parametrize("case", list(_block_shapes()))
 def test_blocked_kernel_matches_whole_array_oracle_bitwise(monkeypatch, case, block_rows):
-    # 23 rows in blocks of 5 leave a ragged last block of 3
-    x, m = _block_shapes()[case]
+    # 23 rows in blocks of 5 leave a ragged last block of 3; each block is rotated
+    # into a new array before it is written back
+    x = _block_shapes()[case]
     if block_rows is not None:
-        row_elements = max(1, x.size // max(1, x.shape[-2])) if x.ndim > 1 else x.size
-        monkeypatch.setattr(rope, "_BLOCK_ELEMENTS", block_rows * row_elements)
+        row_elements = math.prod(x.shape[:-2]) * x.shape[-1]
+        monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", block_rows * row_elements)
     for tables in _all_tables(8):
-        got, want = rope_apply(tables, x, m), _whole_array_rope_oracle(tables, x, m)
-        assert got.shape == want.shape and got.dtype == want.dtype
-        assert got.tobytes() == want.tobytes(), (case, block_rows)
+        want = _whole_array_rope_oracle(tables, x, np.arange(x.shape[-2]))
+        own = x.copy(order="K")  # keeps a Fortran layout
+        assert simharness._rotate(tables, own) is own
+        assert own.tobytes() == want.tobytes(), (case, block_rows)
 
 
 @pytest.mark.parametrize("stack", [1, 2])
 def test_blocked_kernel_matches_whole_array_oracle_at_default_budget(stack):
-    # 1300 rows of 128 channels: several default blocks and a ragged last one
+    # 1300 rows of 128 channels, (T, d_h) or (2, T, d_h): several default blocks and
+    # a ragged last one
     rng = np.random.default_rng(13)
     x = _with_signed_zeros(rng.normal(size=(stack, 1300, 128)))
-    assert x[0].size > rope._BLOCK_ELEMENTS and 1300 % (rope._BLOCK_ELEMENTS // (stack * 128))
+    x = x[0] if stack == 1 else x
+    step = simharness._ROTATE_ELEMENTS // (stack * 128)
+    assert 1 < step < 1300 and 1300 % step
     for tables in _all_tables(128):
-        got = rope_apply(tables, x, np.arange(1300))
-        assert got.tobytes() == _whole_array_rope_oracle(tables, x, np.arange(1300)).tobytes()
+        own = x.copy()
+        simharness._rotate(tables, own)
+        assert own.tobytes() == _whole_array_rope_oracle(tables, x, np.arange(1300)).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
 def test_non_finite_angle_in_a_late_block_raises(monkeypatch):
     # the largest frequency is about 8.1e307: positions up to 2 are finite angles,
-    # and only row 9, in the last of five two-row blocks, overflows
+    # so three one-row blocks turn before the fourth, at position 3, overflows
     tables = default_rope_tables(42, 5e-324)
-    monkeypatch.setattr(rope, "_BLOCK_ELEMENTS", 2 * 42)
-    x, m = np.ones((10, 42)), np.array([0, 1, 2] * 3 + [3])
-    for kernel in (_whole_array_rope_oracle, rope_apply):
-        with pytest.raises(InvalidValue, match="not finite"):
-            kernel(tables, x, m)
-    assert np.all(np.isfinite(rope_apply(tables, x[:9], m[:9])))
+    monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", 42)
+    x = np.ones((10, 42))
+    with pytest.raises(InvalidValue, match="not finite"):
+        _whole_array_rope_oracle(tables, x, np.arange(10))
+    with pytest.raises(InvalidValue, match="^a rotary angle m \\* theta is not finite$"):
+        simharness._rotate(tables, x.copy())
+    assert np.all(np.isfinite(simharness._rotate(tables, x[:3].copy())))
 
 
 @pytest.mark.filterwarnings("error")
@@ -462,6 +494,9 @@ def test_non_finite_angle_raises_without_warning():
         rope_apply(tables, x, np.arange(6))
     with pytest.raises(ValueError, match="not finite"):
         rope_apply(default_rope_tables(8, 1e-300), x[0, :8], 1e308)
+    # ... even without rows: the angle of a scalar position is checked all the same
+    with pytest.raises(ValueError, match="not finite"):
+        rope_apply(default_rope_tables(8, 1e-300), x[:0, :8], 1e308)
     # an infinite position is refused by name, as every non-finite array argument is
     with pytest.raises(InvalidValue, match=r"^m must be finite, got inf$"):
         rope_apply(default_rope_tables(8), x[0, :8], math.inf)
@@ -469,46 +504,25 @@ def test_non_finite_angle_raises_without_warning():
 
 
 # ---------------------------------------------------------------------------
-# rotation into ``out``, and in place
+# rotation in place against a new result
 # ---------------------------------------------------------------------------
 
 
-def _out_cases():
-    """(x, m) pairs whose result has the shape of ``x``, so ``x`` can be ``out``:
-    stacked input, broadcast positions and non-contiguous views."""
-    rng = np.random.default_rng(14)
-    d, t = 8, 23
-    x = _with_signed_zeros(rng.normal(size=(t, d)))
-    wide = _with_signed_zeros(rng.normal(size=(2, 2 * t, 2 * d)))
-    return {
-        "vector_scalar_m": (x[3], 3),
-        "rows_positions": (x, np.arange(t)),
-        "stacked_positions": (np.stack([x, -x]), np.arange(t)),
-        "stacked_per_row_positions": (
-            np.stack([x, x]), np.stack([np.arange(t), np.arange(t)[::-1]])
-        ),
-        "rows_scalar_m": (x, 7),
-        "strided_rows_and_channels": (wide[:, ::2, ::2], np.arange(t)),
-        "transposed_storage": (np.asfortranarray(x), np.arange(t)),
-        "zero_rows": (x[:0], np.arange(0)),
-    }
-
-
 @pytest.mark.parametrize("block_rows", [None, 1, 5], ids=["default", "rows_1", "rows_5"])
-@pytest.mark.parametrize("case", list(_out_cases()))
+@pytest.mark.parametrize("case", list(_block_shapes()))
 def test_rotation_in_place_and_into_out_matches_a_new_result_bitwise(monkeypatch, case, block_rows):
-    # the partner gather of each block happens before its rows are written
-    x, m = _out_cases()[case]
+    # rope_apply leaves x as it was and returns a new array; _rotate writes the same
+    # bits back into the buffer it is given, one block of rows at a time
+    x = _block_shapes()[case]
     if block_rows is not None:
         row_elements = math.prod(x.shape[:-2]) * x.shape[-1]
-        monkeypatch.setattr(rope, "_BLOCK_ELEMENTS", block_rows * row_elements)
+        monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", block_rows * row_elements)
+    kept = x.copy()
     for tables in _all_tables(8):
-        want = _whole_array_rope_oracle(tables, x, m)
-        out = np.full_like(x, np.nan)
-        assert rope_apply(tables, x, m, out=out) is out
-        assert out.tobytes() == want.tobytes(), (case, block_rows)
+        want = rope_apply(tables, x, np.arange(x.shape[-2]))
+        assert not np.shares_memory(want, x) and x.tobytes() == kept.tobytes()
         own = x.copy(order="K")  # keeps a Fortran layout
-        assert rope_apply(tables, own, m, out=own) is own
+        assert simharness._rotate(tables, own) is own
         assert own.tobytes() == want.tobytes(), (case, block_rows)
 
 
@@ -518,7 +532,7 @@ def test_rotation_in_place_of_a_view_leaves_the_rest_of_its_base():
     base = rng.normal(size=(2, 40, 16))
     view, kept = base[:, 1::2, ::2], base.copy()
     want = rope_apply(default_rope_tables(8), view, np.arange(20))
-    rope_apply(default_rope_tables(8), view, np.arange(20), out=view)
+    simharness._rotate(default_rope_tables(8), view)
     assert view.tobytes() == want.tobytes()
     mask = np.ones(base.shape, bool)
     mask[:, 1::2, ::2] = False

@@ -256,24 +256,25 @@ def test_projection_for_other_inputs_is_refused_before_any_cast(monkeypatch, nam
 
 
 def test_a_decode_rotates_queries_and_keys_once_and_decoded_keys_once(monkeypatch):
-    # queries and reference keys turn in one stacked call, the decoded keys in
-    # a second, each in place; a lossless decode reuses the reference and makes
-    # no second call
-    rows = []
+    # the stacked queries and reference keys turn in blocks of rows, then the decoded
+    # keys: each of the 3T rows turns once, to its own position; a lossless decode
+    # reuses the reference and turns only the 2T stacked rows
+    turned = []
 
-    def counted(tables, x, m, out=None):
-        assert out is x
-        rows.append(x.size // x.shape[-1])
-        return rope_apply(tables, x, m, out=out)
+    def counted(tables, x, m):
+        turned.extend((x.shape[:-2], int(p)) for p in m)
+        return rope_apply(tables, x, m)
 
     monkeypatch.setattr(simharness, "rope_apply", counted)
+    monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", 2 * 2 * 8)  # two stacked rows
     weights, tables, X = _small_setup()
     plan = plan_head(weights, tables)
+    positions = list(range(len(X)))
     simulate_decode(weights, tables, X, BFP12_4, BFP12_4, plan=plan)
-    assert rows == [2 * len(X), len(X)]
-    rows.clear()
+    assert turned == [((2,), p) for p in positions] + [((), p) for p in positions]
+    turned.clear()
     simulate_decode(weights, tables, X, None, BFP12_4, plan=plan)
-    assert rows == [2 * len(X)]
+    assert turned == [((2,), p) for p in positions]
 
 
 def test_cache_append_equals_batch_quantization():
