@@ -4,10 +4,12 @@ The attention-score error is reduced one block of query rows at a time
 (``simharness.SCORE_BLOCK_ELEMENTS`` = 2**18 elements of the score map per
 block, 2 MiB), and the queries are cast to their format a few blocks at a time
 inside that loop, so no T x T score map and no matrix of decoded queries is
-ever built.  The decode rotates one block of rows at a time as well, in
-place (``simharness._rotate``).  What a decode holds grows with T: the keys, the rotated queries and
-reference keys, the key cache, the rotated decoded keys (each held once) and
-two score buffers.  A single T x T float64 map would be 128 MiB at T = 4096 and 2 GiB
+ever built.  The decode rotates its queries, reference keys and decoded
+keys together, one (3, rows, 128) block at a time and in place
+(``simharness._rotate``), so each rotary cos/sin is evaluated once.  What a
+decode holds grows with T: the keys, the rotated queries, reference keys and
+decoded keys in one stack, the key cache (each held once) and two score
+buffers.  A single T x T float64 map would be 128 MiB at T = 4096 and 2 GiB
 at T = 16384; the peaks here are about 8.5, 20.7 and 70 MiB.
 
 Each line decodes one outlier head (128 channels, 4 at 50x, d_model 256) with

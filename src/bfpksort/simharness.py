@@ -192,24 +192,33 @@ def _check_overflow(*results: np.ndarray | float) -> None:
 
 @dataclass(frozen=True, eq=False)
 class _Projection:
-    """What every format pair of one plan shares, built by :func:`_project`."""
+    """What the format pairs of one plan share, built by :func:`_project`."""
 
     source: tuple  # (weights, rope_tables, X, plan) as passed, matched by identity
     keys: np.ndarray  # (T, d_h) pre-rotation keys, the cache reference
     queries: np.ndarray  # (T, d_h) rotated queries
     rotated_keys: np.ndarray  # (T, d_h) rotated reference keys
     tables: RopeTables | None  # the tables the rotations used
+    fmt_k: BfpFormat | None  # the key format the cache below was cast to
+    key_cache: BfpTensor | None  # keys cast to fmt_k; None for lossless float storage
+    decoded_keys: np.ndarray  # (T, d_h) rotated decoded keys; rotated_keys when lossless
 
 
-def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _Projection:
-    """The part of a decode that no storage format changes: pre-rotation
-    keys, rotated queries and rotated reference keys, with the rows gathered
-    through ``plan`` when one is given, and the tables that rotated them.
+def _project(
+    weights: HeadWeights, rope_tables: RopeTables | None, X, plan, fmt_k: BfpFormat | None = None
+) -> _Projection:
+    """The part of a decode before its queries are cast: pre-rotation keys,
+    rotated queries and rotated reference keys, with the rows gathered through
+    ``plan`` when one is given, the tables that rotated them and, with
+    ``fmt_k``, the keys cast to it, decoded and rotated.
 
-    The queries are projected straight into one ``(2, T, d_h)`` buffer, the
-    keys are copied beside them, and the buffer turns in place in one stacked
-    rotation.  A float64 overflow is named here, before any rotation or cast
-    (see :func:`_check_overflow`).
+    The queries are projected straight into one ``(2, T, d_h)`` buffer, or
+    ``(3, T, d_h)`` with a key format, one gathered plan weight matrix at a
+    time, and the keys are copied beside them.  A float64 overflow of a
+    projection is named here, before any cast (see :func:`_check_overflow`);
+    then the cache is decoded into the third slab, and the whole buffer turns
+    in place in one stacked rotation, so every ``cos``/``sin`` is evaluated
+    once per decode.
     """
     source = (weights, rope_tables, X, plan)
     _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
@@ -217,25 +226,30 @@ def _project(weights: HeadWeights, rope_tables: RopeTables | None, X, plan) -> _
     X = _require_real_array("X", X)
     if X.ndim != 2 or X.shape[1] != weights.d_model:
         raise ShapeMismatch(f"activations {X.shape} do not match d_model={weights.d_model}")
-    w_k, w_q, tables = weights.w_k, weights.w_q, rope_tables
+    tables, gather = rope_tables, lambda w: w
     if plan is not None:
         if len(plan.perm) != weights.d_h:
             raise PlanMismatch(f"plan is for d_h={len(plan.perm)}, weights have d_h={weights.d_h}")
         if (plan.rope is None) != (rope_tables is None):
             raise PlanMismatch("plan and call disagree on whether rotation is in use")
-        gather = plan.perm.apply
-        w_k, w_q, tables = gather(w_k), gather(w_q), plan.rope
+        tables, gather = plan.rope, plan.perm.apply
 
+    # each gathered plan weight matrix is dropped right after its product
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
-        keys = X @ w_k.T
-        stacked = np.empty((2,) + keys.shape)
-        np.matmul(X, w_q.T, out=stacked[0])
+        keys = X @ gather(weights.w_k).T
+        stacked = np.empty((2 if fmt_k is None else 3,) + keys.shape)
+        np.matmul(X, gather(weights.w_q).T, out=stacked[0])
     stacked[1] = keys
-    del w_k, w_q  # the gathered plan rows are not held through the rotation
-    _check_overflow(stacked)
-    queries, rotated_keys = _rotate(tables, stacked)
+    _check_overflow(stacked[:2])
+    key_cache = None
+    if fmt_k is not None:
+        key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
+        stacked[2] = dequantize(key_cache)
+    rotated = _rotate(tables, stacked)
+    # the last slab is the decoded keys; lossless keys are their own decode
+    queries, rotated_keys, decoded_keys = rotated[0], rotated[1], rotated[-1]
     _check_overflow(queries)
-    return _Projection(source, keys, queries, rotated_keys, tables)
+    return _Projection(source, keys, queries, rotated_keys, tables, fmt_k, key_cache, decoded_keys)
 
 
 #: Elements :func:`_rotate` turns at a time, so that the temporaries of
@@ -275,17 +289,26 @@ def simulate_decode(
     the compile-time pass; ``rope_tables`` then names the original tables the
     plan was derived from.
 
-    The decode projects the head (:func:`_project`), casts the keys into the
-    cache, rotates the decoded keys in place (lossless keys are their own
-    decode, so they reuse the rotated reference), then casts and scores the
-    queries one block of rows at a time (:func:`_causal_gap`).
+    The decode projects the head and casts the keys into the cache
+    (:func:`_project` with ``fmt_k``), which turns the queries, reference
+    keys and decoded keys together in one stacked rotation (lossless keys
+    are their own decode, so they reuse the rotated reference), then casts
+    and scores the queries one block of rows at a time (:func:`_causal_gap`).
     ``rope_tables`` that are not :class:`RopeTables` or ``None``, a ``plan``
     that is not a :class:`PermutationPlan` or ``None``, or a ``fmt_k`` or
     ``fmt_q`` that is not a :class:`BfpFormat` or ``None``, raise
-    :class:`InvalidValue` before any projection.  A sweep scores every
-    format pair of one plan on one projection by passing it as the private
-    ``_projection``; one built from any other ``weights``, ``rope_tables``,
-    ``X`` or ``plan`` object raises :class:`PlanMismatch` before any cast.
+    :class:`InvalidValue` before any projection.
+
+    A sweep scores every format pair of one plan on one projection by
+    passing it as the private ``_projection``; one built from any other
+    ``weights``, ``rope_tables``, ``X`` or ``plan`` object raises
+    :class:`PlanMismatch` before any cast.  The sweep builds that projection
+    without a key format, and a pair whose ``fmt_k`` it was not built for
+    casts its keys and turns its decoded keys alone: stacking every key
+    format's decoded keys into one rotation would grow the temporaries of
+    :func:`rope_apply` with the stack (the default sweep's peak rose from
+    1.42 to 1.85 MiB that way), for ``cos``/``sin`` that cost little at
+    the sweep's T = 64.
 
     The score error is reduced one block of query rows at a time
     (:data:`SCORE_BLOCK_ELEMENTS`), so neither a T x T score map nor a whole
@@ -295,16 +318,18 @@ def simulate_decode(
     _require_instance("fmt_q", fmt_q, BfpFormat, optional=True)
     projection = _projection
     if projection is None:
-        projection = _project(weights, rope_tables, X, plan)
+        projection = _project(weights, rope_tables, X, plan, fmt_k)
     elif not all(a is b for a, b in zip(projection.source, (weights, rope_tables, X, plan))):
         raise PlanMismatch(
             "projection was built for another head, rotary tables, activations or plan"
         )
     keys, queries, reference = projection.keys, projection.queries, projection.rotated_keys
-    key_cache, decoded = None, reference
-    if fmt_k is not None:
-        key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-        decoded = _rotate(projection.tables, dequantize(key_cache))
+    key_cache, decoded = projection.key_cache, projection.decoded_keys
+    if fmt_k != projection.fmt_k:  # a projection shared by the pairs of a sweep
+        key_cache, decoded = None, reference
+        if fmt_k is not None:
+            key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
+            decoded = _rotate(projection.tables, dequantize(key_cache))
     score_err = _causal_gap(queries, decoded, queries, reference, fmt_q)
     _check_overflow(score_err)
     return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)

@@ -8,6 +8,7 @@ import hashlib
 import json
 import math
 import struct
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -194,6 +195,21 @@ def test_quantized_cell_reports_both_variants():
         assert row["mse"] > 0.0
         assert row["bits_per_element"] == 4 + 8 / 8
         assert row["cache_bytes"] == 6 * 2 * 5  # T * blocks/token * bytes/block
+
+
+def test_default_cell_peaks_below_one_and_a_quarter_mib():
+    # one seed of the default sweep: the head, the plan, the two projections and the
+    # pairs' casts. _project holds one gathered plan weight matrix at a time (256 KiB
+    # each); with both alive the cell peaked at 1.34 MiB, with one at 1.19
+    cfg = ExperimentConfig()
+    run_cell(cfg, cfg.seeds[0])  # the first call in a process also imports and caches
+    tracemalloc.start()
+    try:
+        run_cell(cfg, cfg.seeds[0])
+        peak_mib = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak_mib < 1.25, peak_mib
 
 
 def test_emit_report_renders_the_rows_it_is_given():

@@ -353,7 +353,7 @@ def test_kernel_matches_oracle_bytewise_on_plan_tables(layout):
 
 @pytest.mark.parametrize("layout", ["interleaved", "half_split"])
 def test_kernel_matches_oracle_bytewise_at_4k_tokens(layout):
-    # the long-context decode: queries (T, d_h), then the stacked keys (2, T, d_h)
+    # the long-context decode's rows: a lone (T, d_h) matrix and a (k, T, d_h) stack
     rng = np.random.default_rng(10)
     T = 4096
     positions = np.arange(T)
@@ -455,10 +455,10 @@ def test_blocked_kernel_matches_whole_array_oracle_bitwise(monkeypatch, case, bl
         assert own.tobytes() == want.tobytes(), (case, block_rows)
 
 
-@pytest.mark.parametrize("stack", [1, 2])
+@pytest.mark.parametrize("stack", [1, 2, 3])
 def test_blocked_kernel_matches_whole_array_oracle_at_default_budget(stack):
-    # 1300 rows of 128 channels, (T, d_h) or (2, T, d_h): several default blocks and
-    # a ragged last one
+    # 1300 rows of 128 channels, (T, d_h), (2, T, d_h) or (3, T, d_h) as a decode with
+    # a key format stacks them: several default blocks and a ragged last one
     rng = np.random.default_rng(13)
     x = _with_signed_zeros(rng.normal(size=(stack, 1300, 128)))
     x = x[0] if stack == 1 else x

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import itertools
 import math
 import re
@@ -256,9 +257,10 @@ def test_projection_for_other_inputs_is_refused_before_any_cast(monkeypatch, nam
 
 
 def test_a_decode_rotates_queries_and_keys_once_and_decoded_keys_once(monkeypatch):
-    # the stacked queries and reference keys turn in blocks of rows, then the decoded
-    # keys: each of the 3T rows turns once, to its own position; a lossless decode
-    # reuses the reference and turns only the 2T stacked rows
+    # a BFP decode turns its queries, reference keys and decoded keys in one stacked
+    # rotation, in blocks of rows: each of the 3T rows turns once, to its own position;
+    # a lossless decode turns its 2T stacked rows; a pair scored on a projection shared
+    # by a sweep (built without a key format) turns its decoded keys alone
     turned = []
 
     def counted(tables, x, m):
@@ -266,15 +268,20 @@ def test_a_decode_rotates_queries_and_keys_once_and_decoded_keys_once(monkeypatc
         return rope_apply(tables, x, m)
 
     monkeypatch.setattr(simharness, "rope_apply", counted)
-    monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", 2 * 2 * 8)  # two stacked rows
+    monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", 3 * 2 * 8)  # two rows of 3 slabs
     weights, tables, X = _small_setup()
     plan = plan_head(weights, tables)
     positions = list(range(len(X)))
     simulate_decode(weights, tables, X, BFP12_4, BFP12_4, plan=plan)
-    assert turned == [((2,), p) for p in positions] + [((), p) for p in positions]
+    assert turned == [((3,), p) for p in positions]
     turned.clear()
     simulate_decode(weights, tables, X, None, BFP12_4, plan=plan)
     assert turned == [((2,), p) for p in positions]
+    projection = simharness._project(weights, tables, X, plan)
+    turned.clear()
+    for fmt_k in (BFP12_4, None):
+        simulate_decode(weights, tables, X, fmt_k, BFP12_4, plan=plan, _projection=projection)
+    assert turned == [((), p) for p in positions]
 
 
 def test_cache_append_equals_batch_quantization():
@@ -748,12 +755,21 @@ def _assert_matches_branching_oracle(weights, tables, X, plan):
 
 
 @pytest.mark.parametrize("rope", ["interleaved", "half_split", "off"])
-@pytest.mark.parametrize("rows", [1, None], ids=["rows_1", "default"])
-def test_straight_decode_matches_branching_oracle_bitwise(monkeypatch, rows, rope):
+@pytest.mark.parametrize(
+    "rows, stack_rows",
+    [(1, None), (None, None), (None, 1), (None, 5)],
+    ids=["rows_1", "default", "rotate_1", "rotate_5"],
+)
+def test_straight_decode_matches_branching_oracle_bitwise(monkeypatch, rows, stack_rows, rope):
+    # rotate_1 and rotate_5 shrink the rotation budget to 1 and 5 rows of a 3-slab
+    # stack (1 and 7 rows of a 2-slab stack, 3 and 15 of a lone matrix), so T = 64
+    # ends on a short block
     for d_h in (16, 40):
         weights, tables = _fuzz_head(d_h + len(rope), rope, d_h)
         plan = plan_head(weights, tables)
-        for t in (0, 1, 5, 64) + ((300,) if rows is None else ()):
+        if stack_rows is not None:
+            monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", stack_rows * 3 * d_h)
+        for t in (0, 1, 5, 64) + ((300,) if rows is None and stack_rows is None else ()):
             _patch_rows(monkeypatch, rows, t)
             _assert_matches_branching_oracle(
                 weights, tables, gen_activations(t, weights.d_model, t + 200), plan
@@ -834,6 +850,29 @@ def test_long_decode_memory_grows_with_t_not_t_squared():
     # blocks, the peaks are 8.53 and 20.76 MiB
     peaks = {t: _decode_peak_mib(t) for t in (1024, 4096)}
     assert peaks[1024] < 9.5 and peaks[4096] < 21.5, peaks
+
+
+#: SHA-256 of the float.hex of (mse, sqnr_db, max_abs_err, score_err), one line per
+#: decode, of the long-context benchmark's four heads (seeds 0-3) decoded with the
+#: sorted plan at T = 4096, then at T = 1300 with the plan and without it.  Like the
+#: sweep digests, it holds for one BLAS kernel (see ROADMAP.md): a kernel that sums
+#: the projections or scores in another order moves the low bits.
+LONG_DECODE_DIGEST = "2b317ece3489e6a8fa56fa06894416282d6abd5a8a68b5097ccd74ca42ba9346"
+
+
+def test_long_context_decodes_keep_their_digest():
+    tables = default_rope_tables(128, layout="interleaved")
+    lines = []
+    for seed in range(4):
+        weights = gen_outlier_head(128, 256, OutlierSpec(4, 50.0, 1.0, seed=seed))
+        plan = plan_head(weights, tables)
+        for t, use_plan in ((4096, plan), (1300, plan), (1300, None)):
+            X = gen_activations(t, 256, seed)
+            trace = simulate_decode(weights, tables, X, BFP12_32, BFP16_32, plan=use_plan)
+            report = error_metrics(trace.keys, trace.key_cache)
+            values = (report.mse, report.sqnr_db, report.max_abs_err, score_max_abs_err(trace))
+            lines.append(" ".join(v.hex() for v in values))
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == LONG_DECODE_DIGEST, lines
 
 
 # ---------------------------------------------------------------------------
