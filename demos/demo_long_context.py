@@ -1,22 +1,23 @@
 """Long-context decodes: time and memory of one sorted decode at T = 1k/4k/16k.
 
-The attention-score error is reduced one block of query rows at a time
-(``simharness.SCORE_BLOCK_ELEMENTS`` = 2**18 elements of the score map per
-block, 2 MiB), and the queries are cast to their format a few blocks at a time
-inside that loop, so no T x T score map and no matrix of decoded queries is
-ever built.  The decode rotates its queries, reference keys and decoded
-keys together, one (3, rows, 128) block at a time and in place
-(``simharness._rotate``), so each rotary cos/sin is evaluated once.  What a
-decode holds grows with T: the keys, the rotated queries, reference keys and
-decoded keys in one stack, the key cache (each held once) and two score
-buffers.  A single T x T float64 map would be 128 MiB at T = 4096 and 2 GiB
-at T = 16384; the peaks here are about 8.5, 20.7 and 70 MiB.
+The attention-score error is reduced one square tile at a time: query rows
+[i0, i0 + 256) against causal keys [j0, j0 + 256), ``simharness.TILE`` = 256
+rows clamped to T, 512 KiB of float64 per tile; each row tile's queries are
+cast to their format once inside that loop, so no T x T score map and no
+matrix of decoded queries is ever built.  The decode rotates its queries,
+reference keys and decoded keys together, one (3, 256, 128) tile at a time
+and in place (``simharness._rotate``), so each rotary cos/sin is evaluated
+once.  What a decode holds grows with T: the keys, the rotated queries,
+reference keys and decoded keys in one stack, the key cache (each held once)
+and two score tiles.  A single T x T float64 map would be 128 MiB at
+T = 4096 and 2 GiB at T = 16384; the peaks here are about 6.8, 20.7 and
+83 MiB.
 
 Each line decodes one outlier head (128 channels, 4 at 50x, d_model 256) with
 the sorted plan, interleaved rotary, BFP16_32 queries and BFP12_32 keys, then
 computes the cache error metrics and the score error.  It prints the wall
 time of that work, and its tracemalloc peak from a second, untimed run:
-tracemalloc traces every Python allocation, so it would slow the per-block
+tracemalloc traces every Python allocation, so it would slow the per-tile
 work it does not measure (the activations and the plan are built before
 either run starts).
 

@@ -193,6 +193,7 @@ class BfpTensor(_Checked):
 
     def block(self, index: int) -> BfpBlock:
         """The ``index``-th block in C order over the exponent array."""
+        _require_int("index", index, 0, self.num_blocks - 1)
         e = int(self.exponents.reshape(-1)[index])
         m = self.mantissas.reshape(-1, self.fmt.block_size)[index]
         return BfpBlock(exponent=e, mantissas=m.copy())
@@ -300,6 +301,7 @@ def quantize_tensor(x, fmt: BfpFormat, blocking_axis: int = -1) -> BfpTensor:
 
 def dequantize(t: BfpTensor) -> np.ndarray:
     """Decode to float64: element i of block k is ``2**e_k * M_{k,i}``."""
+    _require_instance("t", t, BfpTensor)
     vals = t.mantissas.astype(np.float64)
     np.ldexp(vals, t.exponents[..., None], out=vals)
     flat = vals.reshape(vals.shape[:-2] + (vals.shape[-2] * vals.shape[-1],))
@@ -313,6 +315,8 @@ def bfp_dot(a: BfpTensor, k: BfpTensor) -> float:
     Within a block the mantissa products accumulate exactly in int64; each
     block contributes ``2**(e_a + e_k) * sum_i M_a[i] * M_k[i]``.
     """
+    _require_instance("a", a, BfpTensor)
+    _require_instance("k", k, BfpTensor)
     if len(a.logical_shape) != 1 or len(k.logical_shape) != 1:
         raise ShapeMismatch("bfp_dot operates on 1-D blocked vectors")
     if a.logical_shape != k.logical_shape or a.fmt.block_size != k.fmt.block_size:
@@ -377,6 +381,7 @@ def pack(t: BfpTensor) -> bytes:
     cannot hold raises :class:`InvalidValue`, never a truncated field.  The code
     ``-2**(p-1)``, which the encoder never produces but :func:`unpack` can, fits.
     """
+    _require_instance("t", t, BfpTensor)
     fmt = t.fmt
     out = np.zeros((t.num_blocks, fmt.bytes_per_block), dtype=np.uint8)
     exps, mants = t.exponents.reshape(-1), t.mantissas.reshape(-1, fmt.block_size)

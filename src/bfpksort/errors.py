@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and its one policy for scalar and array
-parameters and for the arrays a checked value holds."""
+"""Exception types shared across the package, and its one policy for scalar, array and
+object parameters and for the arrays a checked value holds."""
 
 import dataclasses
 import sys

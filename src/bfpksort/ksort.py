@@ -142,6 +142,8 @@ def remap_rope_tables(tables: RopeTables, perm: Permutation) -> RopeTables:
     their channels.  ``partner`` holds indices, so its entries are translated
     into the new numbering as well: ``partner'[j] = inv[partner[perm[j]]]``.
     """
+    _require_instance("tables", tables, RopeTables)
+    _require_instance("perm", perm, Permutation)
     if len(perm) != tables.d_h:
         raise ShapeMismatch(f"permutation length {len(perm)} != d_h {tables.d_h}")
     idx = perm.indices
@@ -165,9 +167,8 @@ class PermutationPlan(_Checked):
     rope: RopeTables | None = None
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.perm, Permutation) and isinstance(self.rope, (RopeTables, type(None)))):
-            raise InvalidValue(f"a plan holds a Permutation and RopeTables or None, got "
-                               f"{type(self.perm).__name__} and {type(self.rope).__name__}")
+        _require_instance("perm", self.perm, Permutation)
+        _require_instance("rope", self.rope, RopeTables, optional=True)
         if self.rope is not None and self.rope.d_h != len(self.perm):
             raise ShapeMismatch(
                 f"permutation length {len(self.perm)} != rotary table length {self.rope.d_h}"
@@ -251,9 +252,9 @@ def plan_head(
     is the layout of lowest :func:`cache_mse` on the Gaussian model keys among
     the norm sort, the identity and the grouped layouts (see the module
     docstring).  Heads equal up to a power of two get bitwise-equal plans.
-    ``rope_tables`` that are not :class:`RopeTables` or ``None``, or a ``fmt``
-    that is not a :class:`BfpFormat` or ``None``, raise :class:`InvalidValue`.
+    An argument of another type than its annotation raises :class:`InvalidValue`.
     """
+    _require_instance("weights", weights, HeadWeights)
     _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
     _require_instance("fmt", fmt, BfpFormat, optional=True)
     if rope_tables is not None and rope_tables.d_h != weights.d_h:

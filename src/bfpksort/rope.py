@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidRopeTables, InvalidValue, ShapeMismatch
-from .errors import _Checked, _all_finite, _read_only, _require_int, _require_real, _require_real_array
+from .errors import _Checked, _all_finite, _read_only, _require_instance, _require_int
+from .errors import _require_real, _require_real_array
 
 __all__ = ["RopeTables", "default_rope_tables", "rope_apply"]
 
@@ -125,6 +126,7 @@ def rope_apply(tables: RopeTables, x, m) -> np.ndarray:
     :class:`ShapeMismatch`, and a NaN or inf in ``x`` or ``m``, or an angle
     ``m * theta`` that overflows, :class:`InvalidValue`.
     """
+    _require_instance("tables", tables, RopeTables)
     x, m = _require_real_array("x", x), _require_real_array("m", m)
     if x.ndim == 0 or x.shape[-1] != tables.d_h:
         raise ShapeMismatch(f"vector shape {x.shape} does not end in table length {tables.d_h}")

@@ -8,8 +8,9 @@ position-dependent rotation is applied after dequantization, at score time;
 queries are rotated and then cast to their (higher-precision) format.
 Attention scores are evaluated in float64 from the dequantized operands, so
 measured error is purely storage-format error ("fake quantization").  They
-are reduced to the score error one block of query rows at a time, each block
-against only its causal keys, so memory grows with T rather than T**2.
+are reduced to the score error one square tile of :data:`TILE` query rows and
+:data:`TILE` causal keys at a time, and the rotations and query casts run in
+row tiles of the same size, so memory grows with T rather than T**2.
 
 Because cache blocks never span tokens (one key vector is one or more whole
 blocks), quantizing each key at its own decode step produces bit-for-bit the
@@ -80,6 +81,7 @@ def gen_outlier_head(d_h: int, d_model: int, spec: OutlierSpec) -> HeadWeights:
     row choice, query matrix), so equal specs give bitwise-equal weights.
     A spec whose weights overflow float64 raises :class:`InvalidValue`.
     """
+    _require_instance("spec", spec, OutlierSpec)
     _require_int("d_h", d_h, 1)
     _require_int("d_model", d_model, 1)
     if spec.n_outlier_channels > d_h:
@@ -124,55 +126,46 @@ class DecodeTrace:
     score_err: float  # largest causal |score - reference score|, see score_max_abs_err
 
 
-#: Elements of the score map reduced at a time by :func:`_causal_gap`, for both
-#: :func:`simulate_decode` and :func:`exactness_check`: query rows [i0, i1) are
-#: scored against the causal keys [:i1], budget // T rows per block.  Every
-#: T <= 512 is one block; T = 4096 takes 64 rows (2 MiB of float64) per block.
-SCORE_BLOCK_ELEMENTS = 1 << 18
-
-#: Least elements of the queries :func:`_causal_gap` casts at a time, a whole
-#: number of score blocks: 2**14 (128 KiB, 128 rows at T = 4096 and d_h = 128).
-_CAST_ELEMENTS = 1 << 14
+#: Rows of the tiles the decode rotates, casts and scores, clamped to T:
+#: :func:`_rotate` turns TILE rows of every slab at a time, and
+#: :func:`_causal_gap` casts TILE query rows once and scores them against the
+#: causal keys [j0, j0 + TILE) for j0 <= i0, one 512 KiB product at a time.
+TILE = 256
 
 
 def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> float:
     """Largest causal ``|qa @ ka.T - qb @ kb.T|``, or ``|qa @ ka.T|`` without ``qb``.
 
-    Reduced one block of query rows at a time (:data:`SCORE_BLOCK_ELEMENTS`),
-    so no T x T map is built; every block's products are written into the
-    same one or two buffers, allocated once.  With ``fmt_q``, the rows of
-    ``qa`` are cast to it and decoded a few blocks at a time
-    (:data:`_CAST_ELEMENTS`): a BFP block never spans rows, so this gives
-    the bits of a whole-matrix cast.  Inf or NaN when a score overflows
-    (an overflow makes inf - inf), kept by a NaN-propagating running maximum,
-    so that :func:`_check_overflow` sees it; 0.0 for zero tokens.
+    Reduced one square tile at a time (:data:`TILE`), so no T x T map is
+    built; every tile's products go into the same one or two buffers,
+    allocated once.  With ``fmt_q``, each row tile of ``qa`` is cast to it and
+    decoded once: a BFP block never spans rows, so this gives the bits of a
+    whole-matrix cast.  Inf or NaN when a score overflows (an overflow makes
+    inf - inf), kept by a NaN-propagating running maximum, so that
+    :func:`_check_overflow` sees it; 0.0 for zero tokens.
     """
     n_tokens = qa.shape[0]
-    rows = max(1, SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
-    square = min(rows, n_tokens)  # the rows of the largest block
-    buffers = [np.empty(square * n_tokens) for _ in range(1 if qb is None else 2)]
-    causal = np.tri(square, dtype=bool)  # the causal part of a block's diagonal square
-    cast_rows, cast = rows * max(1, _CAST_ELEMENTS // (rows * qa.shape[1])), None
+    tile = max(1, min(TILE, n_tokens))
+    buffers = [np.empty(tile * tile) for _ in range(1 if qb is None else 2)]
+    causal = np.tri(tile, dtype=bool)  # the causal part of a diagonal tile
     gap = np.float64(0.0)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i0 in range(0, n_tokens, rows):
-            i1 = min(n_tokens, i0 + rows)
+        for i0 in range(0, n_tokens, tile):
+            i1 = min(n_tokens, i0 + tile)
             q = qa[i0:i1]
             if fmt_q is not None:
-                if i0 % cast_rows == 0:
-                    cast = None  # not held while the next rows are cast
-                    cast = quantize_tensor(qa[i0:i0 + cast_rows], fmt_q, blocking_axis=1)
-                    cast = dequantize(cast)
-                q = cast[i0 % cast_rows:][: i1 - i0]
-            scores, *other = (b[: (i1 - i0) * i1].reshape(i1 - i0, i1) for b in buffers)
-            np.matmul(q, ka[:i1].T, out=scores)
-            if qb is not None:
-                scores -= np.matmul(qb[i0:i1], kb[:i1].T, out=other[0])
-            np.abs(scores, out=scores)
-            # every key before i0 is causal for the whole block: mask only the diagonal
-            diagonal = scores[:, i0:].max(initial=0.0, where=causal[: i1 - i0, : i1 - i0])
-            block_max = np.maximum(scores[:, :i0].max(initial=0.0), diagonal)
-            gap = np.maximum(gap, block_max)
+                q = dequantize(quantize_tensor(q, fmt_q, blocking_axis=1))
+            for j0 in range(0, i1, tile):
+                j1 = min(n_tokens, j0 + tile)
+                shape = (i1 - i0, j1 - j0)
+                scores, *other = (b[: shape[0] * shape[1]].reshape(shape) for b in buffers)
+                np.matmul(q, ka[j0:j1].T, out=scores)
+                if qb is not None:
+                    scores -= np.matmul(qb[i0:i1], kb[j0:j1].T, out=other[0])
+                np.abs(scores, out=scores)
+                # only the diagonal tile holds keys after its queries
+                where = causal[: shape[0], : shape[1]] if j0 == i0 else True
+                gap = np.maximum(gap, scores.max(initial=0.0, where=where))
     return float(gap)
 
 
@@ -221,6 +214,7 @@ def _project(
     once per decode.
     """
     source = (weights, rope_tables, X, plan)
+    _require_instance("weights", weights, HeadWeights)
     _require_instance("rope_tables", rope_tables, RopeTables, optional=True)
     _require_instance("plan", plan, PermutationPlan, optional=True)
     X = _require_real_array("X", X)
@@ -252,22 +246,16 @@ def _project(
     return _Projection(source, keys, queries, rotated_keys, tables, fmt_k, key_cache, decoded_keys)
 
 
-#: Elements :func:`_rotate` turns at a time, so that the temporaries of
-#: :func:`rope_apply` stay the size of one block of rows: 2**16 (512 KiB).
-_ROTATE_ELEMENTS = 1 << 16
-
-
 def _rotate(tables: RopeTables | None, x: np.ndarray) -> np.ndarray:
     """Rotate queries or cached keys ``(..., T, d_h)`` to their positions 0..T-1,
-    in place and one block of rows (:data:`_ROTATE_ELEMENTS`) at a time: ``x``
-    is a float64 array that the caller alone holds."""
+    in place and :data:`TILE` rows of every slab at a time: ``x`` is a float64
+    array that the caller alone holds."""
     if tables is None:
         return x
-    step = max(1, _ROTATE_ELEMENTS // max(1, math.prod(x.shape[:-2]) * x.shape[-1]))
     with np.errstate(over="ignore", invalid="ignore"):  # see _check_overflow
-        for r0 in range(0, x.shape[-2], step):
-            block = x[..., r0:r0 + step, :]
-            block[...] = rope_apply(tables, block, r0 + np.arange(block.shape[-2]))
+        for r0 in range(0, x.shape[-2], TILE):
+            tile = x[..., r0:r0 + TILE, :]
+            tile[...] = rope_apply(tables, tile, r0 + np.arange(tile.shape[-2]))
     return x
 
 
@@ -293,11 +281,9 @@ def simulate_decode(
     (:func:`_project` with ``fmt_k``), which turns the queries, reference
     keys and decoded keys together in one stacked rotation (lossless keys
     are their own decode, so they reuse the rotated reference), then casts
-    and scores the queries one block of rows at a time (:func:`_causal_gap`).
-    ``rope_tables`` that are not :class:`RopeTables` or ``None``, a ``plan``
-    that is not a :class:`PermutationPlan` or ``None``, or a ``fmt_k`` or
-    ``fmt_q`` that is not a :class:`BfpFormat` or ``None``, raise
-    :class:`InvalidValue` before any projection.
+    and scores the queries one tile at a time (:func:`_causal_gap`).  An
+    argument of another type than its annotation raises :class:`InvalidValue`
+    before any projection.
 
     A sweep scores every format pair of one plan on one projection by
     passing it as the private ``_projection``; one built from any other
@@ -310,9 +296,9 @@ def simulate_decode(
     1.42 to 1.85 MiB that way), for ``cos``/``sin`` that cost little at
     the sweep's T = 64.
 
-    The score error is reduced one block of query rows at a time
-    (:data:`SCORE_BLOCK_ELEMENTS`), so neither a T x T score map nor a whole
-    matrix of decoded queries is ever built.
+    The score error is reduced one square tile of :data:`TILE` query rows
+    and keys at a time, so neither a T x T score map nor a whole matrix of
+    decoded queries is ever built.
     """
     _require_instance("fmt_k", fmt_k, BfpFormat, optional=True)
     _require_instance("fmt_q", fmt_q, BfpFormat, optional=True)
@@ -348,7 +334,7 @@ def exactness_check(
     zero tokens).  Channel permutation leaves each score a reordering of the
     same summands, so a correct plan lands at accumulated rounding error
     (~1e-15); a plan whose rotary tables were remapped wrongly deviates at
-    order 1.  A ``plan`` that is not a :class:`PermutationPlan` raises
+    order 1.  An argument of another type than its annotation raises
     :class:`InvalidValue` before any projection.
     """
     _require_instance("plan", plan, PermutationPlan)
@@ -389,6 +375,7 @@ def error_metrics(reference, quantized: BfpTensor | None) -> ErrorReport:
     element, without reading the reference.  Padding never appears (decoding strips
     it).  All reductions are permutation-invariant, see module docstring.
     """
+    _require_instance("quantized", quantized, BfpTensor, optional=True)
     if quantized is None:
         return ErrorReport(mse=0.0, sqnr_db=math.inf, max_abs_err=0.0, bits_per_element=Fraction(64))
     ref = _require_real_array("reference", reference)
@@ -419,4 +406,5 @@ def score_max_abs_err(trace: DecodeTrace) -> float:
     """Largest attention-score deviation caused by quantization, over the
     causal (lower-triangular) part of the score map: finite, since a decode
     whose scores overflow raises, and 0.0 for zero tokens."""
+    _require_instance("trace", trace, DecodeTrace)
     return trace.score_err

@@ -39,6 +39,7 @@ from bfpksort import (
     HeadWeights,
     OutlierSpec,
     Permutation,
+    PermutationPlan,
     RopeTables,
     default_rope_tables,
     error_metrics,
@@ -48,7 +49,9 @@ from bfpksort import (
     plan_head,
     quantize_block,
     quantize_tensor,
+    remap_rope_tables,
     rope_apply,
+    score_max_abs_err,
     simulate_decode,
 )
 from bfpksort import bfp, errors, ksort, rope, simharness, tensorio
@@ -167,6 +170,7 @@ ENTRY_POINTS = {
         "dims", lambda v: BfpTensor(BfpFormat(4, 4), (v,), 0, _EMPTY, _EMPTY), {"huge"}
     ),
     "run.workers": ("workers", lambda v: run(ExperimentConfig(), workers=v), {"huge"}),
+    "BfpTensor.block": ("index", lambda v: quantize_tensor(np.ones(4), bfp.BFP12_32).block(v), set()),
 }
 
 SCALARS = {"bool": True, "fraction": 2.5, "negative": -1, "nan": math.nan, "huge": 10**400,
@@ -306,9 +310,32 @@ def test_pickled_state_that_breaks_a_check_is_refused(kind):
         pickle.loads(pickle.dumps(Forged()))
 
 
-#: Each argument that must hold one of the library's checked objects: its name, what
-#: it must be, and a call with it.
+#: Each argument that must hold one of the library's objects: its name, what it must
+#: be, and a call with it.
 OBJECT_ENTRY_POINTS = {
+    "simulate_decode.weights": ("weights", "a HeadWeights", lambda v: simulate_decode(v, None, _X3)),
+    "exactness_check.weights": (
+        "weights", "a HeadWeights", lambda v: exactness_check(v, _PLAN, _X3)
+    ),
+    "plan_head.weights": ("weights", "a HeadWeights", lambda v: plan_head(v)),
+    "gen_outlier_head.spec": ("spec", "a OutlierSpec", lambda v: gen_outlier_head(4, 8, v)),
+    "rope_apply.tables": ("tables", "a RopeTables", lambda v: rope_apply(v, np.ones(4), 0)),
+    "remap_rope_tables.tables": (
+        "tables", "a RopeTables", lambda v: remap_rope_tables(v, Permutation.identity(4))
+    ),
+    "remap_rope_tables.perm": ("perm", "a Permutation", lambda v: remap_rope_tables(_TABLES, v)),
+    "PermutationPlan.perm": ("perm", "a Permutation", lambda v: PermutationPlan(v)),
+    "PermutationPlan.rope": (
+        "rope", "a RopeTables or None", lambda v: PermutationPlan(Permutation.identity(4), v)
+    ),
+    "error_metrics.quantized": (
+        "quantized", "a BfpTensor or None", lambda v: error_metrics(np.ones((2, 4)), v)
+    ),
+    "score_max_abs_err.trace": ("trace", "a DecodeTrace", lambda v: score_max_abs_err(v)),
+    "dequantize.t": ("t", "a BfpTensor", lambda v: bfp.dequantize(v)),
+    "pack.t": ("t", "a BfpTensor", lambda v: bfp.pack(v)),
+    "bfp_dot.a": ("a", "a BfpTensor", lambda v: bfp.bfp_dot(v, _VECTOR)),
+    "bfp_dot.k": ("k", "a BfpTensor", lambda v: bfp.bfp_dot(_VECTOR, v)),
     "simulate_decode.rope_tables": (
         "rope_tables", "a RopeTables or None", lambda v: simulate_decode(_HEAD, v, _X3)
     ),
@@ -340,6 +367,7 @@ OBJECT_ENTRY_POINTS = {
 }
 
 _X3 = np.ones((3, 8))
+_VECTOR = quantize_tensor(np.ones(4), _FMT)
 
 
 @pytest.mark.parametrize("value", ["x", _TABLES.theta, 4], ids=["str", "ndarray", "int"])
@@ -359,28 +387,39 @@ def test_entry_point_refuses_an_object_of_another_type(monkeypatch, entry, value
     assert message == f"{name} must be {wanted}, got {type(value).__name__}"
 
 
-#: The parameter names that take a block format.
-FORMAT_PARAMETERS = ("fmt", "fmt_k", "fmt_q")
+#: Each parameter name that takes one of the library's objects, and that object's class.
+OBJECT_PARAMETERS = {
+    "fmt": BfpFormat, "fmt_k": BfpFormat, "fmt_q": BfpFormat,
+    "quantized": BfpTensor, "t": BfpTensor, "a": BfpTensor, "k": BfpTensor,
+    "rope_tables": RopeTables, "tables": RopeTables, "rope": RopeTables,
+    "perm": Permutation, "plan": PermutationPlan, "weights": HeadWeights,
+    "spec": OutlierSpec, "trace": simharness.DecodeTrace,
+}
 
 
-def _format_parameters() -> set[str]:
-    """``<callable>.<parameter>`` for each parameter of :data:`FORMAT_PARAMETERS` that a
-    public function or class of ``bfp``, ``ksort`` or ``simharness`` takes."""
-    found = set()
-    for module in (bfp, ksort, simharness):
+def _object_parameters() -> dict[str, inspect.Parameter]:
+    """Each parameter named in :data:`OBJECT_PARAMETERS` that a public function or class
+    of ``bfp``, ``rope``, ``ksort`` or ``simharness`` takes, by ``<callable>.<parameter>``."""
+    found = {}
+    for module in (bfp, rope, ksort, simharness):
         for name, obj in vars(module).items():
             if name.startswith("_") or not callable(obj) or obj.__module__ != module.__name__:
                 continue
-            found |= {f"{name}.{p}" for p in inspect.signature(obj).parameters
-                      if p in FORMAT_PARAMETERS}
+            found |= {f"{name}.{p.name}": p for p in inspect.signature(obj).parameters.values()
+                      if p.name in OBJECT_PARAMETERS}
     return found
 
 
-def test_every_format_parameter_is_refused_by_type():
-    # a new entry point that takes a format needs a row above, so its check cannot be skipped
-    found = _format_parameters()
-    assert {"quantize_tensor.fmt", "BfpTensor.fmt", "simulate_decode.fmt_q"} <= found
-    assert found - set(OBJECT_ENTRY_POINTS) == set()
+def test_every_object_parameter_is_refused_by_type():
+    # a new entry point that takes one of these names needs a row above, so its check
+    # cannot be skipped; each row wants the class that the parameter is annotated with
+    found = _object_parameters()
+    assert {"quantize_tensor.fmt", "BfpTensor.fmt", "rope_apply.tables", "bfp_dot.k"} <= set(found)
+    assert set(found) - set(OBJECT_ENTRY_POINTS) == set()
+    for entry, parameter in found.items():
+        cls = OBJECT_PARAMETERS[parameter.name].__name__
+        assert cls in parameter.annotation, (entry, parameter.annotation)
+        assert OBJECT_ENTRY_POINTS[entry][1] in (f"a {cls}", f"a {cls} or None"), entry
 
 
 def test_exactness_check_needs_a_plan():

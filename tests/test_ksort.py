@@ -403,15 +403,16 @@ def test_plan_json_rejects_mismatched_lengths():
 
 
 @pytest.mark.parametrize(
-    "perm, rope, got",
-    [(np.arange(4), None, "ndarray and NoneType"),
-     (Permutation.identity(4), "x", "Permutation and str"),
-     (Permutation.identity(4), default_rope_tables(4).theta, "Permutation and ndarray")],
+    "perm, rope, message",
+    [(np.arange(4), None, "perm must be a Permutation, got ndarray"),
+     (Permutation.identity(4), "x", "rope must be a RopeTables or None, got str"),
+     (Permutation.identity(4), default_rope_tables(4).theta,
+      "rope must be a RopeTables or None, got ndarray")],
     ids=["array_perm", "string_rope", "array_rope"],
 )
-def test_plan_holds_a_permutation_and_tables(perm, rope, got):
-    # refused when built, so no decode meets a raw AttributeError from the plan
-    with pytest.raises(InvalidValue, match=f"RopeTables or None, got {got}$"):
+def test_plan_holds_a_permutation_and_tables(perm, rope, message):
+    # refused by type when built, so no decode meets a raw AttributeError from the plan
+    with pytest.raises(InvalidValue, match=f"^{message}$"):
         PermutationPlan(perm, rope)
 
 

@@ -6,7 +6,7 @@ either vectorized path.  `_rope_apply_oracle` is the one-line formula the
 kernel replaced, and the kernel must match it byte for byte.
 `_whole_array_rope_oracle` is a fixed copy of the whole-array kernel: the
 kernel, and the decode's in-place rotation `simharness._rotate`, which turns
-one block of rows at a time, must match it byte for byte.
+`simharness.TILE` rows at a time, must match it byte for byte.
 """
 
 from __future__ import annotations
@@ -384,7 +384,7 @@ def test_kernel_keeps_signed_zero_frequencies_apart():
 
 
 # ---------------------------------------------------------------------------
-# the decode's row-blocked, in-place rotation against the whole-array kernel
+# the decode's tiled, in-place rotation against the whole-array kernel
 # ---------------------------------------------------------------------------
 
 
@@ -442,12 +442,11 @@ def _block_shapes():
 @pytest.mark.parametrize("block_rows", [None, 1, 5], ids=["default", "rows_1", "rows_5"])
 @pytest.mark.parametrize("case", list(_block_shapes()))
 def test_blocked_kernel_matches_whole_array_oracle_bitwise(monkeypatch, case, block_rows):
-    # 23 rows in blocks of 5 leave a ragged last block of 3; each block is rotated
+    # 23 rows in tiles of 5 leave a ragged last tile of 3; each tile is rotated
     # into a new array before it is written back
     x = _block_shapes()[case]
     if block_rows is not None:
-        row_elements = math.prod(x.shape[:-2]) * x.shape[-1]
-        monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", block_rows * row_elements)
+        monkeypatch.setattr(simharness, "TILE", block_rows)
     for tables in _all_tables(8):
         want = _whole_array_rope_oracle(tables, x, np.arange(x.shape[-2]))
         own = x.copy(order="K")  # keeps a Fortran layout
@@ -458,12 +457,11 @@ def test_blocked_kernel_matches_whole_array_oracle_bitwise(monkeypatch, case, bl
 @pytest.mark.parametrize("stack", [1, 2, 3])
 def test_blocked_kernel_matches_whole_array_oracle_at_default_budget(stack):
     # 1300 rows of 128 channels, (T, d_h), (2, T, d_h) or (3, T, d_h) as a decode with
-    # a key format stacks them: several default blocks and a ragged last one
+    # a key format stacks them: several default tiles and a ragged last one
     rng = np.random.default_rng(13)
     x = _with_signed_zeros(rng.normal(size=(stack, 1300, 128)))
     x = x[0] if stack == 1 else x
-    step = simharness._ROTATE_ELEMENTS // (stack * 128)
-    assert 1 < step < 1300 and 1300 % step
+    assert 1 < simharness.TILE < 1300 and 1300 % simharness.TILE
     for tables in _all_tables(128):
         own = x.copy()
         simharness._rotate(tables, own)
@@ -473,9 +471,9 @@ def test_blocked_kernel_matches_whole_array_oracle_at_default_budget(stack):
 @pytest.mark.filterwarnings("error")
 def test_non_finite_angle_in_a_late_block_raises(monkeypatch):
     # the largest frequency is about 8.1e307: positions up to 2 are finite angles,
-    # so three one-row blocks turn before the fourth, at position 3, overflows
+    # so three one-row tiles turn before the fourth, at position 3, overflows
     tables = default_rope_tables(42, 5e-324)
-    monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", 42)
+    monkeypatch.setattr(simharness, "TILE", 1)
     x = np.ones((10, 42))
     with pytest.raises(InvalidValue, match="not finite"):
         _whole_array_rope_oracle(tables, x, np.arange(10))
@@ -512,11 +510,10 @@ def test_non_finite_angle_raises_without_warning():
 @pytest.mark.parametrize("case", list(_block_shapes()))
 def test_rotation_in_place_and_into_out_matches_a_new_result_bitwise(monkeypatch, case, block_rows):
     # rope_apply leaves x as it was and returns a new array; _rotate writes the same
-    # bits back into the buffer it is given, one block of rows at a time
+    # bits back into the buffer it is given, one tile of rows at a time
     x = _block_shapes()[case]
     if block_rows is not None:
-        row_elements = math.prod(x.shape[:-2]) * x.shape[-1]
-        monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", block_rows * row_elements)
+        monkeypatch.setattr(simharness, "TILE", block_rows)
     kept = x.copy()
     for tables in _all_tables(8):
         want = rope_apply(tables, x, np.arange(x.shape[-2]))

@@ -175,7 +175,7 @@ def test_identity_plan_equals_no_plan():
 def test_scores_are_causal(monkeypatch):
     # query i scaled by 2**-i, key j by 2**j: a deviation above the diagonal (an
     # early query against a later key) outweighs the causal ones by 2**(j - i),
-    # so a mask that lets any through, even inside a 7-row block, shows
+    # so a mask that lets any through, even inside a 7-row tile, shows
     t, d_h = 65, 8
     weights = HeadWeights(
         w_k=np.hstack([np.zeros((d_h, d_h)), np.eye(d_h)]),
@@ -191,7 +191,7 @@ def test_scores_are_causal(monkeypatch):
     bound = _rounding_bound(weights, tables, X, BFP12_4, BFP12_4)
     for rows in (None, 7, 1):
         with monkeypatch.context() as patch:
-            _patch_rows(patch, rows, t)
+            _patch_rows(patch, rows)
             trace = simulate_decode(weights, tables, X, BFP12_4, BFP12_4)
             _assert_oracle_value(
                 score_max_abs_err(trace), _score_err_oracle(scores_ref, scores), rows, bound
@@ -258,7 +258,7 @@ def test_projection_for_other_inputs_is_refused_before_any_cast(monkeypatch, nam
 
 def test_a_decode_rotates_queries_and_keys_once_and_decoded_keys_once(monkeypatch):
     # a BFP decode turns its queries, reference keys and decoded keys in one stacked
-    # rotation, in blocks of rows: each of the 3T rows turns once, to its own position;
+    # rotation, in tiles of rows: each of the 3T rows turns once, to its own position;
     # a lossless decode turns its 2T stacked rows; a pair scored on a projection shared
     # by a sweep (built without a key format) turns its decoded keys alone
     turned = []
@@ -268,7 +268,7 @@ def test_a_decode_rotates_queries_and_keys_once_and_decoded_keys_once(monkeypatc
         return rope_apply(tables, x, m)
 
     monkeypatch.setattr(simharness, "rope_apply", counted)
-    monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", 3 * 2 * 8)  # two rows of 3 slabs
+    monkeypatch.setattr(simharness, "TILE", 2)  # two rows of every slab
     weights, tables, X = _small_setup()
     plan = plan_head(weights, tables)
     positions = list(range(len(X)))
@@ -343,7 +343,7 @@ def test_format_plan_keeps_scores_exact():
 
 # ---------------------------------------------------------------------------
 # dense oracle: simulate_decode, score_max_abs_err and exactness_check as they
-# were before the decode streamed over blocks of query rows, building both
+# were before the decode streamed over tiles of the score map, building both
 # T x T score maps in one product each
 # ---------------------------------------------------------------------------
 
@@ -419,7 +419,7 @@ def _unmasked(weights, tables, X, fmt_k, fmt_q):
 
 
 def _rounding_bound(weights, tables, X, fmt_k=None, fmt_q=None, plan=None):
-    """How far a causal score error may move when its products are blocked
+    """How far a causal score error may move when its products are tiled
     differently.
 
     Any summation order puts a dot product of length d_h within
@@ -437,20 +437,42 @@ def _rounding_bound(weights, tables, X, fmt_k=None, fmt_q=None, plan=None):
     return 4.0 * gamma * largest
 
 
-def _patch_rows(monkeypatch, rows, t):
-    """Make simulate_decode and exactness_check reduce ``rows`` query rows at a
-    time at ``t`` tokens; ``None`` keeps the module's default budget."""
+def _patch_rows(monkeypatch, rows):
+    """Make the decode rotate, cast and score tiles of ``rows`` rows; ``None``
+    keeps the module's :data:`simharness.TILE`."""
     if rows is not None:
-        monkeypatch.setattr(simharness, "SCORE_BLOCK_ELEMENTS", rows * max(t, 1))
+        monkeypatch.setattr(simharness, "TILE", rows)
+
+
+def _patch_rotate_rows(monkeypatch, rows):
+    """Make :func:`simharness._rotate` turn tiles of ``rows`` rows of every slab,
+    while the decode casts and scores tiles of the module's :data:`simharness.TILE`."""
+    rotate, default = simharness._rotate, simharness.TILE
+
+    def rotate_in_tiles(tables, x):
+        simharness.TILE = rows
+        try:
+            return rotate(tables, x)
+        finally:
+            simharness.TILE = default
+
+    monkeypatch.setattr(simharness, "_rotate", rotate_in_tiles)
+
+
+def _fuzz_tokens(tokens, rows):
+    """``tokens`` without the lengths above 65 for 1-row tiles, which would score
+    T * (T + 1) / 2 one-element tiles (131k at T = 512)."""
+    return tuple(t for t in tokens if rows != 1 or t <= 65)
 
 
 def _assert_oracle_value(got, want, rows, bound):
     if rows is None or got == want:
-        # at the default budget every T <= 724 is one block: the same products
+        # at the default tile the products of every fuzzed T match the dense
+        # map's, a tile or not
         assert got == want
     else:
         # BLAS sums a product's dot products in an order that depends on the
-        # block shape, so a re-blocked score can move in its last bits
+        # tile shape, so a re-tiled score can move in its last bits
         assert abs(got - want) <= bound, (got, want, bound)
 
 
@@ -468,9 +490,9 @@ def _fuzz_head(seed, rope, d_h=16):
 def test_score_error_matches_dense_oracle(monkeypatch, rows, rope):
     weights, tables = _fuzz_head(len(rope), rope)
     plan = plan_head(weights, tables)
-    for t in _FUZZ_TOKENS:
+    _patch_rows(monkeypatch, rows)
+    for t in _fuzz_tokens(_FUZZ_TOKENS, rows):
         X = gen_activations(t, weights.d_model, t)
-        _patch_rows(monkeypatch, rows, t)
         for use_plan in (None, plan):
             for fmt_k, fmt_q in ((None, None), (BfpFormat(4, 8), BfpFormat(8, 8))):
                 trace = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan)
@@ -492,9 +514,9 @@ def test_exactness_check_matches_dense_oracle(monkeypatch, rows, rope):
     if tables is not None:
         # valid tables left unremapped: rotation acts on the wrong pairs, deviations of order 1
         plans.append(replace(plans[0], rope=tables))
-    for t in _FUZZ_TOKENS:
+    _patch_rows(monkeypatch, rows)
+    for t in _fuzz_tokens(_FUZZ_TOKENS, rows):
         X = gen_activations(t, weights.d_model, t)
-        _patch_rows(monkeypatch, rows, t)
         scale = float(np.abs(_dense_decode_oracle(weights, tables, X)[2]).max())
         for plan in plans:
             # both maps and the scale move: a deviation ratio of order 1 moves
@@ -509,19 +531,22 @@ def test_exactness_check_matches_dense_oracle(monkeypatch, rows, rope):
 
 
 # ---------------------------------------------------------------------------
-# streamed oracle: the two row-block loops simulate_decode and exactness_check
-# ran before both called one causal-score kernel, kept to pin the kernel's bits
+# streamed oracle: the tiles simulate_decode and exactness_check score, each
+# formed in a new array with no buffer or mask reuse, kept to pin the kernel's bits
 # ---------------------------------------------------------------------------
 
 
-def _row_blocks_oracle(n_tokens: int):
-    rows = max(1, simharness.SCORE_BLOCK_ELEMENTS // max(n_tokens, 1))
-    for i0 in range(0, n_tokens, rows):
-        yield i0, min(n_tokens, i0 + rows)
+def _tiles_oracle(n_tokens: int):
+    """``(i0, i1, j0, j1)``: query rows ``[i0, i1)`` against keys ``[j0, j1)``, in
+    square tiles of :data:`simharness.TILE` rows, clamped to T, for ``j0 <= i0``."""
+    tile = max(1, min(simharness.TILE, n_tokens))
+    for i0 in range(0, n_tokens, tile):
+        for j0 in range(0, i0 + 1, tile):
+            yield i0, min(n_tokens, i0 + tile), j0, min(n_tokens, j0 + tile)
 
 
-def _causal_max_oracle(values, i0):
-    return np.maximum(values[:, :i0].max(initial=0.0), np.tril(values[:, i0:]).max())
+def _causal_max_oracle(values, i0, j0):
+    return np.tril(values).max() if i0 == j0 else values.max()
 
 
 def _streamed_score_err_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, plan=None):
@@ -529,10 +554,10 @@ def _streamed_score_err_oracle(weights, rope_tables, X, fmt_k=None, fmt_q=None, 
         weights, rope_tables, X, fmt_k, fmt_q, plan
     )
     score_err = np.float64(0.0)
-    for i0, i1 in _row_blocks_oracle(keys.shape[0]):
-        err = deq_queries[i0:i1] @ keys_rot_deq[:i1].T
-        err -= queries[i0:i1] @ keys_rot_ref[:i1].T
-        score_err = np.maximum(score_err, _causal_max_oracle(np.abs(err, out=err), i0))
+    for i0, i1, j0, j1 in _tiles_oracle(keys.shape[0]):
+        err = deq_queries[i0:i1] @ keys_rot_deq[j0:j1].T
+        err -= queries[i0:i1] @ keys_rot_ref[j0:j1].T
+        score_err = np.maximum(score_err, _causal_max_oracle(np.abs(err, out=err), i0, j0))
     return float(score_err)
 
 
@@ -540,12 +565,12 @@ def _streamed_exactness_oracle(weights, plan, X, rope_tables=None):
     _, queries, keys = _dense_operands(weights, rope_tables, X)[:3]
     _, p_queries, p_keys = _dense_operands(weights, rope_tables, X, plan=plan)[:3]
     scale = diff = np.float64(0.0)
-    for i0, i1 in _row_blocks_oracle(keys.shape[0]):
-        ref = queries[i0:i1] @ keys[:i1].T
-        dev = p_queries[i0:i1] @ p_keys[:i1].T
+    for i0, i1, j0, j1 in _tiles_oracle(keys.shape[0]):
+        ref = queries[i0:i1] @ keys[j0:j1].T
+        dev = p_queries[i0:i1] @ p_keys[j0:j1].T
         dev -= ref
-        scale = np.maximum(scale, _causal_max_oracle(np.abs(ref, out=ref), i0))
-        diff = np.maximum(diff, _causal_max_oracle(np.abs(dev, out=dev), i0))
+        scale = np.maximum(scale, _causal_max_oracle(np.abs(ref, out=ref), i0, j0))
+        diff = np.maximum(diff, _causal_max_oracle(np.abs(dev, out=dev), i0, j0))
     scale, diff = float(scale), float(diff)
     return diff / scale if scale > 0.0 else diff
 
@@ -559,9 +584,9 @@ def test_score_kernel_matches_streamed_oracle_bitwise(monkeypatch, rows, rope):
     if tables is not None:
         plans.append(replace(plan, rope=tables))  # valid, but not remapped
     formats = ((None, None), (BfpFormat(4, 8), BfpFormat(8, 8)), (BfpFormat(4, 16), None))
-    for t in (0, 1, 5, 33, 200):
+    _patch_rows(monkeypatch, rows)
+    for t in _fuzz_tokens((0, 1, 5, 33, 200), rows):
         X = gen_activations(t, weights.d_model, t + 100)
-        _patch_rows(monkeypatch, rows, t)
         for use_plan in (None, plan):
             for fmt_k, fmt_q in formats:
                 got = simulate_decode(weights, tables, X, fmt_k, fmt_q, plan=use_plan).score_err
@@ -581,11 +606,11 @@ def test_score_kernel_matches_streamed_oracle_bitwise(monkeypatch, rows, rope):
 def test_nan_in_a_later_block_makes_score_error_nan(monkeypatch):
     # a decode's operands are finite, but a score that overflows makes inf - inf in
     # the kernel; a running max built on Python's max() would drop the NaN of that
-    # later block, since max(0.0, nan) is 0.0, and the overflow would go unnamed
+    # later tile, since max(0.0, nan) is 0.0, and the overflow would go unnamed
     q, k = np.random.default_rng(3).normal(size=(2, 64, 8))
     q[50] *= 1e300  # row 50 against the 1e300 keys overflows; every other score is finite
     k[:8] *= 1e300
-    _patch_rows(monkeypatch, 8, 64)
+    _patch_rows(monkeypatch, 8)
     assert math.isnan(simharness._causal_gap(q, k, q, k))
     q[50] = 0.0
     assert simharness._causal_gap(q, k, q, k) == 0.0
@@ -601,10 +626,10 @@ def test_nan_activations_on_a_bfp_grid_are_non_finite_input():
 
 def test_non_finite_query_in_a_later_block_is_named_by_its_row(monkeypatch):
     # the activation that would make a non-finite query is named by its row in X,
-    # before the query cast, whose blocks of eight rows would otherwise meet it
+    # before the query cast, whose tiles of eight rows would otherwise meet it
     weights, tables, X = _small_setup(n_tokens=64)
     X[50, 3] = np.nan
-    _patch_rows(monkeypatch, 8, 64)
+    _patch_rows(monkeypatch, 8)
     with pytest.raises(InvalidValue, match=re.escape("X must be finite, got nan at index (50, 3)")):
         simulate_decode(weights, tables, X, None, BFP12_4)
 
@@ -756,21 +781,25 @@ def _assert_matches_branching_oracle(weights, tables, X, plan):
 
 @pytest.mark.parametrize("rope", ["interleaved", "half_split", "off"])
 @pytest.mark.parametrize(
-    "rows, stack_rows",
-    [(1, None), (None, None), (None, 1), (None, 5)],
+    "rows, rotate_rows",
+    [(1, None), (None, None), (None, 1), (5, None)],
     ids=["rows_1", "default", "rotate_1", "rotate_5"],
 )
-def test_straight_decode_matches_branching_oracle_bitwise(monkeypatch, rows, stack_rows, rope):
-    # rotate_1 and rotate_5 shrink the rotation budget to 1 and 5 rows of a 3-slab
-    # stack (1 and 7 rows of a 2-slab stack, 3 and 15 of a lone matrix), so T = 64
-    # ends on a short block
+def test_straight_decode_matches_branching_oracle_bitwise(monkeypatch, rows, rotate_rows, rope):
+    # rows_1 and rotate_5 rotate, cast and score tiles of 1 and 5 rows of every slab,
+    # so T = 64 ends on a short tile; 1-row tiles score T * (T + 1) / 2 tiles, so they
+    # stop at T = 9, and rotate_1 turns 1-row tiles up to T = 64 but casts and scores
+    # default tiles; the default tile is all of T <= 256, and two tiles at T = 300
+    _patch_rows(monkeypatch, rows)
+    if rotate_rows is not None:
+        _patch_rotate_rows(monkeypatch, rotate_rows)
+    tokens = {1: (0, 1, 5, 9), None: (0, 1, 5, 64, 300)}.get(rows, (0, 1, 5, 64))
+    if rotate_rows is not None:
+        tokens = (0, 1, 5, 64)
     for d_h in (16, 40):
         weights, tables = _fuzz_head(d_h + len(rope), rope, d_h)
         plan = plan_head(weights, tables)
-        if stack_rows is not None:
-            monkeypatch.setattr(simharness, "_ROTATE_ELEMENTS", stack_rows * 3 * d_h)
-        for t in (0, 1, 5, 64) + ((300,) if rows is None and stack_rows is None else ()):
-            _patch_rows(monkeypatch, rows, t)
+        for t in tokens:
             _assert_matches_branching_oracle(
                 weights, tables, gen_activations(t, weights.d_model, t + 200), plan
             )
@@ -846,10 +875,10 @@ def _decode_peak_mib(t: int) -> float:
 def test_long_decode_memory_grows_with_t_not_t_squared():
     # a single T x T float64 score map is 128 MiB at T = 4096, and the dense decode
     # peaked at 522 MiB; four times the tokens may take less than twice the memory.
-    # Rotated in place, with 1-byte mantissas in the key cache and 2 MiB score
-    # blocks, the peaks are 8.53 and 20.76 MiB
+    # Rotated in place, with 1-byte mantissas in the key cache and 512 KiB score
+    # tiles, the peaks are 6.77 and 20.69 MiB
     peaks = {t: _decode_peak_mib(t) for t in (1024, 4096)}
-    assert peaks[1024] < 9.5 and peaks[4096] < 21.5, peaks
+    assert peaks[1024] < 7.5 and peaks[4096] < 21.5, peaks
 
 
 #: SHA-256 of the float.hex of (mse, sqnr_db, max_abs_err, score_err), one line per
