@@ -4,14 +4,15 @@ The attention-score error is reduced one square tile at a time: query rows
 [i0, i0 + 256) against causal keys [j0, j0 + 256), ``simharness.TILE`` = 256
 rows clamped to T, 512 KiB of float64 per tile; each row tile's queries are
 cast to their format once inside that loop, so no T x T score map and no
-matrix of decoded queries is ever built.  The decode rotates its queries,
-reference keys and decoded keys together, one (3, 256, 128) tile at a time
-and in place (``simharness._rotate``), so each rotary cos/sin is evaluated
-once.  What a decode holds grows with T: the keys, the rotated queries,
+matrix of decoded queries is ever built.  The keys are cast into the cache
+and decoded 256 rows at a time, so no whole float64 matrix of that cast is
+built either.  The decode rotates its queries, reference keys and decoded
+keys together, one (3, 256, 128) tile at a time and in place
+(``simharness._rotate``), so each rotary cos/sin is evaluated once.  What a decode holds grows with T: the keys, the rotated queries,
 reference keys and decoded keys in one stack, the key cache (each held once)
 and two score tiles.  A single T x T float64 map would be 128 MiB at
-T = 4096 and 2 GiB at T = 16384; the peaks here are about 6.8, 20.7 and
-83 MiB.
+T = 4096 and 2 GiB at T = 16384; the peaks here are about 6.8, 19.2 and
+69 MiB.
 
 Each line decodes one outlier head (128 channels, 4 at 50x, d_model 256) with
 the sorted plan, interleaved rotary, BFP16_32 queries and BFP12_32 keys, then

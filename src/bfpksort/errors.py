@@ -68,9 +68,11 @@ def _require_real(name: str, value, low, *, above: bool = False) -> None:
 
 
 def _require_instance(name: str, value, cls: type, *, optional: bool = False) -> None:
-    """Raise :class:`InvalidValue` unless ``value`` is a ``cls`` (or ``None`` with ``optional``)."""
+    """Raise :class:`InvalidValue` unless ``value`` is a ``cls`` (or ``None`` with ``optional``),
+    named with "an" before a vowel: ``spec must be an OutlierSpec, got str``."""
     if not (isinstance(value, cls) or (optional and value is None)):
-        wanted = f"a {cls.__name__} or None" if optional else f"a {cls.__name__}"
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        wanted = f"{article} {cls.__name__}" + (" or None" if optional else "")
         raise InvalidValue(f"{name} must be {wanted}, got {type(value).__name__}")
 
 

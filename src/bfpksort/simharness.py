@@ -9,16 +9,18 @@ queries are rotated and then cast to their (higher-precision) format.
 Attention scores are evaluated in float64 from the dequantized operands, so
 measured error is purely storage-format error ("fake quantization").  They
 are reduced to the score error one square tile of :data:`TILE` query rows and
-:data:`TILE` causal keys at a time, and the rotations and query casts run in
-row tiles of the same size, so memory grows with T rather than T**2.
+:data:`TILE` causal keys at a time, and the rotations and the key and query
+casts run in row tiles of the same size, so memory grows with T rather than
+T**2: one sorted decode with its error metrics peaks under tracemalloc at
+6.8 MiB at T = 1024, 19.2 MiB at T = 4096 and 68.9 MiB at T = 16384.
 
 Because cache blocks never span tokens (one key vector is one or more whole
 blocks), quantizing each key at its own decode step produces bit-for-bit the
 same cache as quantizing all keys at once, and the simulator exploits that
-by batching.  Only the casts and the rotation of the decoded keys depend on
-the storage formats: the projections and the rotation of the queries and
-reference keys are shared, so a sweep builds them once per plan
-(:func:`_project`) and scores every format pair on them.
+by batching, a tile of keys at a time.  Only the casts and the rotation of
+the decoded keys depend on the storage formats: the projections and the
+rotation of the queries and reference keys are shared, so a sweep builds
+them once per plan (:func:`_project`) and scores every format pair on them.
 
 Error metrics accumulate squared terms in ascending sorted order, which
 makes the reported numbers invariant to channel permutations: two caches
@@ -40,7 +42,8 @@ from fractions import Fraction
 import numpy as np
 
 from .bfp import BfpFormat, BfpTensor, bits_per_element, dequantize, quantize_tensor
-from .errors import InvalidValue, PlanMismatch, ShapeMismatch
+from .bfp import _mantissa_dtype
+from .errors import ExponentOverflow, InvalidValue, PlanMismatch, ShapeMismatch
 from .errors import _all_finite, _require_instance, _require_int, _require_real, _require_real_array
 from .ksort import HeadWeights, PermutationPlan
 from .rope import RopeTables, rope_apply
@@ -127,9 +130,10 @@ class DecodeTrace:
 
 
 #: Rows of the tiles the decode rotates, casts and scores, clamped to T:
-#: :func:`_rotate` turns TILE rows of every slab at a time, and
-#: :func:`_causal_gap` casts TILE query rows once and scores them against the
-#: causal keys [j0, j0 + TILE) for j0 <= i0, one 512 KiB product at a time.
+#: :func:`_rotate` turns TILE rows of every slab at a time, :func:`_cache_keys`
+#: casts and decodes TILE keys at a time, and :func:`_causal_gap` casts TILE
+#: query rows once and scores them against the causal keys [j0, j0 + TILE) for
+#: j0 <= i0, one 512 KiB product at a time.
 TILE = 256
 
 
@@ -139,8 +143,8 @@ def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> flo
     Reduced one square tile at a time (:data:`TILE`), so no T x T map is
     built; every tile's products go into the same one or two buffers,
     allocated once.  With ``fmt_q``, each row tile of ``qa`` is cast to it and
-    decoded once: a BFP block never spans rows, so this gives the bits of a
-    whole-matrix cast.  Inf or NaN when a score overflows (an overflow makes
+    decoded once (:func:`_cast_rows`): the bits, and an overflow's message, of
+    a whole-matrix cast.  Inf or NaN when a score overflows (an overflow makes
     inf - inf), kept by a NaN-propagating running maximum, so that
     :func:`_check_overflow` sees it; 0.0 for zero tokens.
     """
@@ -152,9 +156,7 @@ def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> flo
     with np.errstate(over="ignore", invalid="ignore"):
         for i0 in range(0, n_tokens, tile):
             i1 = min(n_tokens, i0 + tile)
-            q = qa[i0:i1]
-            if fmt_q is not None:
-                q = dequantize(quantize_tensor(q, fmt_q, blocking_axis=1))
+            q = qa[i0:i1] if fmt_q is None else dequantize(_cast_rows(qa, i0, i1, fmt_q))
             for j0 in range(0, i1, tile):
                 j1 = min(n_tokens, j0 + tile)
                 shape = (i1 - i0, j1 - j0)
@@ -167,6 +169,41 @@ def _causal_gap(qa, ka, qb=None, kb=None, fmt_q: BfpFormat | None = None) -> flo
                 where = causal[: shape[0], : shape[1]] if j0 == i0 else True
                 gap = np.maximum(gap, scores.max(initial=0.0, where=where))
     return float(gap)
+
+
+def _cast_rows(x: np.ndarray, r0: int, r1: int, fmt: BfpFormat) -> BfpTensor:
+    """Rows ``[r0, r1)`` of the matrix ``x`` cast to ``fmt``, blocked along the rows.
+
+    A block never spans rows, so these are the bits of those rows in a
+    whole-matrix cast.  So is an :class:`ExponentOverflow`: the first failing
+    tile holds the matrix's first overflowing block, and the matrix is cast
+    whole again to name that block by its row in ``x``, not in the tile.
+    """
+    try:
+        return quantize_tensor(x[r0:r1], fmt, blocking_axis=1)
+    except ExponentOverflow:
+        quantize_tensor(x, fmt, blocking_axis=1)  # raises with the row in x
+        raise
+
+
+def _cache_keys(keys: np.ndarray, fmt: BfpFormat, out: np.ndarray) -> BfpTensor:
+    """The key cache, ``keys`` cast to ``fmt``, decoded into ``out`` (``keys``' shape).
+
+    Cast and decoded :data:`TILE` rows at a time into exponent and mantissa
+    arrays of the whole cache, so no T x d_h float64 transient is made; the
+    cache has the bytes of ``quantize_tensor(keys, fmt, blocking_axis=1)``
+    (see :func:`_cast_rows`).
+    """
+    n_tokens, d_h = keys.shape
+    blocks = -(-d_h // fmt.block_size)
+    exponents = np.empty((n_tokens, blocks), dtype=np.int32)
+    mantissas = np.empty((n_tokens, blocks, fmt.block_size), dtype=_mantissa_dtype(fmt))
+    for r0 in range(0, n_tokens, TILE):
+        r1 = min(n_tokens, r0 + TILE)
+        tile = _cast_rows(keys, r0, r1, fmt)
+        exponents[r0:r1], mantissas[r0:r1] = tile.exponents, tile.mantissas
+        out[r0:r1] = dequantize(tile)
+    return BfpTensor(fmt, keys.shape, 1, exponents, mantissas)
 
 
 def _check_overflow(*results: np.ndarray | float) -> None:
@@ -209,9 +246,11 @@ def _project(
     ``(3, T, d_h)`` with a key format, one gathered plan weight matrix at a
     time, and the keys are copied beside them.  A float64 overflow of a
     projection is named here, before any cast (see :func:`_check_overflow`);
-    then the cache is decoded into the third slab, and the whole buffer turns
-    in place in one stacked rotation, so every ``cos``/``sin`` is evaluated
-    once per decode.
+    then the keys are cast and decoded into the third slab a tile at a time
+    (:func:`_cache_keys`), and the whole buffer turns in place in one stacked
+    rotation, so every ``cos``/``sin`` is evaluated once per decode.  The
+    cast adds no T x d_h float64 transient to the stack, so a T = 4096 decode
+    peaks at 19.2 MiB inside the rotation, not inside the cast.
     """
     source = (weights, rope_tables, X, plan)
     _require_instance("weights", weights, HeadWeights)
@@ -235,10 +274,7 @@ def _project(
         np.matmul(X, gather(weights.w_q).T, out=stacked[0])
     stacked[1] = keys
     _check_overflow(stacked[:2])
-    key_cache = None
-    if fmt_k is not None:
-        key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-        stacked[2] = dequantize(key_cache)
+    key_cache = None if fmt_k is None else _cache_keys(keys, fmt_k, stacked[2])
     rotated = _rotate(tables, stacked)
     # the last slab is the decoded keys; lossless keys are their own decode
     queries, rotated_keys, decoded_keys = rotated[0], rotated[1], rotated[-1]
@@ -277,28 +313,33 @@ def simulate_decode(
     the compile-time pass; ``rope_tables`` then names the original tables the
     plan was derived from.
 
-    The decode projects the head and casts the keys into the cache
-    (:func:`_project` with ``fmt_k``), which turns the queries, reference
-    keys and decoded keys together in one stacked rotation (lossless keys
-    are their own decode, so they reuse the rotated reference), then casts
-    and scores the queries one tile at a time (:func:`_causal_gap`).  An
-    argument of another type than its annotation raises :class:`InvalidValue`
-    before any projection.
+    The decode projects the head and casts the keys into the cache a tile at
+    a time (:func:`_project` with ``fmt_k``), which turns the queries,
+    reference keys and decoded keys together in one stacked rotation
+    (lossless keys are their own decode, so they reuse the rotated
+    reference), then casts and scores the queries one tile at a time
+    (:func:`_causal_gap`).  A key or query block that overflows its exponent
+    raises the :class:`~bfpksort.errors.ExponentOverflow` of a whole-matrix
+    cast, naming the block by its row in the matrix.  An argument of another
+    type than its annotation raises :class:`InvalidValue` before any
+    projection.
 
     A sweep scores every format pair of one plan on one projection by
     passing it as the private ``_projection``; one built from any other
     ``weights``, ``rope_tables``, ``X`` or ``plan`` object raises
     :class:`PlanMismatch` before any cast.  The sweep builds that projection
     without a key format, and a pair whose ``fmt_k`` it was not built for
-    casts its keys and turns its decoded keys alone: stacking every key
-    format's decoded keys into one rotation would grow the temporaries of
-    :func:`rope_apply` with the stack (the default sweep's peak rose from
-    1.42 to 1.85 MiB that way), for ``cos``/``sin`` that cost little at
-    the sweep's T = 64.
+    casts its keys in the same tiles and turns its decoded keys alone:
+    stacking every key format's decoded keys into one rotation would grow the
+    temporaries of :func:`rope_apply` with the stack (the default sweep's
+    peak rose from 1.42 to 1.85 MiB that way), for ``cos``/``sin`` that cost
+    little at the sweep's T = 64.
 
     The score error is reduced one square tile of :data:`TILE` query rows
     and keys at a time, so neither a T x T score map nor a whole matrix of
-    decoded queries is ever built.
+    decoded queries is ever built, and the keys are cast a tile at a time
+    into the cache, so no whole float64 matrix of their cast is built
+    either: one sorted decode peaks at 68.9 MiB at T = 16384.
     """
     _require_instance("fmt_k", fmt_k, BfpFormat, optional=True)
     _require_instance("fmt_q", fmt_q, BfpFormat, optional=True)
@@ -314,8 +355,9 @@ def simulate_decode(
     if fmt_k != projection.fmt_k:  # a projection shared by the pairs of a sweep
         key_cache, decoded = None, reference
         if fmt_k is not None:
-            key_cache = quantize_tensor(keys, fmt_k, blocking_axis=1)
-            decoded = _rotate(projection.tables, dequantize(key_cache))
+            decoded = np.empty_like(keys)
+            key_cache = _cache_keys(keys, fmt_k, decoded)
+            decoded = _rotate(projection.tables, decoded)
     score_err = _causal_gap(queries, decoded, queries, reference, fmt_q)
     _check_overflow(score_err)
     return DecodeTrace(keys=keys, key_cache=key_cache, score_err=score_err)

@@ -318,7 +318,7 @@ OBJECT_ENTRY_POINTS = {
         "weights", "a HeadWeights", lambda v: exactness_check(v, _PLAN, _X3)
     ),
     "plan_head.weights": ("weights", "a HeadWeights", lambda v: plan_head(v)),
-    "gen_outlier_head.spec": ("spec", "a OutlierSpec", lambda v: gen_outlier_head(4, 8, v)),
+    "gen_outlier_head.spec": ("spec", "an OutlierSpec", lambda v: gen_outlier_head(4, 8, v)),
     "rope_apply.tables": ("tables", "a RopeTables", lambda v: rope_apply(v, np.ones(4), 0)),
     "remap_rope_tables.tables": (
         "tables", "a RopeTables", lambda v: remap_rope_tables(v, Permutation.identity(4))
@@ -412,14 +412,16 @@ def _object_parameters() -> dict[str, inspect.Parameter]:
 
 def test_every_object_parameter_is_refused_by_type():
     # a new entry point that takes one of these names needs a row above, so its check
-    # cannot be skipped; each row wants the class that the parameter is annotated with
+    # cannot be skipped; each row wants the class that the parameter is annotated with,
+    # after "an" before a vowel and "a" before any other letter
     found = _object_parameters()
     assert {"quantize_tensor.fmt", "BfpTensor.fmt", "rope_apply.tables", "bfp_dot.k"} <= set(found)
     assert set(found) - set(OBJECT_ENTRY_POINTS) == set()
     for entry, parameter in found.items():
         cls = OBJECT_PARAMETERS[parameter.name].__name__
         assert cls in parameter.annotation, (entry, parameter.annotation)
-        assert OBJECT_ENTRY_POINTS[entry][1] in (f"a {cls}", f"a {cls} or None"), entry
+        article = "an" if cls[0] in "AEIOU" else "a"
+        assert OBJECT_ENTRY_POINTS[entry][1] in (f"{article} {cls}", f"{article} {cls} or None"), entry
 
 
 def test_exactness_check_needs_a_plan():

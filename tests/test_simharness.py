@@ -30,6 +30,7 @@ from bfpksort import (
     exactness_check,
     gen_activations,
     gen_outlier_head,
+    pack,
     plan_head,
     quantize_block,
     quantize_tensor,
@@ -40,7 +41,8 @@ from bfpksort import (
     simulate_decode,
 )
 from bfpksort.bfp import BFP12_64, BFP16_64, BFP16_128
-from bfpksort.errors import InvalidRopeTables, InvalidValue, PlanMismatch, ShapeMismatch
+from bfpksort.errors import ExponentOverflow, InvalidRopeTables, InvalidValue, PlanMismatch
+from bfpksort.errors import ShapeMismatch
 from bfpksort.errors import _require_real_array
 from bfpksort.simharness import ErrorReport
 
@@ -295,6 +297,58 @@ def test_cache_append_equals_batch_quantization():
             got = trace.key_cache.block(t * 2 + j)
             assert got.exponent == ref.exponent
             assert np.array_equal(got.mantissas, ref.mantissas)
+
+
+_TILE = simharness.TILE
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["default", "rows_7"])
+@pytest.mark.parametrize("n_tokens", [0, 1, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 5])
+def test_key_cache_cast_in_tiles_is_the_whole_matrix_cast(monkeypatch, rows, n_tokens):
+    # d_h = 40 at block 32 leaves a ragged block on every row; each tile's rows land
+    # in the cache's arrays and in the decoded slab with the bits of one whole cast
+    _patch_rows(monkeypatch, rows)
+    rng = np.random.default_rng(n_tokens)
+    keys = rng.normal(size=(n_tokens, 40)) * np.exp2(rng.integers(-8, 9, size=(n_tokens, 1)))
+    decoded = np.full_like(keys, np.nan)
+    cache = simharness._cache_keys(keys, BFP12_32, decoded)
+    want = quantize_tensor(keys, BFP12_32, blocking_axis=1)
+    assert (cache.fmt, cache.logical_shape, cache.blocking_axis) == (
+        want.fmt, want.logical_shape, want.blocking_axis
+    )
+    for got, expected in ((cache.exponents, want.exponents), (cache.mantissas, want.mantissas)):
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape)
+        assert got.tobytes() == expected.tobytes()
+    assert pack(cache) == pack(want)
+    assert decoded.tobytes() == dequantize(want).tobytes()
+
+
+def _overflowing_head():
+    """A head whose keys and queries are both ``X @ eye(16, 8).T``, and 300 tokens
+    of which only token 290 holds 1e60, in channel 3: its block overflows BFP16_32."""
+    eye = np.eye(16, 8)
+    X = gen_activations(300, 8, 0)
+    X[290, 3] = 1e60
+    return HeadWeights(w_k=eye, w_q=eye), X, X @ eye.T
+
+
+@pytest.mark.parametrize("rows", [None, 7], ids=["default", "rows_7"])
+@pytest.mark.parametrize("shared", [False, True], ids=["decode", "shared_projection"])
+@pytest.mark.parametrize("cast", ["keys", "queries"])
+def test_cast_overflow_names_its_block_by_its_row_in_the_matrix(monkeypatch, rows, shared, cast):
+    # row 290 is in a later tile (at rows [256, 300) by default, [287, 294) at 7 rows);
+    # the decode casts its keys and queries a tile at a time, but names the block as
+    # one cast of the whole matrix does: block (290, 0), not by its row in its tile
+    _patch_rows(monkeypatch, rows)
+    weights, X, projected = _overflowing_head()
+    with pytest.raises(ExponentOverflow) as whole:
+        quantize_tensor(projected, BFP16_32, blocking_axis=1)
+    assert str(whole.value).startswith("block (290, 0): ")
+    fmts = (BFP16_32, None) if cast == "keys" else (None, BFP16_32)
+    projection = simharness._project(weights, None, X, None) if shared else None
+    with pytest.raises(ExponentOverflow) as tiled:
+        simulate_decode(weights, None, X, *fmts, _projection=projection)
+    assert (type(tiled.value), str(tiled.value)) == (type(whole.value), str(whole.value))
 
 
 def test_sorted_beats_unsorted_on_outlier_head():
@@ -875,10 +929,11 @@ def _decode_peak_mib(t: int) -> float:
 def test_long_decode_memory_grows_with_t_not_t_squared():
     # a single T x T float64 score map is 128 MiB at T = 4096, and the dense decode
     # peaked at 522 MiB; four times the tokens may take less than twice the memory.
-    # Rotated in place, with 1-byte mantissas in the key cache and 512 KiB score
-    # tiles, the peaks are 6.77 and 20.69 MiB
-    peaks = {t: _decode_peak_mib(t) for t in (1024, 4096)}
-    assert peaks[1024] < 7.5 and peaks[4096] < 21.5, peaks
+    # Rotated in place, with 1-byte mantissas in the key cache, 512 KiB score tiles
+    # and the keys cast and decoded a tile at a time, the peaks are 6.78, 19.20 and
+    # 68.91 MiB (20.69 and 82.75 with the keys cast as one matrix)
+    peaks = {t: _decode_peak_mib(t) for t in (1024, 4096, 16384)}
+    assert peaks[1024] < 7.5 and peaks[4096] < 19.75 and peaks[16384] < 70, peaks
 
 
 #: SHA-256 of the float.hex of (mse, sqnr_db, max_abs_err, score_err), one line per
